@@ -166,7 +166,7 @@ def _build_recon_config(args, measured, method, pattern) -> ReconConfig:
     return ReconConfig(
         method=method,
         pattern=pattern,
-        seed=args.seed,
+        seed=_seed_of(args, entries, source),
         arch=arch,
         optimizer=optimizer,
         multiweight=multiweight,
@@ -201,7 +201,7 @@ def cmd_recon(args) -> int:
     wall_ms = 1e3 * (time.perf_counter() - t0)
     save_kspace(args.out, result.kspace)
     if args.report:
-        row = _metrics_row(method, pattern, args.seed, result, ref_sos, wall_ms)
+        row = _metrics_row(method, pattern, cfg.seed, result, ref_sos, wall_ms)
         _write_csv(args.report, RECON_COLUMNS, [row])
     _say(args, f"{method.replace('_', '-')} reconstruction written to {args.out} ({wall_ms:.0f} ms)")
     return 0
@@ -229,7 +229,7 @@ def cmd_compare(args) -> int:
         t0 = time.perf_counter()
         result = reconstruct(measured, cfg)
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        rows.append(_metrics_row(method, pattern, args.seed, result, ref_sos, wall_ms))
+        rows.append(_metrics_row(method, pattern, cfg.seed, result, ref_sos, wall_ms))
         _say(args, f"{method}: psnr={rows[-1]['psnr']:.2f}")
     _write_csv(args.report, RECON_COLUMNS, rows)
     return 0

@@ -8,13 +8,34 @@ all weights are real.  An optional parallel linear convolution (the
 ``skip`` path) realizes residual variants: its output is cropped to the
 main chain's spatial grid and added.
 
-Training is full batch: the source tensor never changes between
-iterations, so its patch matrix is extracted once and reused.
+A reconstruction trains one network per target coil, and every coil's
+network reads the same source tensor; only the targets differ.  So
+:func:`train` and :func:`forward` also take a sequence of networks, one
+per coil, and run all of them in one pass (one network is the case of a
+single coil):
+
+* The first layer and the skip path read the shared input.  Each gets one
+  patch matrix and one GEMM ``[M, K] @ [K, coils*O]`` for all coils, and
+  its weight gradient is one GEMM ``cols.T @ d[M, coils*O]``.  Training is
+  full batch, so these patch matrices are built once per training run.
+* Later layers read a different input per coil, so they run one coil at a
+  time on that coil's slice of the first layer's output, and a coil's
+  activations are dropped before the next coil starts.  Stacking them as
+  ``[coils, M, K]`` patch matrices instead was measured slower (MW-RAKI
+  training at 0.57-0.65x) and raised the peak memory of a 128x128, 8-coil
+  multi-weight reconstruction by 15-18%; keeping one coil's activations
+  alive while the next runs cost 23 MB more.
+
+Activations are channels-last ``[batch, ky, kx, ch]`` and patch columns
+are ordered (ky tap, kx, channel), so each patch copy reads contiguous
+channel runs.  Weights are packed into GEMM layouts once before training
+and unpacked into the ``[out, in, ky_taps, kx_width]`` kernels of
+:class:`ScanNetwork` afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -207,7 +228,11 @@ class TrainGeometry:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Full-batch training tensors: [batch, ch, ky, kx] sources and targets."""
+    """Full-batch training tensors: [batch, ch, ky, kx] sources and targets.
+
+    Targets may carry a leading coil axis, [coils, batch, ch, ky, kx], for
+    one network per coil trained on the shared sources (see :func:`train`).
+    """
 
     sources: np.ndarray
     targets: np.ndarray
@@ -216,9 +241,11 @@ class TrainingSet:
     def __post_init__(self):
         src = np.array(self.sources, dtype=np.float64, copy=True)
         tgt = np.array(self.targets, dtype=np.float64, copy=True)
-        if src.ndim != 4 or tgt.ndim != 4:
-            raise ValueError("sources and targets must be [batch, ch, ky, kx]")
-        if src.shape[0] != tgt.shape[0]:
+        if src.ndim != 4 or tgt.ndim not in (4, 5):
+            raise ValueError(
+                "sources must be [batch, ch, ky, kx] and targets [(coils,) batch, ch, ky, kx]"
+            )
+        if src.shape[0] != tgt.shape[-4]:
             raise ValueError("sources and targets disagree on batch size")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("training tensors contain non-finite values")
@@ -233,121 +260,259 @@ class TrainingSet:
 
 
 # ---------------------------------------------------------------------------
-# convolution primitives (valid, stride 1, ky dilation)
+# convolution primitives (valid, stride 1, ky dilation, channels-last)
+#
+# A layer that reads the shared input (the first layer, the skip path) is a
+# patch-matrix GEMM: _im2col columns [M, kt*kw*I] times a [kt*kw*I, O]
+# weight, shared by all coils.  A later layer runs per coil on its own
+# input; it multiplies the unwindowed input [M, I] by a tap-major
+# [I, kt*kw*O] weight and adds each tap's shifted output block.  That is
+# the same arithmetic with no patch copy, and its input gradient is one GEMM
+# with no col2im fold.  Its intermediate is kt*kw*O wide instead of
+# kt*kw*I, and later layers narrow the channels (32 -> 8 -> 6 or 32 -> 6 in
+# the default architectures), so it is also the smaller one.
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
 
 def _im2col(x: np.ndarray, ky_taps: int, kx_width: int, dilation: int):
-    """Patch matrix [N*OH*OW, C*ky_taps*kx_width] plus the (N, OH, OW) shape."""
+    """Patch matrix [N*OH*OW, ky_taps*kx_width*C] of a [N, H, W, C] input, plus (N, OH, OW)."""
     span = (ky_taps - 1) * dilation + 1
-    win = sliding_window_view(x, (span, kx_width), axis=(2, 3))[:, :, :, :, ::dilation, :]
-    n, _, oh, ow = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, -1)
+    win = sliding_window_view(x, (span, kx_width), axis=(1, 2))[:, :, :, :, ::dilation, :]
+    n, oh, ow = win.shape[:3]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, -1)
     return cols, (n, oh, ow)
 
 
-def _conv_from_cols(cols: np.ndarray, shape, w: np.ndarray) -> np.ndarray:
-    n, oh, ow = shape
-    out = cols @ w.reshape(w.shape[0], -1).T
-    return out.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
+def _patch_matrix(w: np.ndarray) -> np.ndarray:
+    """[O, I, kt, kw] kernel as the [kt*kw*I, O] right operand of :func:`_im2col` columns."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
-def _conv_grad_w(cols: np.ndarray, d_out: np.ndarray, w_shape) -> np.ndarray:
-    n, o = d_out.shape[0], d_out.shape[1]
-    d_mat = d_out.transpose(0, 2, 3, 1).reshape(-1, o)
-    return (d_mat.T @ cols).reshape(w_shape)
+def _tap_matrix(w: np.ndarray) -> np.ndarray:
+    """[O, I, kt, kw] kernel as the tap-major [I, kt*kw*O] weight of a per-coil layer."""
+    return w.transpose(1, 2, 3, 0).reshape(w.shape[1], -1)
 
 
-def _conv_grad_x(w: np.ndarray, d_out: np.ndarray, dilation: int) -> np.ndarray:
-    """Gradient w.r.t. the conv input: full correlation with the rotated kernel."""
-    kt, kw = w.shape[2], w.shape[3]
-    pad_y, pad_x = (kt - 1) * dilation, kw - 1
-    d_pad = np.pad(d_out, ((0, 0), (0, 0), (pad_y, pad_y), (pad_x, pad_x)))
-    cols, shape = _im2col(d_pad, kt, kw, dilation)
-    w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, O, kt, kw]
-    return _conv_from_cols(cols, shape, w_rot)
+def _patch_kernel(mat: np.ndarray, spec: LayerSpec, in_ch: int) -> np.ndarray:
+    return mat.reshape(spec.ky_taps, spec.kx_width, in_ch, spec.out_channels).transpose(3, 2, 0, 1)
+
+
+def _tap_kernel(mat: np.ndarray, spec: LayerSpec, in_ch: int) -> np.ndarray:
+    return mat.reshape(in_ch, spec.ky_taps, spec.kx_width, spec.out_channels).transpose(3, 0, 1, 2)
+
+
+def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
+    """(ky tap, kx tap, input rows, input cols) of every kernel tap for an OH x OW output."""
+    return [
+        (i, j, slice(i * dilation, i * dilation + oh), slice(j, j + ow))
+        for i in range(spec.ky_taps)
+        for j in range(spec.kx_width)
+    ]
 
 
 def conv2d_dilated(x: np.ndarray, w: np.ndarray, dilation: int = 1) -> np.ndarray:
     """Valid cross-correlation of [N, C, H, W] input with [O, C, kt, kw] kernel."""
-    cols, shape = _im2col(x, w.shape[2], w.shape[3], dilation)
-    return _conv_from_cols(cols, shape, w)
+    cols, shape = _im2col(_channels_last(x), w.shape[2], w.shape[3], dilation)
+    return (cols @ _patch_matrix(w)).reshape(*shape, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
-# network evaluation
+# coil-stacked evaluation
+#
+# A stacked parameter list holds the weights of same-architecture networks,
+# one per coil: the first layer as [kt*kw*I, coils, O], each later layer as
+# [coils, I, kt*kw*O], and the skip weight, if any, last as
+# [kt*kw*I, coils, O].  Its gradients have the same layout.
 
-def _skip_crop(arch: NetworkArch, out_shape):
+def _pack(nets) -> list:
+    arch = nets[0].arch
+    params = [np.stack([_patch_matrix(net.weights[0]) for net in nets], axis=1)]
+    params += [
+        np.stack([_tap_matrix(net.weights[li]) for net in nets])
+        for li in range(1, len(arch.layers))
+    ]
+    if arch.skip is not None:
+        params.append(np.stack([_patch_matrix(net.skip_weight) for net in nets], axis=1))
+    return params
+
+
+def _unpack(arch: NetworkArch, params, coil: int):
+    """Coil ``coil``'s ([O, I, kt, kw] kernels, skip kernel or None) from a stacked list."""
+    kernels = [_patch_kernel(params[0][:, coil], arch.layers[0], arch.in_channels)]
+    for li in range(1, len(arch.layers)):
+        in_ch = arch.layers[li - 1].out_channels
+        kernels.append(_tap_kernel(params[li][coil], arch.layers[li], in_ch))
+    skip = None
+    if arch.skip is not None:
+        skip = _patch_kernel(params[-1][:, coil], arch.skip, arch.in_channels)
+    return tuple(kernels), skip
+
+
+def _shared_gemm(cols: np.ndarray, shape, w: np.ndarray) -> np.ndarray:
+    """All coils' outputs [N, OH, OW, coils, O] of a layer that reads the shared input."""
+    return (cols @ w.reshape(w.shape[0], -1)).reshape(*shape, *w.shape[1:])
+
+
+def _skip_crop(arch: NetworkArch, oh: int, ow: int):
     dy = arch.skip_row_offset * arch.dilation
     dx = arch.skip_col_offset
-    return (slice(dy, dy + out_shape[2]), slice(dx, dx + out_shape[3]))
+    return slice(dy, dy + oh), slice(dx, dx + ow)
 
 
-def _forward(arch: NetworkArch, weights, skip_weight, x, input_cache=None, want_caches=False):
-    """Run the network; optionally keep activations/cols for backprop."""
-    acts = [x]
-    cols_list = []
-    h = x
-    for li, (w, spec) in enumerate(zip(weights, arch.layers)):
-        if li == 0 and input_cache is not None:
-            cols, shape = input_cache.main
-        else:
-            cols, shape = _im2col(h, spec.ky_taps, spec.kx_width, arch.dilation)
-        z = _conv_from_cols(cols, shape, w)
-        h = np.maximum(z, 0.0) if spec.activation == "relu" else z
-        if want_caches:
-            cols_list.append(cols)
-            acts.append(h)
-    out = h
-    skip_out_shape = None
-    if skip_weight is not None:
-        if input_cache is not None:
-            s_cols, s_shape = input_cache.skip
-        else:
-            s_cols, s_shape = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
-        skip_full = _conv_from_cols(s_cols, s_shape, skip_weight)
-        rows, cols_sl = _skip_crop(arch, out.shape)
-        out = out + skip_full[:, :, rows, cols_sl]
-        skip_out_shape = skip_full.shape
-        if want_caches:
-            cols_list.append(s_cols)
-    if want_caches:
-        return out, acts, cols_list, skip_out_shape
+def _input_cols(arch: NetworkArch, x: np.ndarray):
+    """Patch matrices of the shared input for the first layer and the skip path."""
+    first = arch.layers[0]
+    main = _im2col(x, first.ky_taps, first.kx_width, arch.dilation)
+    skip = None
+    if arch.skip is not None:
+        skip = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
+    return main, skip
+
+
+def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One coil's layer ``li`` >= 1: [N, H, W, I] input and tap-major weight to [N, OH, OW, O]."""
+    spec = arch.layers[li]
+    n, hh, ww, in_ch = h.shape
+    oh = hh - (spec.ky_taps - 1) * arch.dilation
+    ow = ww - (spec.kx_width - 1)
+    y = (h.reshape(-1, in_ch) @ w).reshape(n, hh, ww, spec.ky_taps, spec.kx_width, -1)
+    z = np.zeros((n, oh, ow, spec.out_channels))
+    for i, j, rows, cols in _taps(spec, arch.dilation, oh, ow):
+        z += y[:, rows, cols, i, j]
+    return np.maximum(z, 0.0) if spec.activation == "relu" else z
+
+
+def _layer_grads(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray, d: np.ndarray):
+    """Weight and input gradients of :func:`_layer` for an output gradient ``d``."""
+    spec = arch.layers[li]
+    n, hh, ww, in_ch = h.shape
+    dy = np.zeros((n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels))
+    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[1], d.shape[2]):
+        dy[:, rows, cols, i, j] = d
+    dy = dy.reshape(n * hh * ww, -1)
+    h_mat = h.reshape(-1, in_ch)
+    return h_mat.T @ dy, (dy @ w.T).reshape(h.shape)
+
+
+def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
+    """Every coil's output [coils, N, OH, OW, O] for a channels-last input [N, H, W, I].
+
+    The skip path runs first, for all coils at once, so its patch matrix is
+    freed before the first layer's is built; the chain then runs one coil
+    at a time from the shared first-layer patch matrix.
+    """
+    oh, ow = arch.output_shape(x.shape[1], x.shape[2])
+    coils = params[0].shape[1]
+    out = np.zeros((coils, x.shape[0], oh, ow, arch.out_channels))
+    if arch.skip is not None:
+        s_cols, s_shape = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
+        rows, cols_sl = _skip_crop(arch, oh, ow)
+        out += _shared_gemm(s_cols, s_shape, params[-1])[:, rows, cols_sl].transpose(3, 0, 1, 2, 4)
+        del s_cols
+    first = arch.layers[0]
+    cols, shape = _im2col(x, first.ky_taps, first.kx_width, arch.dilation)
+    for c in range(coils):
+        h = (cols @ params[0][:, c]).reshape(*shape, first.out_channels)
+        if first.activation == "relu":
+            h = np.maximum(h, 0.0)
+        for li in range(1, len(arch.layers)):
+            h = _layer(arch, li, params[li][c], h)
+        out[c] += h
     return out
 
 
-class _InputCache:
-    """Patch matrices of the (constant) input tensor, reused across iterations."""
+def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
+    """Each coil's loss [coils] and the stacked gradients of their sum.
 
-    def __init__(self, arch: NetworkArch, x: np.ndarray):
-        spec = arch.layers[0]
-        self.main = _im2col(x, spec.ky_taps, spec.kx_width, arch.dilation)
-        self.skip = None
-        if arch.skip is not None:
-            self.skip = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
+    ``targets`` is channels-last, [coils, N, OH, OW, O].  Coils have
+    disjoint weights, so the gradient of the sum is each coil's own.
+    """
+    (cols1, shape1), skip_cols = input_cols
+    n_layers = len(arch.layers)
+    coils = targets.shape[0]
+    z1 = _shared_gemm(cols1, shape1, params[0])
+    relu1 = arch.layers[0].activation == "relu"
+    h1 = np.maximum(z1, 0.0) if relu1 else z1
+    rows, cols_sl = _skip_crop(arch, *targets.shape[2:4])
+    if skip_cols is not None:
+        skip_full = _shared_gemm(*skip_cols, params[-1])
+        d_skip = np.zeros_like(skip_full)
+    losses = np.empty(coils)
+    grads = [None] + [np.empty_like(p) for p in params[1:]]
+    d1 = np.empty_like(h1)
+    for c in range(coils):
+        acts = [h1[:, :, :, c]]
+        for li in range(1, n_layers):
+            acts.append(_layer(arch, li, params[li][c], acts[-1]))
+        out = acts[-1]
+        if skip_cols is not None:
+            out = out + skip_full[:, rows, cols_sl, c]
+        diff = out - targets[c]
+        losses[c] = float(np.mean(diff * diff))
+        d = (2.0 / diff.size) * diff
+        if skip_cols is not None:
+            d_skip[:, rows, cols_sl, c] = d
+        for li in range(n_layers - 1, 0, -1):
+            if arch.layers[li].activation == "relu":
+                d = d * (acts[li] > 0)
+            grads[li][c], d = _layer_grads(arch, li, params[li][c], acts[li - 1], d)
+        d1[:, :, :, c] = d
+    if relu1:
+        d1 = d1 * (h1 > 0)
+    grads[0] = (cols1.T @ d1.reshape(cols1.shape[0], -1)).reshape(params[0].shape)
+    if skip_cols is not None:
+        s_cols = skip_cols[0]
+        grads[-1] = (s_cols.T @ d_skip.reshape(s_cols.shape[0], -1)).reshape(params[-1].shape)
+    return losses, grads
 
 
-def _loss_and_grads(arch, weights, skip_weight, ts: TrainingSet, input_cache=None):
-    out, acts, cols_list, skip_shape = _forward(
-        arch, weights, skip_weight, ts.sources, input_cache, want_caches=True
+def _sgd_update(params, grads, vel, lr: float, momentum: float) -> None:
+    """Heavy-ball update of list entries in place: v <- momentum*v + lr*g, w <- w - v."""
+    for i, g in enumerate(grads):
+        vel[i] = momentum * vel[i] + lr * g
+        params[i] = params[i] - vel[i]
+
+
+def _adam_update(params, grads, m, v, t: int, lr: float,
+                 beta1: float, beta2: float, eps: float) -> None:
+    """Bias-corrected Adam step ``t`` (from 1) of list entries in place."""
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for i, g in enumerate(grads):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        params[i] = params[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+
+
+def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
+    arch = nets[0].arch
+    input_cols = _input_cols(arch, _channels_last(sources))
+    y = np.ascontiguousarray(targets.transpose(0, 1, 3, 4, 2))
+    params = _pack(nets)
+    first_moment = [np.zeros_like(p) for p in params]
+    second_moment = [np.zeros_like(p) for p in params]
+    losses = np.empty((len(nets), opt.iters))
+    # overflow on the way to a non-finite loss is reported as the exception
+    # below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, opt.iters + 1):
+            values, grads = _loss_and_grads(arch, params, input_cols, y)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise TrainingDivergedError(
+                    f"coil {bad[0]}: non-finite training loss at iteration {it}"
+                )
+            losses[:, it - 1] = values
+            if opt.kind == "sgd_momentum":
+                _sgd_update(params, grads, first_moment, opt.lr, opt.momentum)
+            else:
+                _adam_update(params, grads, first_moment, second_moment, it,
+                             opt.lr, opt.beta1, opt.beta2, opt.eps)
+    trained = tuple(
+        ScanNetwork(arch, *_unpack(arch, params, c), seed=net.seed) for c, net in enumerate(nets)
     )
-    diff = out - ts.targets
-    value = float(np.mean(diff * diff))
-    if not np.isfinite(value):
-        return value, None, None  # caller aborts; gradients would be garbage
-    d = (2.0 / diff.size) * diff
-    skip_grad = None
-    if skip_weight is not None:
-        rows, cols_sl = _skip_crop(arch, out.shape)
-        d_skip = np.zeros(skip_shape)
-        d_skip[:, :, rows, cols_sl] = d
-        skip_grad = _conv_grad_w(cols_list[-1], d_skip, skip_weight.shape)
-    grads = [None] * len(weights)
-    for li in reversed(range(len(weights))):
-        if arch.layers[li].activation == "relu":
-            d = d * (acts[li + 1] > 0)
-        grads[li] = _conv_grad_w(cols_list[li], d, weights[li].shape)
-        if li > 0:
-            d = _conv_grad_x(weights[li], d, arch.dilation)
-    return value, grads, skip_grad
+    return trained, losses
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +560,38 @@ def _glorot(rng, spec: LayerSpec, in_ch: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(spec.out_channels, in_ch, spec.ky_taps, spec.kx_width))
 
 
-def forward(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
-    """Network output for a [batch, in_ch, ky, kx] input."""
+def _as_nets(net) -> tuple[list, bool]:
+    """(networks, whether a single network was given) for a net-or-sequence argument."""
+    if isinstance(net, ScanNetwork):
+        return [net], True
+    nets = list(net)
+    if not nets:
+        raise ValueError("need at least one network")
+    arch = nets[0].arch
+    if any(other.arch != arch for other in nets):
+        raise ValueError("networks trained or run together must share one architecture")
+    return nets, False
+
+
+def forward(net, x: np.ndarray) -> np.ndarray:
+    """Network output [batch, out, oh, ow] for a [batch, in_ch, ky, kx] input.
+
+    ``net`` may also be a sequence of same-architecture networks, one per
+    coil; the result is then [coils, batch, out, oh, ow].
+    """
+    nets, single = _as_nets(net)
+    arch = nets[0].arch
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1] != net.arch.in_channels:
-        raise ValueError(
-            f"input must be [batch, {net.arch.in_channels}, ky, kx], got {x.shape}"
-        )
-    net.arch.output_shape(x.shape[2], x.shape[3])
-    return _forward(net.arch, net.weights, net.skip_weight, x)
+    if x.ndim != 4 or x.shape[1] != arch.in_channels:
+        raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
+    arch.output_shape(x.shape[2], x.shape[3])
+    out = _forward(arch, _pack(nets), _channels_last(x)).transpose(0, 1, 4, 2, 3)
+    return out[0] if single else out
 
 
 def forward_main(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
     """Output of the convolutional chain alone (no skip path)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _forward(net.arch, net.weights, None, x)
+    return forward(ScanNetwork(replace(net.arch, skip=None), net.weights, None, net.seed), x)
 
 
 def forward_skip(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
@@ -417,138 +599,98 @@ def forward_skip(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
     if net.skip_weight is None:
         raise ValueError("network has no skip path")
     x = np.asarray(x, dtype=np.float64)
-    oh, ow = net.arch.output_shape(x.shape[2], x.shape[3])
-    full = conv2d_dilated(x, net.skip_weight, net.arch.dilation)
-    rows, cols = _skip_crop(net.arch, (x.shape[0], net.arch.out_channels, oh, ow))
-    return full[:, :, rows, cols]
+    rows, cols = _skip_crop(net.arch, *net.arch.output_shape(x.shape[2], x.shape[3]))
+    return conv2d_dilated(x, net.skip_weight, net.arch.dilation)[:, :, rows, cols]
 
 
-def _check_training_set(arch: NetworkArch, ts: TrainingSet) -> None:
+def _check_training_set(nets, ts: TrainingSet, single: bool) -> np.ndarray:
+    """``ts.targets`` with a leading coil axis, after checking it against the networks."""
+    arch = nets[0].arch
     if ts.sources.shape[1] != arch.in_channels:
         raise ValueError(
             f"training sources have {ts.sources.shape[1]} channels, arch expects {arch.in_channels}"
         )
     oh, ow = arch.output_shape(ts.sources.shape[2], ts.sources.shape[3])
-    expected = (ts.sources.shape[0], arch.out_channels, oh, ow)
-    if ts.targets.shape != expected:
-        raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {expected}")
+    targets = ts.targets[None] if single else ts.targets
+    expected = (len(nets), ts.sources.shape[0], arch.out_channels, oh, ow)
+    if targets.shape != expected:
+        shown = expected[1:] if single else expected
+        raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {shown}")
+    return targets
 
 
 def loss(net: ScanNetwork, ts: TrainingSet) -> float:
     """Mean squared error of the network output against the targets."""
-    _check_training_set(net.arch, ts)
-    diff = _forward(net.arch, net.weights, net.skip_weight, ts.sources) - ts.targets
+    _check_training_set([net], ts, single=True)
+    diff = forward(net, ts.sources) - ts.targets
     return float(np.mean(diff * diff))
 
 
 def loss_and_gradients(net: ScanNetwork, ts: TrainingSet):
     """Loss value and its analytic gradients (backpropagation)."""
-    _check_training_set(net.arch, ts)
-    value, grads, skip_grad = _loss_and_grads(net.arch, net.weights, net.skip_weight, ts)
-    return value, Gradients(layers=grads, skip=skip_grad)
+    targets = _check_training_set([net], ts, single=True)
+    arch = net.arch
+    input_cols = _input_cols(arch, _channels_last(ts.sources))
+    values, grads = _loss_and_grads(arch, _pack([net]), input_cols, targets.transpose(0, 1, 3, 4, 2))
+    layers, skip = _unpack(arch, grads, 0)
+    return float(values[0]), Gradients(layers=list(layers), skip=skip)
+
+
+def _param_list(layers, skip) -> list:
+    return list(layers) + ([] if skip is None else [skip])
+
+
+def _from_param_list(net: ScanNetwork, params) -> ScanNetwork:
+    n = len(net.weights)
+    skip = params[n] if net.skip_weight is not None else None
+    return ScanNetwork(arch=net.arch, weights=tuple(params[:n]), skip_weight=skip, seed=net.seed)
 
 
 def sgd_momentum_step(net: ScanNetwork, grads: Gradients, state, lr: float, momentum: float):
     """One heavy-ball update: v <- momentum*v + lr*g, w <- w - v."""
+    params = _param_list(net.weights, net.skip_weight)
     if state is None:
-        state = MomentumState(
-            velocities=[np.zeros_like(w) for w in net.weights],
-            skip_velocity=None if net.skip_weight is None else np.zeros_like(net.skip_weight),
-        )
-    new_w, new_v = [], []
-    for w, g, v in zip(net.weights, grads.layers, state.velocities):
-        v = momentum * v + lr * g
-        new_v.append(v)
-        new_w.append(w - v)
-    skip_w, skip_v = net.skip_weight, state.skip_velocity
-    if skip_w is not None:
-        skip_v = momentum * skip_v + lr * grads.skip
-        skip_w = skip_w - skip_v
-    net = ScanNetwork(arch=net.arch, weights=tuple(new_w), skip_weight=skip_w, seed=net.seed)
-    return net, MomentumState(velocities=new_v, skip_velocity=skip_v)
+        vel = [np.zeros_like(w) for w in params]
+    else:
+        vel = _param_list(state.velocities, state.skip_velocity)
+    _sgd_update(params, _param_list(grads.layers, grads.skip), vel, lr, momentum)
+    n = len(net.weights)
+    skip_v = vel[n] if net.skip_weight is not None else None
+    return _from_param_list(net, params), MomentumState(velocities=vel[:n], skip_velocity=skip_v)
 
 
 def adam_step(net: ScanNetwork, grads: Gradients, state, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One Adam update with bias correction."""
+    params = _param_list(net.weights, net.skip_weight)
     if state is None:
-        state = AdamState(
-            step=0,
-            m=[np.zeros_like(w) for w in net.weights],
-            v=[np.zeros_like(w) for w in net.weights],
-            skip_m=None if net.skip_weight is None else np.zeros_like(net.skip_weight),
-            skip_v=None if net.skip_weight is None else np.zeros_like(net.skip_weight),
-        )
-    t = state.step + 1
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
-
-    def update(w, g, m, v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        w = w - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        return w, m, v
-
-    new_w, new_m, new_v = [], [], []
-    for w, g, m, v in zip(net.weights, grads.layers, state.m, state.v):
-        w, m, v = update(w, g, m, v)
-        new_w.append(w)
-        new_m.append(m)
-        new_v.append(v)
-    skip_w, skip_m, skip_v = net.skip_weight, state.skip_m, state.skip_v
-    if skip_w is not None:
-        skip_w, skip_m, skip_v = update(skip_w, grads.skip, skip_m, skip_v)
-    net = ScanNetwork(arch=net.arch, weights=tuple(new_w), skip_weight=skip_w, seed=net.seed)
-    return net, AdamState(step=t, m=new_m, v=new_v, skip_m=skip_m, skip_v=skip_v)
+        step = 0
+        m, v = [np.zeros_like(w) for w in params], [np.zeros_like(w) for w in params]
+    else:
+        step = state.step
+        m, v = _param_list(state.m, state.skip_m), _param_list(state.v, state.skip_v)
+    _adam_update(params, _param_list(grads.layers, grads.skip), m, v, step + 1, lr, beta1, beta2, eps)
+    n = len(net.weights)
+    has_skip = net.skip_weight is not None
+    new_state = AdamState(
+        step=step + 1, m=m[:n], v=v[:n],
+        skip_m=m[n] if has_skip else None, skip_v=v[n] if has_skip else None,
+    )
+    return _from_param_list(net, params), new_state
 
 
-def train(net: ScanNetwork, ts: TrainingSet, opt: OptimizerConfig):
+def train(net, ts: TrainingSet, opt: OptimizerConfig):
     """Run ``opt.iters`` full-batch iterations; returns (trained net, loss history).
 
-    The history records the loss at the start of each iteration.  A
-    non-finite loss aborts with :class:`TrainingDivergedError`.
+    The history records the loss at the start of each iteration.  ``net``
+    may also be a sequence of same-architecture networks, one per coil,
+    that all read ``ts.sources``; ``ts.targets`` then carries a leading
+    coil axis, and the result is (tuple of trained nets, histories
+    [coils, iters]).  Each coil's history and weights agree with training
+    it alone up to rounding.  A non-finite loss aborts with
+    :class:`TrainingDivergedError` naming the first such coil.
     """
-    _check_training_set(net.arch, ts)
-    arch = net.arch
-    weights = [np.array(w) for w in net.weights]
-    skip_w = None if net.skip_weight is None else np.array(net.skip_weight)
-    cache = _InputCache(arch, ts.sources)
-    losses = np.empty(opt.iters)
-
-    if opt.kind == "sgd_momentum":
-        vel = [np.zeros_like(w) for w in weights]
-        skip_vel = None if skip_w is None else np.zeros_like(skip_w)
-    else:
-        m1 = [np.zeros_like(w) for w in weights]
-        m2 = [np.zeros_like(w) for w in weights]
-        skip_m1 = None if skip_w is None else np.zeros_like(skip_w)
-        skip_m2 = None if skip_w is None else np.zeros_like(skip_w)
-
-    # overflow on the way to a non-finite loss is reported as the exception
-    # below, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, opt.iters + 1):
-            value, grads, skip_grad = _loss_and_grads(arch, weights, skip_w, ts, cache)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"non-finite training loss at iteration {it}")
-            losses[it - 1] = value
-            if opt.kind == "sgd_momentum":
-                for i, g in enumerate(grads):
-                    vel[i] = opt.momentum * vel[i] + opt.lr * g
-                    weights[i] -= vel[i]
-                if skip_w is not None:
-                    skip_vel = opt.momentum * skip_vel + opt.lr * skip_grad
-                    skip_w -= skip_vel
-            else:
-                c1 = 1.0 - opt.beta1**it
-                c2 = 1.0 - opt.beta2**it
-                for i, g in enumerate(grads):
-                    m1[i] = opt.beta1 * m1[i] + (1.0 - opt.beta1) * g
-                    m2[i] = opt.beta2 * m2[i] + (1.0 - opt.beta2) * g * g
-                    weights[i] -= opt.lr * (m1[i] / c1) / (np.sqrt(m2[i] / c2) + opt.eps)
-                if skip_w is not None:
-                    skip_m1 = opt.beta1 * skip_m1 + (1.0 - opt.beta1) * skip_grad
-                    skip_m2 = opt.beta2 * skip_m2 + (1.0 - opt.beta2) * skip_grad * skip_grad
-                    skip_w -= opt.lr * (skip_m1 / c1) / (np.sqrt(skip_m2 / c2) + opt.eps)
-
-    trained = ScanNetwork(arch=arch, weights=tuple(weights), skip_weight=skip_w, seed=net.seed)
-    return trained, losses
+    nets, single = _as_nets(net)
+    targets = _check_training_set(nets, ts, single)
+    trained, losses = _train(nets, ts.sources, targets, opt)
+    return (trained[0], losses[0]) if single else (trained, losses)

@@ -3,7 +3,10 @@
 Scan-specific methods train one network per target coil on training pairs
 cut from the ACS block, slide it over the acquired-line lattice of the full
 grid, write the predicted missing rows, and finally overwrite every
-acquired row with the measured data (data consistency).
+acquired row with the measured data (data consistency).  Every coil's
+network reads the same sources, so the sources are cut once per weighting
+branch, the targets once per coil, and all coils train and infer together
+(see :mod:`mwrecon.network`).
 
 Multi-weight variants run the same flow on a batch of weighted copies of
 the measurement (one per weighting matrix, plus the untouched original).
@@ -33,9 +36,7 @@ from .network import (
     LayerSpec,
     NetworkArch,
     OptimizerConfig,
-    ScanNetwork,
     TrainGeometry,
-    TrainingDivergedError,
     TrainingSet,
     forward,
     init_network,
@@ -154,10 +155,19 @@ def build_training_pairs(
     Targets are the R-1 rows between acquired lines at every valid window
     position; every value is a raw ACS sample.
     """
-    if arch.dilation != 1:
-        raise ValueError("training pairs use lattice-compacted rows; arch must have dilation 1")
     if not 0 <= target_coil < acs.n_coils:
         raise ValueError(f"target_coil {target_coil} out of range for {acs.n_coils} coils")
+    sources, targets, geometry = _training_pairs(acs, R, arch, acs_row0)
+    return TrainingSet(sources=sources, targets=targets[target_coil], geometry=geometry)
+
+
+def _training_pairs(acs: MultiCoilKSpace, R: int, arch: NetworkArch, acs_row0: int):
+    """Sources [1, ch, ky, kx] shared by all coils, every coil's targets, and the geometry.
+
+    Targets are [coils, 1, 2*(R-1), oh, ow]; see :func:`build_training_pairs`.
+    """
+    if arch.dilation != 1:
+        raise ValueError("training pairs use lattice-compacted rows; arch must have dilation 1")
     if arch.in_channels != 2 * acs.n_coils:
         raise ValueError(
             f"arch expects {arch.in_channels} input channels, data provides {2 * acs.n_coils}"
@@ -183,14 +193,13 @@ def build_training_pairs(
     sources = np.concatenate([compact.real, compact.imag], axis=0)[None]
     ow = acs.nx - (arch.rf_cols - 1)
     tx = arch.target_col_offset
-    targets = np.empty((1, 2 * (R - 1), n_win, ow))
+    targets = np.empty((acs.n_coils, 1, 2 * (R - 1), n_win, ow))
     anchor_rows = lat[gap : gap + n_win]
     for m in range(1, R):
-        block = acs.data[target_coil, anchor_rows + m, tx : tx + ow]
-        targets[0, m - 1] = block.real
-        targets[0, (R - 1) + m - 1] = block.imag
-    geometry = TrainGeometry(R=R, row_gap=gap, col_offset=tx)
-    return TrainingSet(sources=sources, targets=targets, geometry=geometry)
+        block = acs.data[:, anchor_rows + m, tx : tx + ow]
+        targets[:, 0, m - 1] = block.real
+        targets[:, 0, (R - 1) + m - 1] = block.imag
+    return sources, targets, TrainGeometry(R=R, row_gap=gap, col_offset=tx)
 
 
 def build_mw_batch(kspace: MultiCoilKSpace, mw: MultiWeightConfig) -> np.ndarray:
@@ -228,17 +237,6 @@ def _resolve_arch(cfg: ReconConfig, n_coils: int, R: int) -> NetworkArch:
     return arch
 
 
-def _predict_full_grid(net: ScanNetwork, x_padded: np.ndarray, R: int, ny: int):
-    """Network outputs as complex row predictions, one [ny?, nx] grid per offset m.
-
-    ``x_padded`` holds the lattice-compacted, zero-padded inputs; output row
-    ``o`` of the network predicts original rows ``o*R + m``.
-    """
-    out = forward(net, x_padded)
-    n_half = out.shape[1] // 2
-    return out[:, :n_half], out[:, n_half:]
-
-
 def _scan_specific_reconstruct(
     measured: MultiCoilKSpace,
     cfg: ReconConfig,
@@ -259,33 +257,21 @@ def _scan_specific_reconstruct(
 
     t0 = time.perf_counter()
     acs_sl = slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)
-    training_sets = []
-    for coil in range(n_coils):
-        per_filter = [
-            build_training_pairs(
-                MultiCoilKSpace(w[:, acs_sl, :]), R, arch, coil, acs_row0=pattern.acs_start
-            )
-            for w in weighted
-        ]
-        training_sets.append(
-            TrainingSet(
-                sources=np.concatenate([ts.sources for ts in per_filter]),
-                targets=np.concatenate([ts.targets for ts in per_filter]),
-                geometry=per_filter[0].geometry,
-            )
-        )
-    nets, histories = [], []
-    for coil in range(n_coils):
-        net0 = init_network(arch, cfg.seed + coil)
-        try:
-            net, losses = train(net0, training_sets[coil], cfg.optimizer)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"coil {coil}: {exc}") from exc
-        nets.append(net)
-        histories.append(losses)
+    pairs = [
+        _training_pairs(MultiCoilKSpace(w[:, acs_sl, :]), R, arch, pattern.acs_start)
+        for w in weighted
+    ]
+    ts = TrainingSet(
+        sources=np.concatenate([p[0] for p in pairs]),  # [n_f, ch, ky, kx]
+        targets=np.concatenate([p[1] for p in pairs], axis=1),  # [n_c, n_f, out, oh, ow]
+        geometry=pairs[0][2],
+    )
+    nets0 = [init_network(arch, cfg.seed + coil) for coil in range(n_coils)]
+    nets, histories = train(nets0, ts, cfg.optimizer)
     t_train = time.perf_counter()
 
-    # inference: slide over the acquired-line lattice of the full grid
+    # inference: slide over the acquired-line lattice of the full grid; output
+    # row o of a network predicts original rows o*R + m
     lat = np.arange(0, ny, R)
     compact = np.stack([w[:, lat, :] for w in weighted])  # [n_f, n_c, n_lat, nx]
     x = np.concatenate([compact.real, compact.imag], axis=1)
@@ -293,16 +279,14 @@ def _scan_specific_reconstruct(
     taps = arch.ky_taps_excess
     tx = arch.target_col_offset
     x = np.pad(x, ((0, 0), (0, 0), (gap, taps - gap), (tx, arch.rf_cols - 1 - tx)))
-    estimates = [w.copy() for w in weighted]
-    n_lat = lat.size
-    for coil, net in enumerate(nets):
-        re_part, im_part = _predict_full_grid(net, x, R, ny)
-        for m in range(1, R):
-            rows = lat + m
-            keep = rows < ny
-            vals = re_part[:, m - 1][:, keep, :] + 1j * im_part[:, m - 1][:, keep, :]
-            for j in range(len(filters)):
-                estimates[j][coil, rows[keep], :] = vals[j]
+    out = forward(nets, x).transpose(1, 0, 2, 3, 4)  # [n_f, n_c, out, n_lat, nx]
+    estimates = np.stack(weighted)
+    for m in range(1, R):
+        rows = lat + m
+        keep = rows < ny
+        estimates[:, :, rows[keep], :] = (
+            out[:, :, m - 1, keep] + 1j * out[:, :, (R - 1) + m - 1, keep]
+        )
     t_infer = time.perf_counter()
 
     # de-weight each branch and average the valid ones per location

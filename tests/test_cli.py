@@ -1,0 +1,77 @@
+import csv
+
+import numpy as np
+import pytest
+
+from mwrecon.cli import main
+from mwrecon.kspace import load_kspace
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def scan(tmp_path):
+    """32x32, 4-coil phantom and its R=4 undersampling, written through the CLI."""
+    full, under = tmp_path / "full.mwks", tmp_path / "under.mwks"
+    assert main(["--quiet", "--seed", "3", "phantom", "--size", "32", "--coils", "4",
+                 "--snr", "30", "--out", str(full)]) == 0
+    assert main(["--quiet", "undersample", "--input", str(full), "--R", "4", "--acs", "16",
+                 "--out", str(under)]) == 0
+    return tmp_path, full, under
+
+
+def recon(tmp_path, under, name, *extra):
+    out = tmp_path / f"{name}.mwks"
+    argv = ["--quiet", *extra, "recon", "--method", "raki", "--input", str(under), "--R", "4",
+            "--acs", "16", "--iters", "5", "--out", str(out), "--report", str(tmp_path / f"{name}.csv"),
+            "--ref", str(tmp_path / "full.mwks")]
+    assert main(argv) == 0
+    return out, read_rows(tmp_path / f"{name}.csv")
+
+
+def test_recon_without_seed_then_eval(scan):
+    tmp_path, full, under = scan
+    out, rows = recon(tmp_path, under, "default")
+    assert len(rows) == 1
+    assert rows[0]["method"] == "raki" and rows[0]["seed"] == "0" and rows[0]["train_iters"] == "5"
+    # the default seed is the one the report names
+    seeded, _ = recon(tmp_path, under, "seeded", "--seed", "0")
+    assert np.array_equal(load_kspace(out).data, load_kspace(seeded).data)
+
+    report = tmp_path / "eval.csv"
+    argv = ["--quiet", "eval", "--recon", str(out), "--ref", str(full), "--report", str(report)]
+    assert main(argv) == 0
+    (row,) = read_rows(report)
+    assert float(row["psnr"]) == pytest.approx(float(rows[0]["psnr"]), abs=1e-3)
+    assert 0 < float(row["ssim"]) <= 1 and float(row["rmse"]) > 0
+
+
+def test_recon_takes_the_seed_from_the_config(scan):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("seed = 5\n", encoding="utf-8")
+    _, rows = recon(tmp_path, under, "configured", "--seed", "5")
+    assert rows[0]["seed"] == "5"
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--iters", "5", "--config", str(config), "--out", str(tmp_path / "c.mwks"),
+            "--report", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    (row,) = read_rows(tmp_path / "c.csv")
+    assert row["seed"] == "5"
+    from_config = load_kspace(tmp_path / "c.mwks").data
+    assert np.array_equal(from_config, load_kspace(tmp_path / "configured.mwks").data)
+
+
+def test_compare_without_seed(scan):
+    tmp_path, full, _ = scan
+    report = tmp_path / "compare.csv"
+    argv = ["--quiet", "compare", "--input", str(full), "--methods", "raki,rraki", "--R", "4",
+            "--acs", "16", "--iters", "5", "--report", str(report)]
+    assert main(argv) == 0
+    rows = read_rows(report)
+    assert [r["method"] for r in rows] == ["raki", "rraki"]
+    assert all(r["seed"] == "0" for r in rows)
+    assert all(np.isfinite(float(r["psnr"])) for r in rows)

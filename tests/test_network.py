@@ -26,11 +26,9 @@ from oracles import conv_naive
 GEOM = TrainGeometry(R=2, row_gap=0, col_offset=1)
 
 
-def small_arch(in_ch=2, hidden=3, out=2, dilation=1, skip=False):
-    layers = (
-        LayerSpec(hidden, 3, 2, "relu"),
-        LayerSpec(out, 3, 2, "identity"),
-    )
+def small_arch(in_ch=2, hidden=3, out=2, dilation=1, skip=False, depth=2):
+    hidden_layers = (LayerSpec(hidden, 3, 2, "relu"), LayerSpec(hidden, 2, 2, "relu"))
+    layers = hidden_layers[: depth - 1] + (LayerSpec(out, 3, 2, "identity"),)
     skip_spec = LayerSpec(out, 3, 2, "identity") if skip else None
     return NetworkArch(in_channels=in_ch, layers=layers, dilation=dilation, skip=skip_spec)
 
@@ -241,11 +239,11 @@ def relative_error(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-def gradient_check_instance(seed, dilation=1, skip=False):
+def gradient_check_instance(seed, dilation=1, skip=False, depth=2):
     """One verified gradient-check instance; resamples away from ReLU kinks."""
     for attempt in range(20):
         rng = np.random.default_rng(seed + 1000 * attempt)
-        arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation, skip=skip)
+        arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation, skip=skip, depth=depth)
         net = init_network(arch, seed + 1000 * attempt)
         h = 2 + arch.ky_taps_excess * dilation + 3
         ts = TrainingSet(
@@ -259,11 +257,14 @@ def gradient_check_instance(seed, dilation=1, skip=False):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_backprop_matches_finite_differences(self, seed):
+        # seeds 6 and 7 add a second hidden layer, so a later layer reads
+        # another later layer's output
         skip = seed % 2 == 1
         dilation = (1, 2, 3)[seed % 3]
-        net, ts = gradient_check_instance(seed, dilation=dilation, skip=skip)
+        depth = 3 if seed >= 6 else 2
+        net, ts = gradient_check_instance(seed, dilation=dilation, skip=skip, depth=depth)
         value, grads = loss_and_gradients(net, ts)
         assert value == pytest.approx(loss(net, ts), rel=1e-12)
         fd_layers, fd_skip = finite_difference_gradients(net, ts)
@@ -378,3 +379,73 @@ class TestTrain:
         ts = make_training_set(rng, arch)
         _, history = train(net, ts, OptimizerConfig(kind="sgd_momentum", lr=0.01, iters=300))
         assert history[-1] < history[0]
+
+
+def coil_case(coils=3, depth=2, dilation=1, skip=False, seed=0):
+    """Same-architecture networks, one per coil, with shared sources and per-coil targets."""
+    rng = np.random.default_rng(seed)
+    arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation, skip=skip, depth=depth)
+    h = 2 + arch.ky_taps_excess * dilation + 4
+    src = rng.standard_normal((2, 2, h, 9))
+    tgt = rng.standard_normal((coils, 2, 2) + arch.output_shape(h, 9))
+    nets = [init_network(arch, 10 + c) for c in range(coils)]
+    return nets, TrainingSet(sources=src, targets=tgt, geometry=GEOM)
+
+
+def max_relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestCoilBatching:
+    """Training or running C networks together equals C independent one-network runs."""
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_batched_training_matches_per_coil(self, kind, skip, dilation, depth):
+        nets, ts = coil_case(depth=depth, dilation=dilation, skip=skip)
+        opt = OptimizerConfig(kind=kind, lr=0.01, iters=30)
+        trained, histories = train(nets, ts, opt)
+        assert len(trained) == 3 and histories.shape == (3, 30)
+        for c, net in enumerate(nets):
+            alone, history = train(net, TrainingSet(ts.sources, ts.targets[c], GEOM), opt)
+            assert history.shape == (30,)
+            assert max_relative(histories[c], history) <= 1e-10
+            assert history[-1] < history[0]
+            for wb, wa in zip(trained[c].weights, alone.weights):
+                assert max_relative(wb, wa) <= 1e-10
+            if skip:
+                assert max_relative(trained[c].skip_weight, alone.skip_weight) <= 1e-10
+            assert trained[c].seed == net.seed
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_batched_forward_matches_per_coil(self, skip, dilation):
+        nets, ts = coil_case(depth=3, dilation=dilation, skip=skip, seed=1)
+        out = forward(nets, ts.sources)
+        assert out.shape == (3,) + ts.targets.shape[1:]
+        for c, net in enumerate(nets):
+            assert max_relative(out[c], forward(net, ts.sources)) <= 1e-12
+
+    def test_divergence_names_the_first_diverged_coil(self):
+        nets, ts = coil_case(seed=2)
+        targets = np.array(ts.targets)
+        targets[1] *= 1e200  # squared error overflows for coil 1 only
+        ts = TrainingSet(ts.sources, targets, GEOM)
+        message = r"^coil 1: non-finite training loss at iteration 1$"
+        with pytest.raises(TrainingDivergedError, match=message):
+            train(nets, ts, OptimizerConfig(iters=5))
+
+    def test_rejects_mixed_architectures(self):
+        nets, ts = coil_case(coils=2)
+        other = init_network(small_arch(skip=True), 0)
+        with pytest.raises(ValueError, match="share one architecture"):
+            train([nets[0], other], ts, OptimizerConfig(iters=1))
+        with pytest.raises(ValueError, match="share one architecture"):
+            forward([nets[0], other], ts.sources)
+
+    def test_rejects_target_coil_count_mismatch(self):
+        nets, ts = coil_case(coils=3)
+        with pytest.raises(ValueError, match="targets shape"):
+            train(nets[:2], ts, OptimizerConfig(iters=1))
