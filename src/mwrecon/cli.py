@@ -13,7 +13,6 @@ import csv
 import hashlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -380,11 +379,7 @@ def cmd_ablate(args) -> int:
             }
             return row, []
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
+    outcomes = [run(cell) for cell in cells]
 
     rows = [row for row, _ in outcomes]
     _write_csv(args.out, ABLATE_COLUMNS, rows)
@@ -408,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scan-specific parallel MRI reconstruction in k-space.",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel ablation cells (default 1)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -111,6 +111,25 @@ def _source_matrix(acs: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -
     return patches.reshape(n_pos, geom.n_sources(n_coils))
 
 
+def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
+    """Shared source matrix ``A`` and the stacked targets of every (coil, offset) pair.
+
+    Column ``i * (R - 1) + m - 1`` of the targets holds coil ``i``'s ACS
+    values ``m`` rows below each patch's governing acquired line.
+    """
+    anchors = _window_anchor_rows(acs.ny, geom, row0)
+    if anchors.size == 0:
+        raise ValueError(
+            f"ACS too small for geometry: {acs.ny} rows, footprint needs "
+            f"{geom.footprint_rows} rows on the acquisition lattice"
+        )
+    A = _source_matrix(acs.data, anchors, geom)
+    rows = anchors + geom.gap_index * geom.R + np.arange(1, geom.R)[:, None]  # [m, n_anchor]
+    targets = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half]  # [c, m, n_anchor, x0]
+    B = np.ascontiguousarray(targets.reshape(acs.n_coils * (geom.R - 1), -1).T)
+    return A, B
+
+
 def build_calibration_system(
     acs: MultiCoilKSpace,
     geom: KernelGeometry,
@@ -128,16 +147,8 @@ def build_calibration_system(
         raise ValueError(f"target_coil {target_coil} out of range for {acs.n_coils} coils")
     if not 1 <= offset_m <= geom.R - 1:
         raise ValueError(f"offset m must be in [1, R-1], got {offset_m}")
-    anchors = _window_anchor_rows(acs.ny, geom, row0)
-    if anchors.size == 0:
-        raise ValueError(
-            f"ACS too small for geometry: {acs.ny} rows, footprint needs "
-            f"{geom.footprint_rows} rows on the acquisition lattice"
-        )
-    A = _source_matrix(acs.data, anchors, geom)
-    target_rows = anchors + geom.gap_index * geom.R + offset_m
-    b = acs.data[target_coil, target_rows, geom.bx_half : acs.nx - geom.bx_half]
-    return A, b.reshape(-1)
+    A, B = _calibration_system(acs, geom, row0)
+    return A, B[:, target_coil * (geom.R - 1) + offset_m - 1].copy()
 
 
 def calibrate(
@@ -153,13 +164,7 @@ def calibrate(
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    anchors = _window_anchor_rows(acs.ny, geom, row0)
-    if anchors.size == 0:
-        raise ValueError(
-            f"ACS too small for geometry: {acs.ny} rows, footprint needs "
-            f"{geom.footprint_rows} rows on the acquisition lattice"
-        )
-    A = _source_matrix(acs.data, anchors, geom)
+    A, B = _calibration_system(acs, geom, row0)
     n_unknowns = A.shape[1]
     if A.shape[0] < n_unknowns:
         warnings.warn(
@@ -167,13 +172,6 @@ def calibrate(
             f"{n_unknowns} unknowns)",
             stacklevel=2,
         )
-    # all (coil, offset) pairs share the source matrix; stack the targets
-    B = np.empty((A.shape[0], acs.n_coils * (geom.R - 1)), dtype=np.complex128)
-    valid_cols = slice(geom.bx_half, acs.nx - geom.bx_half)
-    for i in range(acs.n_coils):
-        for m in range(1, geom.R):
-            rows = anchors + geom.gap_index * geom.R + m
-            B[:, i * (geom.R - 1) + m - 1] = acs.data[i, rows, valid_cols].reshape(-1)
     if ridge == 0.0:
         W, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
         if rank < n_unknowns:

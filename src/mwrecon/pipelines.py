@@ -222,8 +222,15 @@ def _require_consistent(measured: MultiCoilKSpace, pattern: SamplingPattern) -> 
         raise ValueError(f"grid has {measured.ny} rows but pattern expects {pattern.ny}")
     if pattern.mask.all():
         raise ValueError("nothing to reconstruct: the pattern acquires every row")
-    if np.any(measured.data[:, ~pattern.mask, :] != 0):
+    nonzero = np.any(measured.data, axis=(0, 2))  # per row: any coil has a nonzero sample
+    if np.any(nonzero & ~pattern.mask):
         raise ValueError("measured data has nonzero samples on rows the pattern marks missing")
+    empty = np.flatnonzero(pattern.mask & ~nonzero)
+    if empty.size:
+        raise ValueError(
+            f"{empty.size} rows the pattern marks acquired (first: {empty[0]}) are zero in "
+            f"every coil; was the data undersampled at a higher R than the pattern's R={pattern.R}?"
+        )
 
 
 def _resolve_arch(cfg: ReconConfig, n_coils: int, R: int) -> NetworkArch:
@@ -350,11 +357,10 @@ def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResu
     if cfg.method != "grappa":
         raise ValueError(f"grappa_reconstruct got method {cfg.method!r}")
     pattern = cfg.pattern
-    if measured.ny != pattern.ny:
-        raise ValueError(f"grid has {measured.ny} rows but pattern expects {pattern.ny}")
     geom = cfg.grappa_geometry or KernelGeometry(R=pattern.R)
     if geom.R != pattern.R:
         raise ValueError(f"kernel geometry R={geom.R} does not match pattern R={pattern.R}")
+    _require_consistent(measured, pattern)
     t0 = time.perf_counter()
     acs = extract_acs(measured, pattern)
     kernel = calibrate(acs, geom, ridge=cfg.ridge, row0=pattern.acs_start)

@@ -88,10 +88,14 @@ class TestSsim:
         ref = ((-1.0) ** (y + x)).astype(float)
         assert ssim(-ref, ref) < 0.0
 
-    def test_matches_loop_oracle(self):
+    @pytest.mark.parametrize(
+        "shape", [(32, 32), (11, 11), (13, 29), (40, 17)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_loop_oracle(self, shape):
+        # non-square shapes exercise distinct row and column window operators
         rng = np.random.default_rng(7)
-        a, b = rng.random((32, 32)), rng.random((32, 32))
-        assert ssim(a, b) == pytest.approx(ssim_loop(a, b), abs=1e-9)
+        a, b = rng.random(shape), rng.random(shape)
+        assert ssim(a, b) == pytest.approx(ssim_loop(a, b), abs=1e-12)
 
     def test_rejects_small_images(self):
         with pytest.raises(ValueError, match="11"):

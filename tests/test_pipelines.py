@@ -187,6 +187,22 @@ class TestGrappaPipeline:
         with pytest.raises(ValueError, match="R="):
             grappa_reconstruct(MultiCoilKSpace(np.zeros((1, 16, 8), dtype=complex)), cfg)
 
+    def test_rejects_data_on_missing_rows(self):
+        full, _, pattern = phantom_scene()
+        cfg = ReconConfig(method="grappa", pattern=pattern, ridge=1e-3)
+        with pytest.raises(ValueError, match="nonzero"):
+            grappa_reconstruct(full, cfg)  # full grid has data on missing rows
+
+
+@pytest.mark.parametrize("method", ["grappa", "raki"])
+def test_rejects_acquired_rows_that_are_all_zero(method):
+    # data undersampled at R=4, reconstructed with an R=2 pattern
+    _, measured, _ = phantom_scene(R=4, acs=16)
+    pattern = make_uniform_pattern(48, 2, 16)
+    cfg = ReconConfig(method=method, pattern=pattern, ridge=1e-3 if method == "grappa" else 0.0)
+    with pytest.raises(ValueError, match=r"zero in every coil.*R=2"):
+        reconstruct(measured, cfg)
+
 
 class TestScanSpecificPipeline:
     def test_rejects_fully_sampled(self):
