@@ -29,13 +29,14 @@ from .config import (
 from .grappa import KernelGeometry
 from .kspace import apply_pattern, load_kspace, make_uniform_pattern, save_kspace, save_pattern
 from .metrics import evaluate
-from .network import LayerSpec, NetworkArch, OptimizerConfig
+from .network import NetworkArch, OptimizerConfig
 from .phantom import make_coil_maps, shepp_logan, simulate_kspace
 from .pipelines import (
     DEFAULT_FILTER_EXPONENTS,
     METHODS,
     MultiWeightConfig,
     ReconConfig,
+    default_arch,
     make_multiweight_config,
     reconstruct,
     reconstruct_image,
@@ -243,27 +244,6 @@ def _cell_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def _depth_arch(method: str, depth: int, n_coils: int, R: int) -> NetworkArch:
-    out = 2 * (R - 1)
-    wide = LayerSpec(32, 5, 2, "relu")
-    bottleneck = LayerSpec(8, 1, 1, "relu")
-    final = LayerSpec(out, 3, 2, "identity")
-    presets = {
-        1: (final,),
-        2: (wide, final),
-        3: (wide, bottleneck, final),
-        5: (wide, bottleneck, LayerSpec(8, 1, 1, "relu"), LayerSpec(8, 1, 1, "relu"), final),
-    }
-    if depth not in presets:
-        raise ConfigError(f"unsupported depth {depth}; choose from {sorted(presets)}")
-    layers = presets[depth]
-    skip = None
-    if method in ("rraki", "mw_rraki"):
-        rf_cols = sum(s.kx_width - 1 for s in layers) + 1
-        skip = LayerSpec(out, min(5, rf_cols), 2, "identity")
-    return NetworkArch(in_channels=2 * n_coils, layers=layers, dilation=1, skip=skip)
-
-
 def _load_ablation_scene(entries, source):
     input_path = get_scalar(entries, "input", str, None, source)
     if input_path:
@@ -285,7 +265,7 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     measured = apply_pattern(full, pattern)
     arch = None
     if depth is not None and method != "grappa":
-        arch = _depth_arch(method, depth, full.n_coils, R)
+        arch = default_arch(method, full.n_coils, R, depth)
     multiweight = None
     if method in ("mw_raki", "mw_rraki"):
         if p_value is not None:
@@ -478,9 +458,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

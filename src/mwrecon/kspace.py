@@ -6,8 +6,10 @@ Conventions used throughout the package:
   (the only undersampled one), ``kx`` is the fully sampled readout axis,
 * Fourier transforms are centered (DC at ``(ny // 2, nx // 2)``) and
   orthonormal, so ``ifft2c(fft2c(x)) == x`` and Parseval holds,
-* containers are immutable after construction; every operation returns a
-  new object and is safe to call concurrently.
+* one frozen container, :class:`MultiCoilKSpace`, holds a coil array in
+  either domain; ``CoilImage`` is a second name for it that marks
+  image-domain arguments.  Containers are immutable after construction;
+  every operation returns a new object and is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import get_scalar, load_config
 
 MWKS_MAGIC = b"MWKS"
 MWKS_VERSION = 1
@@ -26,26 +30,22 @@ class KSpaceFormatError(ValueError):
     """Raised for malformed .mwks files (bad magic, truncation, bad dims)."""
 
 
-def _frozen_complex_stack(data, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128, copy=True, order="C")
-    if arr.ndim != 3:
-        raise ValueError(f"{what} must be a [coil, ky, kx] array, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"{what} dimensions must be positive, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} contains non-finite values")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class MultiCoilKSpace:
-    """Complex k-space samples for all receive coils, shape [n_coils, ny, nx]."""
+    """Complex samples for all receive coils, shape [n_coils, ny, nx], in either domain."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_complex_stack(self.data, "k-space"))
+        arr = np.array(self.data, dtype=np.complex128, copy=True, order="C")
+        if arr.ndim != 3:
+            raise ValueError(f"coil array must be a [coil, ky, kx] array, got shape {arr.shape}")
+        if min(arr.shape) < 1:
+            raise ValueError(f"coil array dimensions must be positive, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("coil array contains non-finite values")
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
     @property
     def n_coils(self) -> int:
@@ -60,26 +60,7 @@ class MultiCoilKSpace:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class CoilImage:
-    """Complex image-domain counterpart of :class:`MultiCoilKSpace`."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_complex_stack(self.data, "coil image"))
-
-    @property
-    def n_coils(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def nx(self) -> int:
-        return self.data.shape[2]
+CoilImage = MultiCoilKSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,21 +208,9 @@ def save_pattern(path, pattern: SamplingPattern) -> None:
 
 def load_pattern(path) -> SamplingPattern:
     """Read a sampling pattern written by :func:`save_pattern`."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                values[key] = int(value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad integer for key {key!r}") from exc
-    missing = {"ny", "R", "acs_count"} - values.keys()
+    entries = load_config(path)
+    keys = ("ny", "R", "acs_count")
+    missing = set(keys) - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return make_uniform_pattern(values["ny"], values["R"], values["acs_count"])
+    return make_uniform_pattern(*(get_scalar(entries, key, int, source=str(path)) for key in keys))

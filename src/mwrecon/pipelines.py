@@ -13,7 +13,8 @@ the measurement (one per weighting matrix, plus the untouched original).
 The batch shares one network per coil; at inference each weighted estimate
 is divided by its weighting matrix where that is safely invertible, and
 the final value of each missing sample is the mean over the valid branches
-(the all-pass branch is always valid).
+(the all-pass branch is always valid).  RAKI and rRAKI are the one-branch
+case: their bank holds only the all-pass filter.
 
 Networks ride the acquired-line lattice: a ky tap spacing of ``R`` rows on
 the full grid is realized by extracting every ``R``-th row and running the
@@ -24,7 +25,6 @@ would.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +100,6 @@ class ReconConfig:
     multiweight: MultiWeightConfig | None = None
     grappa_geometry: KernelGeometry | None = None
     ridge: float = 0.0
-    normalize: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -117,28 +116,41 @@ class ReconResult:
     coil_images: CoilImage
     sos: np.ndarray
     loss_histories: tuple
-    timings_ms: dict
     config: dict
 
 
-def default_arch(method: str, n_coils: int, R: int) -> NetworkArch:
-    """Per-method network layout (unit ky spacing; lattice-compacted inputs)."""
+_DEFAULT_DEPTHS = {"raki": 3, "rraki": 3, "mw_raki": 2, "mw_rraki": 3}
+
+
+def default_arch(method: str, n_coils: int, R: int, depth: int | None = None) -> NetworkArch:
+    """Per-method network layout (unit ky spacing; lattice-compacted inputs).
+
+    ``depth`` selects a stack of 1, 2, 3 or 5 layers; without it mw_raki
+    gets 2 and the other methods 3.  The residual methods (rraki, mw_rraki)
+    add a linear skip path as wide as the stack's receptive field allows,
+    up to 5 columns.
+    """
+    if method not in _DEFAULT_DEPTHS:
+        raise ValueError(f"no network architecture for method {method!r}")
     out = 2 * (R - 1)
     wide = LayerSpec(32, 5, 2, "relu")
     bottleneck = LayerSpec(8, 1, 1, "relu")
     final = LayerSpec(out, 3, 2, "identity")
-    skip = LayerSpec(out, 5, 2, "identity")
-    if method == "raki":
-        layers, skip_spec = (wide, bottleneck, final), None
-    elif method == "rraki":
-        layers, skip_spec = (wide, bottleneck, final), skip
-    elif method == "mw_raki":
-        layers, skip_spec = (wide, final), None
-    elif method == "mw_rraki":
-        layers, skip_spec = (wide, bottleneck, final), skip
-    else:
-        raise ValueError(f"no network architecture for method {method!r}")
-    return NetworkArch(in_channels=2 * n_coils, layers=layers, dilation=1, skip=skip_spec)
+    stacks = {
+        1: (final,),
+        2: (wide, final),
+        3: (wide, bottleneck, final),
+        5: (wide, bottleneck, bottleneck, bottleneck, final),
+    }
+    depth = _DEFAULT_DEPTHS[method] if depth is None else depth
+    if depth not in stacks:
+        raise ValueError(f"unsupported depth {depth}; choose from {sorted(stacks)}")
+    layers = stacks[depth]
+    skip = None
+    if method in ("rraki", "mw_rraki"):
+        rf_cols = sum(spec.kx_width - 1 for spec in layers) + 1
+        skip = LayerSpec(out, min(5, rf_cols), 2, "identity")
+    return NetworkArch(in_channels=2 * n_coils, layers=layers, dilation=1, skip=skip)
 
 
 def build_training_pairs(
@@ -233,40 +245,24 @@ def _require_consistent(measured: MultiCoilKSpace, pattern: SamplingPattern) -> 
         )
 
 
-def _resolve_arch(cfg: ReconConfig, n_coils: int, R: int) -> NetworkArch:
-    arch = cfg.arch if cfg.arch is not None else default_arch(cfg.method, n_coils, R)
-    if arch.dilation != 1:
-        raise ValueError("reconstruction realizes R-spaced taps by row compaction; use dilation 1")
-    if arch.in_channels != 2 * n_coils:
-        raise ValueError(f"arch expects {arch.in_channels} channels, data provides {2 * n_coils}")
-    if arch.out_channels != 2 * (R - 1):
-        raise ValueError(f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}")
-    return arch
-
-
 def _scan_specific_reconstruct(
-    measured: MultiCoilKSpace,
-    cfg: ReconConfig,
-    filters: tuple[WeightFilter, ...],
-    eps: float | None,
+    measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightConfig
 ) -> ReconResult:
     pattern = cfg.pattern
     _require_consistent(measured, pattern)
     R = pattern.R
     n_coils, ny, nx = measured.n_coils, measured.ny, measured.nx
-    arch = _resolve_arch(cfg, n_coils, R)
+    arch = cfg.arch or default_arch(cfg.method, n_coils, R)
 
-    scale = float(np.max(np.abs(measured.data))) if cfg.normalize else 1.0
+    scale = float(np.max(np.abs(measured.data)))
     if scale == 0:
         raise ValueError("measured k-space is identically zero")
-    base = measured.data / scale
-    weighted = [base * f.h for f in filters]
+    batch = build_mw_batch(MultiCoilKSpace(measured.data / scale), mw)  # [n_f, n_c, ny, nx]
 
-    t0 = time.perf_counter()
     acs_sl = slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)
     pairs = [
         _training_pairs(MultiCoilKSpace(w[:, acs_sl, :]), R, arch, pattern.acs_start)
-        for w in weighted
+        for w in batch
     ]
     ts = TrainingSet(
         sources=np.concatenate([p[0] for p in pairs]),  # [n_f, ch, ky, kx]
@@ -275,32 +271,27 @@ def _scan_specific_reconstruct(
     )
     nets0 = [init_network(arch, cfg.seed + coil) for coil in range(n_coils)]
     nets, histories = train(nets0, ts, cfg.optimizer)
-    t_train = time.perf_counter()
 
     # inference: slide over the acquired-line lattice of the full grid; output
     # row o of a network predicts original rows o*R + m
     lat = np.arange(0, ny, R)
-    compact = np.stack([w[:, lat, :] for w in weighted])  # [n_f, n_c, n_lat, nx]
+    compact = batch[:, :, lat, :]  # [n_f, n_c, n_lat, nx]
     x = np.concatenate([compact.real, compact.imag], axis=1)
     gap = arch.target_row_gap
     taps = arch.ky_taps_excess
     tx = arch.target_col_offset
     x = np.pad(x, ((0, 0), (0, 0), (gap, taps - gap), (tx, arch.rf_cols - 1 - tx)))
     out = forward(nets, x).transpose(1, 0, 2, 3, 4)  # [n_f, n_c, out, n_lat, nx]
-    estimates = np.stack(weighted)
-    for m in range(1, R):
+    for m in range(1, R):  # estimates overwrite the missing rows of each branch
         rows = lat + m
         keep = rows < ny
-        estimates[:, :, rows[keep], :] = (
-            out[:, :, m - 1, keep] + 1j * out[:, :, (R - 1) + m - 1, keep]
-        )
-    t_infer = time.perf_counter()
+        batch[:, :, rows[keep], :] = out[:, :, m - 1, keep] + 1j * out[:, :, (R - 1) + m - 1, keep]
 
     # de-weight each branch and average the valid ones per location
     acc = np.zeros((n_coils, ny, nx), dtype=np.complex128)
     count = np.zeros((ny, nx))
-    for est, f in zip(estimates, filters):
-        deweighted, valid = remove_filter(MultiCoilKSpace(est), f, eps)
+    for est, f in zip(batch, mw.filters):
+        deweighted, valid = remove_filter(MultiCoilKSpace(est), f, mw.eps)
         acc += deweighted.data * valid
         count += valid
     combined = acc / count  # all-pass branch keeps count >= 1 everywhere
@@ -309,24 +300,18 @@ def _scan_specific_reconstruct(
     final[:, pattern.mask, :] = measured.data[:, pattern.mask, :]
     result_kspace = MultiCoilKSpace(final)
     images = ifft2c(result_kspace)
-    t_end = time.perf_counter()
     return ReconResult(
         kspace=result_kspace,
         coil_images=images,
         sos=sos_combine(images),
         loss_histories=tuple(histories),
-        timings_ms={
-            "train": 1e3 * (t_train - t0),
-            "infer": 1e3 * (t_infer - t_train),
-            "total": 1e3 * (t_end - t0),
-        },
         config={
             "method": cfg.method,
             "R": R,
             "acs_count": pattern.acs_count,
             "seed": cfg.seed,
             "iters": cfg.optimizer.iters,
-            "n_highpass": len(filters) - 1,
+            "n_highpass": mw.n_highpass,
             "normalization_scale": scale,
         },
     )
@@ -336,8 +321,8 @@ def raki_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult
     """Scan-specific reconstruction without weighting (methods raki / rraki)."""
     if cfg.method not in ("raki", "rraki"):
         raise ValueError(f"raki_reconstruct got method {cfg.method!r}")
-    filters = (all_pass_filter(measured.ny, measured.nx),)
-    return _scan_specific_reconstruct(measured, cfg, filters, eps=None)
+    mw = MultiWeightConfig(filters=(all_pass_filter(measured.ny, measured.nx),))
+    return _scan_specific_reconstruct(measured, cfg, mw)
 
 
 def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
@@ -347,9 +332,7 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
     mw = cfg.multiweight
     if mw is None:
         mw = make_multiweight_config(measured.ny, measured.nx)
-    if (mw.filters[0].ny, mw.filters[0].nx) != (measured.ny, measured.nx):
-        raise ValueError("multiweight filters do not match the measurement grid")
-    return _scan_specific_reconstruct(measured, cfg, mw.filters, eps=mw.eps)
+    return _scan_specific_reconstruct(measured, cfg, mw)
 
 
 def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
@@ -361,23 +344,15 @@ def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResu
     if geom.R != pattern.R:
         raise ValueError(f"kernel geometry R={geom.R} does not match pattern R={pattern.R}")
     _require_consistent(measured, pattern)
-    t0 = time.perf_counter()
     acs = extract_acs(measured, pattern)
     kernel = calibrate(acs, geom, ridge=cfg.ridge, row0=pattern.acs_start)
-    t_cal = time.perf_counter()
     filled = interpolate(kernel, measured, pattern)
     images = ifft2c(filled)
-    t_end = time.perf_counter()
     return ReconResult(
         kspace=filled,
         coil_images=images,
         sos=sos_combine(images),
         loss_histories=(),
-        timings_ms={
-            "train": 1e3 * (t_cal - t0),
-            "infer": 1e3 * (t_end - t_cal),
-            "total": 1e3 * (t_end - t0),
-        },
         config={
             "method": cfg.method,
             "R": pattern.R,

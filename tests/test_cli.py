@@ -75,3 +75,28 @@ def test_compare_without_seed(scan):
     assert [r["method"] for r in rows] == ["raki", "rraki"]
     assert all(r["seed"] == "0" for r in rows)
     assert all(np.isfinite(float(r["psnr"])) for r in rows)
+
+
+def test_ablate_is_reproducible_and_reports_bad_depths(tmp_path, capsys):
+    def ablate(name, depths):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = rraki\ndepth = {depths}\n"
+                          "iters = 2\n", encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        return main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]), out
+
+    code, first = ablate("first", "1, 3")
+    assert code == 0
+    rows = read_rows(first)
+    assert [(r["method"], r["depth"], r["status"]) for r in rows] == [("rraki", "1", "ok"), ("rraki", "3", "ok")]
+    assert all(np.isfinite(float(r["psnr"])) for r in rows)
+    code, second = ablate("second", "1, 3")
+    assert code == 0 and first.read_bytes() == second.read_bytes()
+
+    capsys.readouterr()
+    code, bad = ablate("bad", "3, 4")
+    assert code == 1
+    status = {r["depth"]: r["status"] for r in read_rows(bad)}
+    assert status["3"] == "ok"
+    assert status["4"].startswith("error:") and "choose from [1, 2, 3, 5]" in status["4"]
+    assert "unsupported depth 4" in capsys.readouterr().err

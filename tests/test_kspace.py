@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,11 @@ class TestTypes:
         ks = MultiCoilKSpace(src)
         src[0, 0, 0] = 9.0
         assert ks.data[0, 0, 0] == 1.0
+
+    def test_coil_image_is_the_same_container(self):
+        assert CoilImage is MultiCoilKSpace
+        with pytest.raises(ValueError, match="coil array"):
+            CoilImage(np.zeros((4, 4), dtype=complex))
 
 
 class TestFFT:
@@ -271,3 +278,22 @@ class TestFileFormat:
         assert "R = 6" in text and "acs_count = 40" in text
         back = load_pattern(path)
         assert back == p
+
+    def test_pattern_accepts_comments(self, tmp_path):
+        path = tmp_path / "pattern.txt"
+        path.write_text("# written by hand\nny = 64  # rows\nR = 4\nacs_count = 16 # block\n")
+        assert load_pattern(path) == make_uniform_pattern(64, 4, 16)
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("ny = 64\nR = 4\n", r"missing keys \['acs_count'\]"),
+            ("ny = 64\nR = four\nacs_count = 16\n", r"bad value for key 'R'"),
+        ],
+        ids=["missing_key", "non_integer"],
+    )
+    def test_bad_pattern_names_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "bad_pattern.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + problem):
+            load_pattern(path)

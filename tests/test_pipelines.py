@@ -122,6 +122,32 @@ class TestBuildTrainingPairs:
         assert flat_targets <= flat_acs
 
 
+class TestDefaultArch:
+    @pytest.mark.parametrize("method", ["raki", "rraki", "mw_raki", "mw_rraki"])
+    @pytest.mark.parametrize(
+        "depth, widths, skip_width",
+        [(1, [3], 3), (2, [5, 3], 5), (3, [5, 1, 3], 5), (5, [5, 1, 1, 1, 3], 5)],
+        ids=["depth1", "depth2", "depth3", "depth5"],
+    )
+    def test_table_depths(self, method, depth, widths, skip_width):
+        arch = default_arch(method, n_coils=4, R=4, depth=depth)
+        assert [spec.kx_width for spec in arch.layers] == widths
+        assert [spec.activation for spec in arch.layers] == ["relu"] * (depth - 1) + ["identity"]
+        assert (arch.in_channels, arch.out_channels, arch.dilation) == (8, 6, 1)
+        if method in ("rraki", "mw_rraki"):
+            assert arch.skip == LayerSpec(6, skip_width, 2, "identity")
+        else:
+            assert arch.skip is None
+
+    @pytest.mark.parametrize("method, depth", [("raki", 3), ("rraki", 3), ("mw_raki", 2), ("mw_rraki", 3)])
+    def test_default_depth(self, method, depth):
+        assert default_arch(method, 8, 2) == default_arch(method, 8, 2, depth=depth)
+
+    def test_rejects_unsupported_depth(self):
+        with pytest.raises(ValueError, match=r"unsupported depth 4; choose from \[1, 2, 3, 5\]"):
+            default_arch("rraki", 4, 4, depth=4)
+
+
 class TestBuildMwBatch:
     def test_degenerate_single_entry(self):
         rng = np.random.default_rng(4)
@@ -321,6 +347,15 @@ class TestMultiWeightSemantics:
         changed = a.kspace.data[:, ~pattern.mask, :] != b.kspace.data[:, ~pattern.mask, :]
         assert changed.any()
 
+    def test_rejects_bank_for_another_grid(self):
+        _, measured, pattern = phantom_scene()
+        cfg = ReconConfig(
+            method="mw_raki", pattern=pattern, optimizer=fast_opt(1),
+            multiweight=make_multiweight_config(32, 32),
+        )
+        with pytest.raises(ValueError, match="grid is 48x48 but filters are 32x32"):
+            mw_reconstruct(measured, cfg)
+
     def test_determinism(self):
         _, measured, pattern = phantom_scene(snr=20, seed=14)
         cfg = ReconConfig(method="mw_rraki", pattern=pattern, seed=9, optimizer=fast_opt(40))
@@ -328,12 +363,13 @@ class TestMultiWeightSemantics:
         b = mw_reconstruct(measured, cfg)
         assert np.array_equal(a.kspace.data, b.kspace.data)
 
-    def test_scaling_invariance(self):
+    @pytest.mark.parametrize("method", ["raki", "rraki", "mw_raki", "mw_rraki"])
+    def test_scaling_invariance(self, method):
         _, measured, pattern = phantom_scene(snr=25, seed=15)
-        cfg = ReconConfig(method="mw_raki", pattern=pattern, seed=4, optimizer=fast_opt(60))
-        base = mw_reconstruct(measured, cfg)
+        cfg = ReconConfig(method=method, pattern=pattern, seed=4, optimizer=fast_opt(60))
+        base = reconstruct(measured, cfg)
         alpha = 7.25
-        scaled = mw_reconstruct(MultiCoilKSpace(alpha * measured.data), cfg)
+        scaled = reconstruct(MultiCoilKSpace(alpha * measured.data), cfg)
         rel = np.abs(scaled.sos - alpha * base.sos) / np.maximum(np.abs(alpha * base.sos), 1e-30)
         assert np.max(rel) < 1e-8
 
