@@ -3,7 +3,9 @@
 All tabular output is UTF-8 CSV with a header row.  Ablation sweeps are
 fully reproducible: every cell's seed is derived by hashing the master seed
 with the cell's axis values, and rows are ordered by axis tuple, so two
-runs with the same config produce byte-identical files.
+runs with the same config produce byte-identical files.  Axes a method
+ignores (depth for GRAPPA, P and L for every method without a filter bank)
+are left blank in its cells, so each distinct reconstruction runs once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import sys
 import time
 
@@ -27,7 +30,14 @@ from .config import (
     parse_layer_spec,
 )
 from .grappa import KernelGeometry
-from .kspace import apply_pattern, load_kspace, make_uniform_pattern, save_kspace, save_pattern
+from .kspace import (
+    apply_pattern,
+    load_kspace,
+    load_pattern,
+    make_uniform_pattern,
+    save_kspace,
+    save_pattern,
+)
 from .metrics import evaluate
 from .network import NetworkArch, OptimizerConfig
 from .phantom import make_coil_maps, shepp_logan, simulate_kspace
@@ -193,7 +203,10 @@ def _metrics_row(method, pattern, seed, result, ref_sos, wall_ms):
 def cmd_recon(args) -> int:
     method = _normalize_method(args.method)
     measured = load_kspace(args.input)
-    pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
+    if args.pattern:
+        pattern = load_pattern(args.pattern)
+    else:
+        pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
     cfg = _build_recon_config(args, measured, method, pattern)
     ref_sos = reconstruct_image(load_kspace(args.ref)) if args.ref else None
     t0 = time.perf_counter()
@@ -264,7 +277,7 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     pattern = make_uniform_pattern(full.ny, R, acs)
     measured = apply_pattern(full, pattern)
     arch = None
-    if depth is not None and method != "grappa":
+    if depth is not None:
         arch = default_arch(method, full.n_coils, R, depth)
     multiweight = None
     if method in ("mw_raki", "mw_rraki"):
@@ -335,17 +348,20 @@ def cmd_ablate(args) -> int:
     base_exponents = tuple(get_list(entries, "filter", parse_filter_exponent, source)) or DEFAULT_ABLATION_EXPONENTS
     optimizer = _optimizer_from(entries, args, source)
 
-    cells = []
-    for method in methods:
-        for R in r_values:
-            for acs in acs_values:
-                for p in p_values:
-                    for l_count in l_values:
-                        for depth in depth_values:
-                            for rep in range(reps):
-                                seed = _cell_seed(master, method, R, acs, p, l_count, depth, rep)
-                                cells.append((method, R, acs, p, l_count, depth, rep, seed))
-    cells.sort(key=lambda c: tuple(str(v) for v in c))
+    # an axis a method ignores is blanked before seeding, so each distinct
+    # reconstruction runs once: GRAPPA has no network (depth) and only the
+    # multi-weight methods have a filter bank (P, L)
+    cells = set()
+    for method, R, acs, p, l_count, depth, rep in itertools.product(
+        methods, r_values, acs_values, p_values, l_values, depth_values, range(reps)
+    ):
+        if method not in ("mw_raki", "mw_rraki"):
+            p = l_count = None
+        if method == "grappa":
+            depth = None
+        seed = _cell_seed(master, method, R, acs, p, l_count, depth, rep)
+        cells.add((method, R, acs, p, l_count, depth, rep, seed))
+    cells = sorted(cells, key=lambda c: tuple(str(v) for v in c))
 
     def run(cell):
         try:
@@ -416,8 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recon", help="reconstruct undersampled k-space")
     p.add_argument("--method", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--acs", type=int, required=True)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--pattern", help="pattern file from `undersample --pattern-out`")
+    given.add_argument("--R", type=int, help="with --acs, instead of --pattern")
+    p.add_argument("--acs", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="CSV report path")
     p.add_argument("--ref", help="fully sampled reference .mwks for metrics")
@@ -453,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "recon" and (args.pattern is None) == (args.acs is None):
+        parser.error("recon takes either --pattern FILE or both --R and --acs")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -31,6 +31,19 @@ are ordered (ky tap, kx, channel), so each patch copy reads contiguous
 channel runs.  Weights are packed into GEMM layouts once before training
 and unpacked into the ``[out, in, ky_taps, kx_width]`` kernels of
 :class:`ScanNetwork` afterwards.
+
+Precision: the network computes in the precision of its input.  A float32
+input (training sources, or the input of :func:`forward`) runs every
+GEMM, activation, gradient and optimizer state in float32, which roughly
+halves the time of a training step; any other input runs in float64.
+Targets are cast to the sources' dtype.  Stored weights
+(:class:`ScanNetwork`) and loss histories stay float64: a float32 value
+converts to float64 exactly, so a float32 run's weights can seed or be
+compared with a float64 run.  The float32 path relies on Python scalars
+(``0.0``, the learning rate, the Adam betas) not upcasting float32 arrays,
+which holds under both numpy 1.x value-based casting and numpy 2 weak
+scalars; the optimizer hyperparameters are passed on as Python floats for
+that reason.
 """
 
 from __future__ import annotations
@@ -230,6 +243,9 @@ class TrainGeometry:
 class TrainingSet:
     """Full-batch training tensors: [batch, ch, ky, kx] sources and targets.
 
+    float32 sources stay float32 and anything else becomes float64; the
+    targets take the sources' dtype, which is the precision training runs in.
+
     Targets may carry a leading coil axis, [coils, batch, ch, ky, kx], for
     one network per coil trained on the shared sources (see :func:`train`).
     """
@@ -239,8 +255,8 @@ class TrainingSet:
     geometry: TrainGeometry
 
     def __post_init__(self):
-        src = np.array(self.sources, dtype=np.float64, copy=True)
-        tgt = np.array(self.targets, dtype=np.float64, copy=True)
+        src = np.array(_as_input(self.sources), copy=True)
+        tgt = np.array(self.targets, dtype=src.dtype, copy=True)
         if src.ndim != 4 or tgt.ndim not in (4, 5):
             raise ValueError(
                 "sources must be [batch, ch, ky, kx] and targets [(coils,) batch, ch, ky, kx]"
@@ -257,6 +273,12 @@ class TrainingSet:
     @property
     def batch_size(self) -> int:
         return self.sources.shape[0]
+
+
+def _as_input(x) -> np.ndarray:
+    """``x`` as an array in the precision the network computes in for it."""
+    x = np.asarray(x)
+    return x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +335,14 @@ def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
 
 
 def conv2d_dilated(x: np.ndarray, w: np.ndarray, dilation: int = 1) -> np.ndarray:
-    """Valid cross-correlation of [N, C, H, W] input with [O, C, kt, kw] kernel."""
+    """Valid cross-correlation of [N, C, H, W] input with [O, C, kt, kw] kernel.
+
+    Computes in the input's precision (see the module docstring).
+    """
+    x = _as_input(x)
     cols, shape = _im2col(_channels_last(x), w.shape[2], w.shape[3], dilation)
-    return (cols @ _patch_matrix(w)).reshape(*shape, w.shape[0]).transpose(0, 3, 1, 2)
+    y = cols @ _patch_matrix(w).astype(x.dtype, copy=False)
+    return y.reshape(*shape, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +351,10 @@ def conv2d_dilated(x: np.ndarray, w: np.ndarray, dilation: int = 1) -> np.ndarra
 # A stacked parameter list holds the weights of same-architecture networks,
 # one per coil: the first layer as [kt*kw*I, coils, O], each later layer as
 # [coils, I, kt*kw*O], and the skip weight, if any, last as
-# [kt*kw*I, coils, O].  Its gradients have the same layout.
+# [kt*kw*I, coils, O].  Its gradients have the same layout, and both take the
+# dtype of the data they run on.
 
-def _pack(nets) -> list:
+def _pack(nets, dtype) -> list:
     arch = nets[0].arch
     params = [np.stack([_patch_matrix(net.weights[0]) for net in nets], axis=1)]
     params += [
@@ -335,7 +363,7 @@ def _pack(nets) -> list:
     ]
     if arch.skip is not None:
         params.append(np.stack([_patch_matrix(net.skip_weight) for net in nets], axis=1))
-    return params
+    return [p.astype(dtype, copy=False) for p in params]
 
 
 def _unpack(arch: NetworkArch, params, coil: int):
@@ -378,7 +406,7 @@ def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarr
     oh = hh - (spec.ky_taps - 1) * arch.dilation
     ow = ww - (spec.kx_width - 1)
     y = (h.reshape(-1, in_ch) @ w).reshape(n, hh, ww, spec.ky_taps, spec.kx_width, -1)
-    z = np.zeros((n, oh, ow, spec.out_channels))
+    z = np.zeros((n, oh, ow, spec.out_channels), dtype=h.dtype)
     for i, j, rows, cols in _taps(spec, arch.dilation, oh, ow):
         z += y[:, rows, cols, i, j]
     return np.maximum(z, 0.0) if spec.activation == "relu" else z
@@ -388,7 +416,7 @@ def _layer_grads(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray, d: np
     """Weight and input gradients of :func:`_layer` for an output gradient ``d``."""
     spec = arch.layers[li]
     n, hh, ww, in_ch = h.shape
-    dy = np.zeros((n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels))
+    dy = np.zeros((n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels), dtype=d.dtype)
     for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[1], d.shape[2]):
         dy[:, rows, cols, i, j] = d
     dy = dy.reshape(n * hh * ww, -1)
@@ -405,7 +433,7 @@ def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
     """
     oh, ow = arch.output_shape(x.shape[1], x.shape[2])
     coils = params[0].shape[1]
-    out = np.zeros((coils, x.shape[0], oh, ow, arch.out_channels))
+    out = np.zeros((coils, x.shape[0], oh, ow, arch.out_channels), dtype=x.dtype)
     if arch.skip is not None:
         s_cols, s_shape = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
         rows, cols_sl = _skip_crop(arch, oh, ow)
@@ -489,7 +517,7 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
     arch = nets[0].arch
     input_cols = _input_cols(arch, _channels_last(sources))
     y = np.ascontiguousarray(targets.transpose(0, 1, 3, 4, 2))
-    params = _pack(nets)
+    params = _pack(nets, sources.dtype)
     first_moment = [np.zeros_like(p) for p in params]
     second_moment = [np.zeros_like(p) for p in params]
     losses = np.empty((len(nets), opt.iters))
@@ -505,10 +533,10 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
                 )
             losses[:, it - 1] = values
             if opt.kind == "sgd_momentum":
-                _sgd_update(params, grads, first_moment, opt.lr, opt.momentum)
+                _sgd_update(params, grads, first_moment, float(opt.lr), float(opt.momentum))
             else:
-                _adam_update(params, grads, first_moment, second_moment, it,
-                             opt.lr, opt.beta1, opt.beta2, opt.eps)
+                _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr),
+                             float(opt.beta1), float(opt.beta2), float(opt.eps))
     trained = tuple(
         ScanNetwork(arch, *_unpack(arch, params, c), seed=net.seed) for c, net in enumerate(nets)
     )
@@ -577,15 +605,16 @@ def forward(net, x: np.ndarray) -> np.ndarray:
     """Network output [batch, out, oh, ow] for a [batch, in_ch, ky, kx] input.
 
     ``net`` may also be a sequence of same-architecture networks, one per
-    coil; the result is then [coils, batch, out, oh, ow].
+    coil; the result is then [coils, batch, out, oh, ow].  The output has
+    the input's precision: float32 for a float32 input, else float64.
     """
     nets, single = _as_nets(net)
     arch = nets[0].arch
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_input(x)
     if x.ndim != 4 or x.shape[1] != arch.in_channels:
         raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
     arch.output_shape(x.shape[2], x.shape[3])
-    out = _forward(arch, _pack(nets), _channels_last(x)).transpose(0, 1, 4, 2, 3)
+    out = _forward(arch, _pack(nets, x.dtype), _channels_last(x)).transpose(0, 1, 4, 2, 3)
     return out[0] if single else out
 
 
@@ -598,7 +627,7 @@ def forward_skip(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
     """Output of the linear skip path alone, cropped to the main chain's grid."""
     if net.skip_weight is None:
         raise ValueError("network has no skip path")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_input(x)
     rows, cols = _skip_crop(net.arch, *net.arch.output_shape(x.shape[2], x.shape[3]))
     return conv2d_dilated(x, net.skip_weight, net.arch.dilation)[:, :, rows, cols]
 
@@ -631,7 +660,8 @@ def loss_and_gradients(net: ScanNetwork, ts: TrainingSet):
     targets = _check_training_set([net], ts, single=True)
     arch = net.arch
     input_cols = _input_cols(arch, _channels_last(ts.sources))
-    values, grads = _loss_and_grads(arch, _pack([net]), input_cols, targets.transpose(0, 1, 3, 4, 2))
+    params = _pack([net], ts.sources.dtype)
+    values, grads = _loss_and_grads(arch, params, input_cols, targets.transpose(0, 1, 3, 4, 2))
     layers, skip = _unpack(arch, grads, 0)
     return float(values[0]), Gradients(layers=list(layers), skip=skip)
 

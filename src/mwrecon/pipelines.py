@@ -21,6 +21,14 @@ the full grid is realized by extracting every ``R``-th row and running the
 convolutions with unit ky spacing on the compacted array, which computes
 exactly the sums an ``R``-dilated convolution evaluated at lattice offsets
 would.
+
+Precision: only the networks' inputs are float32.  The training sources
+and targets and the inference input are cast to float32 after the data is
+divided by its normalisation scale, so the networks train and infer in
+float32 (see :mod:`mwrecon.network`).  Everything else is complex128: the
+branch batch, the estimates written into it (a float32 value converts
+exactly), de-weighting, the branch combine and data consistency, so the
+acquired rows of the result are the measured samples bit for bit.
 """
 
 from __future__ import annotations
@@ -264,9 +272,11 @@ def _scan_specific_reconstruct(
         _training_pairs(MultiCoilKSpace(w[:, acs_sl, :]), R, arch, pattern.acs_start)
         for w in batch
     ]
-    ts = TrainingSet(
-        sources=np.concatenate([p[0] for p in pairs]),  # [n_f, ch, ky, kx]
-        targets=np.concatenate([p[1] for p in pairs], axis=1),  # [n_c, n_f, out, oh, ow]
+    ts = TrainingSet(  # float32: the networks compute in their input's precision
+        sources=np.concatenate([p[0] for p in pairs], dtype=np.float32),  # [n_f, ch, ky, kx]
+        targets=np.concatenate(  # [n_c, n_f, out, oh, ow]
+            [p[1] for p in pairs], axis=1, dtype=np.float32
+        ),
         geometry=pairs[0][2],
     )
     nets0 = [init_network(arch, cfg.seed + coil) for coil in range(n_coils)]
@@ -276,7 +286,7 @@ def _scan_specific_reconstruct(
     # row o of a network predicts original rows o*R + m
     lat = np.arange(0, ny, R)
     compact = batch[:, :, lat, :]  # [n_f, n_c, n_lat, nx]
-    x = np.concatenate([compact.real, compact.imag], axis=1)
+    x = np.concatenate([compact.real, compact.imag], axis=1, dtype=np.float32)
     gap = arch.target_row_gap
     taps = arch.ky_taps_excess
     tx = arch.target_col_offset

@@ -65,6 +65,34 @@ def test_recon_takes_the_seed_from_the_config(scan):
     assert np.array_equal(from_config, load_kspace(tmp_path / "configured.mwks").data)
 
 
+def test_recon_reads_the_pattern_file(scan):
+    tmp_path, full, _ = scan
+    under, pattern = tmp_path / "under_p.mwks", tmp_path / "under.pattern"
+    assert main(["--quiet", "undersample", "--input", str(full), "--R", "4", "--acs", "16",
+                 "--out", str(under), "--pattern-out", str(pattern)]) == 0
+    out, report = tmp_path / "p.mwks", tmp_path / "p.csv"
+    assert main(["--quiet", "recon", "--method", "raki", "--input", str(under), "--pattern",
+                 str(pattern), "--iters", "5", "--out", str(out), "--report", str(report)]) == 0
+    (row,) = read_rows(report)
+    assert (row["R"], row["acs"]) == ("4", "16")
+    explicit, _ = recon(tmp_path, under, "explicit")
+    assert np.array_equal(load_kspace(out).data, load_kspace(explicit).data)
+
+
+@pytest.mark.parametrize("given", [
+    ["--pattern", "p.txt", "--R", "4"],
+    ["--pattern", "p.txt", "--acs", "16"],
+    ["--R", "4"],
+    [],
+])
+def test_recon_needs_a_pattern_or_r_and_acs(given, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["recon", "--method", "raki", "--input", "x.mwks", "--out", "y.mwks", *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--pattern" in err and "--R" in err
+
+
 def test_compare_without_seed(scan):
     tmp_path, full, _ = scan
     report = tmp_path / "compare.csv"
@@ -100,3 +128,21 @@ def test_ablate_is_reproducible_and_reports_bad_depths(tmp_path, capsys):
     assert status["3"] == "ok"
     assert status["4"].startswith("error:") and "choose from [1, 2, 3, 5]" in status["4"]
     assert "unsupported depth 4" in capsys.readouterr().err
+
+
+def test_ablate_runs_each_distinct_reconstruction_once(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = grappa, raki, mw_raki\n"
+                      "depth = 1, 3\nP = 0.2, 0.6\niters = 1\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [(r["method"], r["depth"], r["P"], r["status"]) for r in rows] == [
+        ("grappa", "", "", "ok"),
+        ("mw-raki", "1", "0.2", "ok"),
+        ("mw-raki", "3", "0.2", "ok"),
+        ("mw-raki", "1", "0.6", "ok"),
+        ("mw-raki", "3", "0.6", "ok"),
+        ("raki", "1", "", "ok"),
+        ("raki", "3", "", "ok"),
+    ]

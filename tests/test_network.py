@@ -21,6 +21,7 @@ from mwrecon.network import (
     sgd_momentum_step,
     train,
 )
+from mwrecon import network as network_module
 from oracles import conv_naive
 
 GEOM = TrainGeometry(R=2, row_gap=0, col_offset=1)
@@ -449,3 +450,87 @@ class TestCoilBatching:
         nets, ts = coil_case(coils=3)
         with pytest.raises(ValueError, match="targets shape"):
             train(nets[:2], ts, OptimizerConfig(iters=1))
+
+
+class TestPrecision:
+    """A float32 input computes in float32; everything else in float64."""
+
+    @staticmethod
+    def float32_case(skip, depth):
+        nets, ts = coil_case(depth=depth, skip=skip, seed=3)
+        src = ts.sources.astype(np.float32)
+        tgt = ts.targets.astype(np.float32)
+        return nets, TrainingSet(src, tgt, GEOM), TrainingSet(src.astype(np.float64), tgt, GEOM)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_float32_training_tracks_float64(self, skip, depth):
+        nets, ts32, ts64 = self.float32_case(skip, depth)
+        assert ts32.sources.dtype == np.float32 and ts32.targets.dtype == np.float32
+        assert ts64.sources.dtype == np.float64 and ts64.targets.dtype == np.float64
+        opt = OptimizerConfig(lr=0.01, iters=30)
+        trained32, h32 = train(nets, ts32, opt)
+        _, h64 = train(nets, ts64, opt)
+        assert h32.dtype == np.float64 and h32.shape == (3, 30)
+        assert np.max(np.abs(h32 - h64) / h64) <= 1e-4
+        assert all(w.dtype == np.float64 for net in trained32 for w in net.weights)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_forward_keeps_float32(self, skip, depth):
+        nets, ts32, ts64 = self.float32_case(skip, depth)
+        out32 = forward(nets, ts32.sources)
+        assert out32.dtype == np.float32
+        assert forward(nets, ts64.sources).dtype == np.float64
+        assert forward(nets[0], ts32.sources).dtype == np.float32
+        if skip:
+            assert forward_skip(nets[0], ts32.sources).dtype == np.float32
+        assert max_relative(out32, forward(nets, ts64.sources)) <= 1e-5
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_no_silent_upcast(self, skip, depth):
+        nw = network_module
+        nets, ts32, _ = self.float32_case(skip, depth)
+        arch = nets[0].arch
+        params = nw._pack(nets, ts32.sources.dtype)
+        targets = np.ascontiguousarray(ts32.targets.transpose(0, 1, 3, 4, 2))
+        input_cols = nw._input_cols(arch, nw._channels_last(ts32.sources))
+        losses, grads = nw._loss_and_grads(arch, params, input_cols, targets)
+        assert len(params) == len(grads) == depth + skip
+        for p, g in zip(params, grads):
+            assert p.dtype == np.float32 and g.dtype == np.float32 and g.shape == p.shape
+        assert losses.dtype == np.float64 and np.isfinite(losses).all()
+        # the per-coil layers write into preallocated float32 buffers, which
+        # would hide an upcast inside them, so check them on their own
+        h = nw._shared_gemm(*input_cols[0], params[0])[:, :, :, 0]  # coil 0's first layer
+        for li in range(1, depth):
+            out = nw._layer(arch, li, params[li][0], h)
+            grad_w, grad_h = nw._layer_grads(arch, li, params[li][0], h, out)
+            assert out.dtype == grad_w.dtype == grad_h.dtype == np.float32
+            h = out
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+    def test_training_loop_stays_float32(self, kind, monkeypatch):
+        nets, ts32, _ = self.float32_case(skip=True, depth=3)
+        seen = []
+        inner = network_module._loss_and_grads
+
+        def spy(arch, params, input_cols, targets):
+            seen.append({p.dtype for p in params})
+            return inner(arch, params, input_cols, targets)
+
+        monkeypatch.setattr(network_module, "_loss_and_grads", spy)
+        # numpy-scalar hyperparameters must not upcast float32 state either
+        opt = OptimizerConfig(kind=kind, lr=np.float64(0.01), momentum=np.float64(0.9),
+                              beta1=np.float64(0.9), beta2=np.float64(0.999),
+                              eps=np.float64(1e-8), iters=3)
+        train(nets, ts32, opt)
+        assert seen == [{np.dtype(np.float32)}] * 3
+
+    def test_other_dtypes_compute_in_float64(self):
+        nets, ts32, _ = self.float32_case(skip=True, depth=2)
+        for dtype in (np.float16, np.int64):
+            ts = TrainingSet(ts32.sources.astype(dtype), ts32.targets, GEOM)
+            assert ts.sources.dtype == np.float64 and ts.targets.dtype == np.float64
+            assert forward(nets, ts32.sources.astype(dtype)).dtype == np.float64

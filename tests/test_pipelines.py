@@ -257,6 +257,31 @@ class TestScanSpecificPipeline:
         assert all(len(h) == 60 for h in result.loss_histories)
         assert np.isfinite(result.kspace.data).all()
 
+    @pytest.mark.parametrize("method", ["raki", "mw_rraki"])
+    def test_networks_get_float32_and_the_result_stays_complex128(self, method, monkeypatch):
+        from mwrecon import pipelines
+
+        seen = []
+
+        def spy_train(nets, ts, opt):
+            seen.append(("train", ts.sources.dtype, ts.targets.dtype))
+            return train_inner(nets, ts, opt)
+
+        def spy_forward(nets, x):
+            seen.append(("forward", x.dtype))
+            return forward_inner(nets, x)
+
+        train_inner, forward_inner = pipelines.train, pipelines.forward
+        monkeypatch.setattr(pipelines, "train", spy_train)
+        monkeypatch.setattr(pipelines, "forward", spy_forward)
+        _, measured, pattern = phantom_scene(snr=25, seed=12)
+        cfg = ReconConfig(method=method, pattern=pattern, seed=5, optimizer=fast_opt(5))
+        result = reconstruct(measured, cfg)
+        f32 = np.dtype(np.float32)
+        assert seen == [("train", f32, f32), ("forward", f32)]
+        assert result.kspace.data.dtype == np.complex128
+        assert np.array_equal(result.kspace.data[:, pattern.mask], measured.data[:, pattern.mask])
+
     def test_training_reduces_acs_loss(self):
         _, measured, pattern = phantom_scene(snr=None, seed=3)
         cfg = ReconConfig(method="raki", pattern=pattern, seed=0, optimizer=fast_opt(300))
