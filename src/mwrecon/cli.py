@@ -258,9 +258,15 @@ def _cell_seed(master: int, *parts) -> int:
 
 
 def _load_ablation_scene(entries, source):
+    """(fully sampled k-space, reference SoS image) of the sweep's scene.
+
+    A synthesized scene is scored against its noise-free image, not against
+    the noisy one it is reconstructed from; a file's scene has only its own.
+    """
     input_path = get_scalar(entries, "input", str, None, source)
     if input_path:
-        return load_kspace(input_path)
+        full = load_kspace(input_path)
+        return full, reconstruct_image(full)
     size = get_scalar(entries, "size", int, None, source)
     if size is None:
         raise ConfigError(f"{source}: ablation config needs `input = file.mwks` or `size = N`")
@@ -269,7 +275,9 @@ def _load_ablation_scene(entries, source):
     scene_seed = get_scalar(entries, "scene_seed", int, 7, source)
     img = shepp_logan(size, size)
     maps = make_coil_maps(coils, size, size, seed=scene_seed)
-    return simulate_kspace(img, maps, snr_db=snr, seed=scene_seed)
+    clean = simulate_kspace(img, maps)
+    full = simulate_kspace(img, maps, snr_db=snr, seed=scene_seed)
+    return full, reconstruct_image(clean)
 
 
 def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
@@ -326,8 +334,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs --config FILE")
     source = str(args.config)
     entries = load_config(args.config)
-    full = _load_ablation_scene(entries, source)
-    ref_sos = reconstruct_image(full)
+    full, ref_sos = _load_ablation_scene(entries, source)
 
     methods = [_normalize_method(m) for m in get_list(entries, "method", str, source)]
     if not methods:

@@ -18,13 +18,19 @@ single coil):
   patch matrix and one GEMM ``[M, K] @ [K, coils*O]`` for all coils, and
   its weight gradient is one GEMM ``cols.T @ d[M, coils*O]``.  Training is
   full batch, so these patch matrices are built once per training run.
-* Later layers read a different input per coil, so they run one coil at a
-  time on that coil's slice of the first layer's output, and a coil's
-  activations are dropped before the next coil starts.  Stacking them as
-  ``[coils, M, K]`` patch matrices instead was measured slower (MW-RAKI
-  training at 0.57-0.65x) and raised the peak memory of a 128x128, 8-coil
-  multi-weight reconstruction by 15-18%; keeping one coil's activations
-  alive while the next runs cost 23 MB more.
+* Later layers read a different input per coil, and their weights are
+  stacked as ``[coils, I, kt*kw*O]``, so each layer is one batched
+  ``np.matmul`` over a leading coil axis plus one shifted add per kernel
+  tap.  Training runs every layer, its gradients and the loss once for all
+  coils, with no loop over coils, so its working set grows with the coil
+  count.  (Stacking im2col patch matrices as ``[coils, M, K]`` instead, in
+  float64, was measured slower.)
+* Inference keeps two loops, both for the working set.  It runs one batch
+  sample (weighting branch) at a time and drops that sample's activations
+  before the next starts, so peak memory does not grow with the batch.
+  Within a sample, the later layers run one coil at a time on that coil's
+  slice of the first layer's output: at the full k-space grid, all coils'
+  later-layer arrays outgrow the L2 cache, and that was measured slower.
 
 Activations are channels-last ``[batch, ky, kx, ch]`` and patch columns
 are ordered (ky tap, kx, channel), so each patch copy reads contiguous
@@ -286,11 +292,11 @@ def _as_input(x) -> np.ndarray:
 #
 # A layer that reads the shared input (the first layer, the skip path) is a
 # patch-matrix GEMM: _im2col columns [M, kt*kw*I] times a [kt*kw*I, O]
-# weight, shared by all coils.  A later layer runs per coil on its own
-# input; it multiplies the unwindowed input [M, I] by a tap-major
-# [I, kt*kw*O] weight and adds each tap's shifted output block.  That is
-# the same arithmetic with no patch copy, and its input gradient is one GEMM
-# with no col2im fold.  Its intermediate is kt*kw*O wide instead of
+# weight, shared by all coils.  A later layer has its own input per coil;
+# it multiplies each coil's unwindowed input [M, I] by that coil's
+# tap-major [I, kt*kw*O] weight and adds each tap's shifted output block.
+# That is the same arithmetic with no patch copy, and its input gradient is
+# one GEMM with no col2im fold.  Its intermediate is kt*kw*O wide instead of
 # kt*kw*I, and later layers narrow the channels (32 -> 8 -> 6 or 32 -> 6 in
 # the default architectures), so it is also the smaller one.
 
@@ -400,54 +406,71 @@ def _input_cols(arch: NetworkArch, x: np.ndarray):
 
 
 def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One coil's layer ``li`` >= 1: [N, H, W, I] input and tap-major weight to [N, OH, OW, O]."""
+    """Layer ``li`` >= 1 of every coil: [coils, N, H, W, I] input to [coils, N, OH, OW, O].
+
+    ``w`` holds the coils' tap-major weights, [coils, I, kt*kw*O].
+    """
     spec = arch.layers[li]
-    n, hh, ww, in_ch = h.shape
+    coils, n, hh, ww, in_ch = h.shape
     oh = hh - (spec.ky_taps - 1) * arch.dilation
     ow = ww - (spec.kx_width - 1)
-    y = (h.reshape(-1, in_ch) @ w).reshape(n, hh, ww, spec.ky_taps, spec.kx_width, -1)
-    z = np.zeros((n, oh, ow, spec.out_channels), dtype=h.dtype)
-    for i, j, rows, cols in _taps(spec, arch.dilation, oh, ow):
-        z += y[:, rows, cols, i, j]
-    return np.maximum(z, 0.0) if spec.activation == "relu" else z
+    y = np.matmul(h.reshape(coils, -1, in_ch), w)
+    y = y.reshape(coils, n, hh, ww, spec.ky_taps, spec.kx_width, -1)
+    (i, j, rows, cols), *rest = _taps(spec, arch.dilation, oh, ow)
+    z = y[:, :, rows, cols, i, j].copy()
+    for i, j, rows, cols in rest:
+        z += y[:, :, rows, cols, i, j]
+    if spec.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
 
 
 def _layer_grads(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray, d: np.ndarray):
     """Weight and input gradients of :func:`_layer` for an output gradient ``d``."""
     spec = arch.layers[li]
-    n, hh, ww, in_ch = h.shape
-    dy = np.zeros((n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels), dtype=d.dtype)
-    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[1], d.shape[2]):
-        dy[:, rows, cols, i, j] = d
-    dy = dy.reshape(n * hh * ww, -1)
-    h_mat = h.reshape(-1, in_ch)
-    return h_mat.T @ dy, (dy @ w.T).reshape(h.shape)
+    coils, n, hh, ww, in_ch = h.shape
+    dy = np.zeros((coils, n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels), dtype=d.dtype)
+    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[2], d.shape[3]):
+        dy[:, :, rows, cols, i, j] = d
+    dy = dy.reshape(coils, n * hh * ww, -1)
+    h_mat = h.reshape(coils, -1, in_ch)
+    grad_w = np.matmul(h_mat.transpose(0, 2, 1), dy)
+    return grad_w, np.matmul(dy, w.transpose(0, 2, 1)).reshape(h.shape)
 
 
 def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
-    """Every coil's output [coils, N, OH, OW, O] for a channels-last input [N, H, W, I].
+    """Every coil's output [coils, N, OH, OW, O] for an input [N, I, H, W].
 
-    The skip path runs first, for all coils at once, so its patch matrix is
-    freed before the first layer's is built; the chain then runs one coil
-    at a time from the shared first-layer patch matrix.
+    One batch sample (weighting branch) runs at a time, and its activations
+    are dropped before the next starts.  Within a sample the skip path runs
+    first, so its patch matrix is freed before the first layer's is built;
+    the first layer is one GEMM for all coils, and the later layers run one
+    coil at a time on that coil's slice of it.
     """
-    oh, ow = arch.output_shape(x.shape[1], x.shape[2])
+    oh, ow = arch.output_shape(x.shape[2], x.shape[3])
     coils = params[0].shape[1]
     out = np.zeros((coils, x.shape[0], oh, ow, arch.out_channels), dtype=x.dtype)
-    if arch.skip is not None:
-        s_cols, s_shape = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
-        rows, cols_sl = _skip_crop(arch, oh, ow)
-        out += _shared_gemm(s_cols, s_shape, params[-1])[:, rows, cols_sl].transpose(3, 0, 1, 2, 4)
-        del s_cols
     first = arch.layers[0]
-    cols, shape = _im2col(x, first.ky_taps, first.kx_width, arch.dilation)
-    for c in range(coils):
-        h = (cols @ params[0][:, c]).reshape(*shape, first.out_channels)
+    rows, cols_sl = _skip_crop(arch, oh, ow)
+    for s in range(x.shape[0]):
+        xs = _channels_last(x[s:s + 1])
+        if arch.skip is not None:
+            s_cols, s_shape = _im2col(xs, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
+            skip = _shared_gemm(s_cols, s_shape, params[-1])[0, rows, cols_sl]
+            out[:, s] += skip.transpose(2, 0, 1, 3)
+            del s_cols, skip
+        cols, shape = _im2col(xs, first.ky_taps, first.kx_width, arch.dilation)
+        h1 = _shared_gemm(cols, shape, params[0])
+        del cols
         if first.activation == "relu":
-            h = np.maximum(h, 0.0)
-        for li in range(1, len(arch.layers)):
-            h = _layer(arch, li, params[li][c], h)
-        out[c] += h
+            np.maximum(h1, 0.0, out=h1)
+        h1 = h1.transpose(3, 0, 1, 2, 4)  # [coils, 1, OH, OW, O] view
+        for c in range(coils):
+            h = h1[c:c + 1]
+            for li in range(1, len(arch.layers)):
+                h = _layer(arch, li, params[li][c:c + 1], h)
+            out[c, s] += h[0, 0]
+        del h, h1
     return out
 
 
@@ -459,40 +482,40 @@ def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
     """
     (cols1, shape1), skip_cols = input_cols
     n_layers = len(arch.layers)
-    coils = targets.shape[0]
-    z1 = _shared_gemm(cols1, shape1, params[0])
+    z1 = _shared_gemm(cols1, shape1, params[0])  # [N, OH, OW, coils, O]
     relu1 = arch.layers[0].activation == "relu"
-    h1 = np.maximum(z1, 0.0) if relu1 else z1
+    if relu1:
+        np.maximum(z1, 0.0, out=z1)
+    acts = [z1.transpose(3, 0, 1, 2, 4)]
+    for li in range(1, n_layers):
+        acts.append(_layer(arch, li, params[li], acts[-1]))
     rows, cols_sl = _skip_crop(arch, *targets.shape[2:4])
+    # contiguous and coil-major, so each coil's loss sums its own run in order
+    diff = np.empty_like(targets)
     if skip_cols is not None:
         skip_full = _shared_gemm(*skip_cols, params[-1])
-        d_skip = np.zeros_like(skip_full)
-    losses = np.empty(coils)
-    grads = [None] + [np.empty_like(p) for p in params[1:]]
-    d1 = np.empty_like(h1)
-    for c in range(coils):
-        acts = [h1[:, :, :, c]]
-        for li in range(1, n_layers):
-            acts.append(_layer(arch, li, params[li][c], acts[-1]))
-        out = acts[-1]
-        if skip_cols is not None:
-            out = out + skip_full[:, rows, cols_sl, c]
-        diff = out - targets[c]
-        losses[c] = float(np.mean(diff * diff))
-        d = (2.0 / diff.size) * diff
-        if skip_cols is not None:
-            d_skip[:, rows, cols_sl, c] = d
-        for li in range(n_layers - 1, 0, -1):
-            if arch.layers[li].activation == "relu":
-                d = d * (acts[li] > 0)
-            grads[li][c], d = _layer_grads(arch, li, params[li][c], acts[li - 1], d)
-        d1[:, :, :, c] = d
-    if relu1:
-        d1 = d1 * (h1 > 0)
-    grads[0] = (cols1.T @ d1.reshape(cols1.shape[0], -1)).reshape(params[0].shape)
+        np.add(acts[-1], skip_full[:, rows, cols_sl].transpose(3, 0, 1, 2, 4), out=diff)
+        diff -= targets
+    else:
+        np.subtract(acts[-1], targets, out=diff)
+    losses = np.mean(diff * diff, axis=(1, 2, 3, 4)).astype(np.float64)
+    d = (2.0 / diff[0].size) * diff
+    grads = [None] * len(params)
     if skip_cols is not None:
+        d_skip = np.zeros_like(skip_full)
+        d_skip[:, rows, cols_sl] = d.transpose(1, 2, 3, 0, 4)
         s_cols = skip_cols[0]
         grads[-1] = (s_cols.T @ d_skip.reshape(s_cols.shape[0], -1)).reshape(params[-1].shape)
+    for li in range(n_layers - 1, 0, -1):
+        if arch.layers[li].activation == "relu":
+            d *= acts[li] > 0
+        grads[li], d = _layer_grads(arch, li, params[li], acts[li - 1], d)
+    d1 = np.empty_like(z1)
+    if relu1:
+        np.multiply(d.transpose(1, 2, 3, 0, 4), z1 > 0, out=d1)
+    else:
+        d1[...] = d.transpose(1, 2, 3, 0, 4)
+    grads[0] = (cols1.T @ d1.reshape(cols1.shape[0], -1)).reshape(params[0].shape)
     return losses, grads
 
 
@@ -614,7 +637,7 @@ def forward(net, x: np.ndarray) -> np.ndarray:
     if x.ndim != 4 or x.shape[1] != arch.in_channels:
         raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
     arch.output_shape(x.shape[2], x.shape[3])
-    out = _forward(arch, _pack(nets, x.dtype), _channels_last(x)).transpose(0, 1, 4, 2, 3)
+    out = _forward(arch, _pack(nets, x.dtype), x).transpose(0, 1, 4, 2, 3)
     return out[0] if single else out
 
 

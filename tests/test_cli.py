@@ -146,3 +146,28 @@ def test_ablate_runs_each_distinct_reconstruction_once(tmp_path):
         ("raki", "1", "", "ok"),
         ("raki", "3", "", "ok"),
     ]
+
+
+def test_ablate_scores_a_synthesized_scene_against_its_noise_free_image(tmp_path, monkeypatch):
+    from mwrecon import cli
+    from mwrecon.phantom import make_coil_maps, shepp_logan, simulate_kspace
+    from mwrecon.pipelines import reconstruct_image
+
+    references = []
+    score = cli.evaluate
+
+    def spy(recon, ref):
+        references.append(ref)
+        return score(recon, ref)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nsnr_db = 20\nscene_seed = 3\n"
+                      "method = grappa, raki\niters = 1\n", encoding="utf-8")
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    maps = make_coil_maps(4, 32, 32, seed=3)
+    clean = reconstruct_image(simulate_kspace(shepp_logan(32, 32), maps))
+    noisy = reconstruct_image(simulate_kspace(shepp_logan(32, 32), maps, snr_db=20, seed=3))
+    assert len(references) == 2
+    for ref in references:
+        assert np.array_equal(ref, clean) and not np.allclose(ref, noisy)

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from mwrecon.network import (
     train,
 )
 from mwrecon import network as network_module
+from mwrecon.pipelines import default_arch
 from oracles import conv_naive
 
 GEOM = TrainGeometry(R=2, row_gap=0, col_offset=1)
@@ -452,6 +456,67 @@ class TestCoilBatching:
             train(nets[:2], ts, OptimizerConfig(iters=1))
 
 
+class TestCoilAxis:
+    """One call on a stack of coils equals one call per coil."""
+
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("depth", [2, 3, 5])
+    def test_layer_and_grads_match_one_coil_calls(self, depth, dilation):
+        nw = network_module
+        arch = replace(default_arch("rraki", 2, 3, depth), dilation=dilation)
+        rng = np.random.default_rng(depth + 10 * dilation)
+        coils, n, hh, ww = 3, 2, 3 + 2 * dilation, 9
+        for li in range(1, depth):
+            spec, in_ch = arch.layers[li], arch.layers[li - 1].out_channels
+            # coil-major view of a coils-inner array, as training passes the first layer
+            h = rng.standard_normal((n, hh, ww, coils, in_ch)).transpose(3, 0, 1, 2, 4)
+            taps = spec.ky_taps * spec.kx_width
+            w = rng.standard_normal((coils, in_ch, taps * spec.out_channels))
+            out = nw._layer(arch, li, w, h)
+            oh, ow = hh - (spec.ky_taps - 1) * dilation, ww - (spec.kx_width - 1)
+            assert out.shape == (coils, n, oh, ow, spec.out_channels)
+            d = rng.standard_normal(out.shape)
+            grad_w, grad_h = nw._layer_grads(arch, li, w, h, d)
+            assert grad_w.shape == w.shape and grad_h.shape == h.shape
+            for c in range(coils):
+                one = slice(c, c + 1)
+                assert max_relative(out[c], nw._layer(arch, li, w[one], h[one])[0]) <= 1e-12
+                gw, gh = nw._layer_grads(arch, li, w[one], h[one], d[one])
+                assert max_relative(grad_w[c], gw[0]) <= 1e-12
+                assert max_relative(grad_h[c], gh[0]) <= 1e-12
+
+
+class TestPerSampleForward:
+    """``forward`` runs one batch sample (weighting branch) at a time."""
+
+    METHODS = ["raki", "rraki", "mw_raki", "mw_rraki"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_batch_equals_stacked_samples(self, method):
+        arch = default_arch(method, 2, 3)
+        nets = [init_network(arch, c) for c in range(2)]
+        x = np.random.default_rng(4).standard_normal((3, arch.in_channels, 7, 12))
+        out = forward(nets, x)
+        alone = np.stack([forward(nets, x[s:s + 1])[:, 0] for s in range(3)], axis=1)
+        assert out.shape == alone.shape and max_relative(out, alone) <= 1e-12
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_peak_memory_does_not_grow_with_the_batch(self, method):
+        nets = [init_network(default_arch(method, 8, 4), c) for c in range(8)]
+        x = np.random.default_rng(5).standard_normal((3, 16, 34, 134)).astype(np.float32)
+
+        def working_set(batch):
+            tracemalloc.start()
+            try:
+                out = forward(nets, batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        assert working_set(x) <= 1.10 * working_set(x[:1])
+
+
 class TestPrecision:
     """A float32 input computes in float32; everything else in float64."""
 
@@ -501,12 +566,12 @@ class TestPrecision:
         for p, g in zip(params, grads):
             assert p.dtype == np.float32 and g.dtype == np.float32 and g.shape == p.shape
         assert losses.dtype == np.float64 and np.isfinite(losses).all()
-        # the per-coil layers write into preallocated float32 buffers, which
-        # would hide an upcast inside them, so check them on their own
-        h = nw._shared_gemm(*input_cols[0], params[0])[:, :, :, 0]  # coil 0's first layer
+        # _loss_and_grads writes into preallocated float32 buffers, which
+        # would hide an upcast in the later layers, so check them on their own
+        h = nw._shared_gemm(*input_cols[0], params[0]).transpose(3, 0, 1, 2, 4)
         for li in range(1, depth):
-            out = nw._layer(arch, li, params[li][0], h)
-            grad_w, grad_h = nw._layer_grads(arch, li, params[li][0], h, out)
+            out = nw._layer(arch, li, params[li], h)
+            grad_w, grad_h = nw._layer_grads(arch, li, params[li], h, out)
             assert out.dtype == grad_w.dtype == grad_h.dtype == np.float32
             h = out
 
