@@ -6,8 +6,8 @@ their multi-weight variants (MW-RAKI, MW-rRAKI) that train on a bank of
 high-pass weighted copies of the measurement.
 """
 
-from .filters import FilterParams, WeightFilter, all_pass_filter, apply_filter, make_filter, remove_filter
-from .grappa import GrappaKernel, KernelGeometry, build_calibration_system, calibrate, interpolate
+from .filters import FilterParams, WeightFilter, all_pass_filter, make_filter, remove_filter
+from .grappa import GrappaKernel, KernelGeometry, calibrate, interpolate
 from .kspace import (
     CoilImage,
     KSpaceFormatError,
@@ -32,12 +32,8 @@ from .network import (
     ScanNetwork,
     TrainingDivergedError,
     TrainingSet,
-    adam_step,
     forward,
     init_network,
-    loss,
-    loss_and_gradients,
-    sgd_momentum_step,
     train,
 )
 from .phantom import CoilMaps, make_coil_maps, shepp_logan, simulate_kspace

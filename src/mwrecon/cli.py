@@ -82,14 +82,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _seed_of(args, entries=None, source: str = "<config>") -> int:
-    if args.seed is not None:
-        return args.seed
-    if entries is not None:
-        return get_scalar(entries, "seed", int, 0, source)
-    return 0
-
-
 def _normalize_method(name: str) -> str:
     method = name.strip().lower().replace("-", "_")
     if method not in METHODS:
@@ -123,10 +115,12 @@ def cmd_undersample(args) -> int:
 
 
 def _optimizer_from(entries, args, source) -> OptimizerConfig:
-    kind = args.optimizer or get_scalar(entries, "optimizer", str, "adam", source)
-    kind = {"adam": "adam", "sgd": "sgd_momentum", "sgd_momentum": "sgd_momentum"}.get(kind)
-    if kind is None:
-        raise ConfigError(f"unknown optimizer {args.optimizer!r}")
+    name = args.optimizer or get_scalar(entries, "optimizer", str, "adam", source)
+    kind = {"adam": "adam", "sgd": "sgd_momentum", "sgd_momentum": "sgd_momentum"}.get(name)
+    if kind is None:  # argparse restricts --optimizer, so the name came from the config
+        lineno = entries["optimizer"][-1][0]
+        raise ConfigError(f"{source}:{lineno}: unknown optimizer {name!r}; "
+                          "expected one of adam, sgd, sgd_momentum")
     return OptimizerConfig(
         kind=kind,
         lr=args.lr if args.lr is not None else get_scalar(entries, "lr", float, 0.001, source),
@@ -176,7 +170,7 @@ def _build_recon_config(args, measured, method, pattern) -> ReconConfig:
     return ReconConfig(
         method=method,
         pattern=pattern,
-        seed=_seed_of(args, entries, source),
+        seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0, source),
         arch=arch,
         optimizer=optimizer,
         multiweight=multiweight,

@@ -79,15 +79,6 @@ def make_filter(params: FilterParams, ny: int, nx: int) -> WeightFilter:
     return WeightFilter(params, h)
 
 
-def apply_filter(kspace: MultiCoilKSpace, f: WeightFilter) -> MultiCoilKSpace:
-    """Multiply every coil's k-space by the weighting matrix."""
-    if (kspace.ny, kspace.nx) != (f.ny, f.nx):
-        raise ValueError(
-            f"grid is {kspace.ny}x{kspace.nx} but filter is {f.ny}x{f.nx}"
-        )
-    return MultiCoilKSpace(kspace.data * f.h)
-
-
 def remove_filter(kspace: MultiCoilKSpace, f: WeightFilter, eps: float | None = None):
     """Divide out the weighting where it is safely invertible.
 

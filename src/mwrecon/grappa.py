@@ -130,27 +130,6 @@ def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
     return A, B
 
 
-def build_calibration_system(
-    acs: MultiCoilKSpace,
-    geom: KernelGeometry,
-    target_coil: int,
-    offset_m: int,
-    row0: int = 0,
-):
-    """Assemble the least-squares system (A, b) for one (coil, offset) pair.
-
-    Each row of ``A`` is one flattened source patch; the matching entry of
-    ``b`` is the ACS value ``m`` rows below the patch's governing acquired
-    line.  ``row0`` is the absolute row index of the first ACS row.
-    """
-    if not 0 <= target_coil < acs.n_coils:
-        raise ValueError(f"target_coil {target_coil} out of range for {acs.n_coils} coils")
-    if not 1 <= offset_m <= geom.R - 1:
-        raise ValueError(f"offset m must be in [1, R-1], got {offset_m}")
-    A, B = _calibration_system(acs, geom, row0)
-    return A, B[:, target_coil * (geom.R - 1) + offset_m - 1].copy()
-
-
 def calibrate(
     acs: MultiCoilKSpace,
     geom: KernelGeometry,

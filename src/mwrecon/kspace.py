@@ -102,10 +102,6 @@ class SamplingPattern:
         object.__setattr__(self, "mask", mask)
 
     @property
-    def acquired_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    @property
     def missing_rows(self) -> np.ndarray:
         return np.flatnonzero(~self.mask)
 

@@ -54,7 +54,7 @@ that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -231,21 +231,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class TrainGeometry:
-    """Ties target positions to source positions.
-
-    A target channel pair (re, im) for offset ``m`` at output position
-    (i, j) corresponds to the source row ``row_gap`` tap gaps below the
-    window's top tap, ``m`` rows into that gap, at source column
-    ``j + col_offset``.
-    """
-
-    R: int
-    row_gap: int
-    col_offset: int
-
-
-@dataclass(frozen=True)
 class TrainingSet:
     """Full-batch training tensors: [batch, ch, ky, kx] sources and targets.
 
@@ -258,7 +243,6 @@ class TrainingSet:
 
     sources: np.ndarray
     targets: np.ndarray
-    geometry: TrainGeometry
 
     def __post_init__(self):
         src = np.array(_as_input(self.sources), copy=True)
@@ -275,10 +259,6 @@ class TrainingSet:
         tgt.flags.writeable = False
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)
-
-    @property
-    def batch_size(self) -> int:
-        return self.sources.shape[0]
 
 
 def _as_input(x) -> np.ndarray:
@@ -338,17 +318,6 @@ def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
         for i in range(spec.ky_taps)
         for j in range(spec.kx_width)
     ]
-
-
-def conv2d_dilated(x: np.ndarray, w: np.ndarray, dilation: int = 1) -> np.ndarray:
-    """Valid cross-correlation of [N, C, H, W] input with [O, C, kt, kw] kernel.
-
-    Computes in the input's precision (see the module docstring).
-    """
-    x = _as_input(x)
-    cols, shape = _im2col(_channels_last(x), w.shape[2], w.shape[3], dilation)
-    y = cols @ _patch_matrix(w).astype(x.dtype, copy=False)
-    return y.reshape(*shape, w.shape[0]).transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -569,29 +538,6 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
 # ---------------------------------------------------------------------------
 # public surface
 
-@dataclass
-class Gradients:
-    """Loss gradients, shaped like the network's weights."""
-
-    layers: list
-    skip: np.ndarray | None = None
-
-
-@dataclass
-class MomentumState:
-    velocities: list
-    skip_velocity: np.ndarray | None = None
-
-
-@dataclass
-class AdamState:
-    step: int
-    m: list
-    v: list
-    skip_m: np.ndarray | None = None
-    skip_v: np.ndarray | None = None
-
-
 def init_network(arch: NetworkArch, seed: int) -> ScanNetwork:
     """Glorot-uniform initialization, deterministic for a given seed."""
     rng = np.random.default_rng(seed)
@@ -641,20 +587,6 @@ def forward(net, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def forward_main(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
-    """Output of the convolutional chain alone (no skip path)."""
-    return forward(ScanNetwork(replace(net.arch, skip=None), net.weights, None, net.seed), x)
-
-
-def forward_skip(net: ScanNetwork, x: np.ndarray) -> np.ndarray:
-    """Output of the linear skip path alone, cropped to the main chain's grid."""
-    if net.skip_weight is None:
-        raise ValueError("network has no skip path")
-    x = _as_input(x)
-    rows, cols = _skip_crop(net.arch, *net.arch.output_shape(x.shape[2], x.shape[3]))
-    return conv2d_dilated(x, net.skip_weight, net.arch.dilation)[:, :, rows, cols]
-
-
 def _check_training_set(nets, ts: TrainingSet, single: bool) -> np.ndarray:
     """``ts.targets`` with a leading coil axis, after checking it against the networks."""
     arch = nets[0].arch
@@ -669,67 +601,6 @@ def _check_training_set(nets, ts: TrainingSet, single: bool) -> np.ndarray:
         shown = expected[1:] if single else expected
         raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {shown}")
     return targets
-
-
-def loss(net: ScanNetwork, ts: TrainingSet) -> float:
-    """Mean squared error of the network output against the targets."""
-    _check_training_set([net], ts, single=True)
-    diff = forward(net, ts.sources) - ts.targets
-    return float(np.mean(diff * diff))
-
-
-def loss_and_gradients(net: ScanNetwork, ts: TrainingSet):
-    """Loss value and its analytic gradients (backpropagation)."""
-    targets = _check_training_set([net], ts, single=True)
-    arch = net.arch
-    input_cols = _input_cols(arch, _channels_last(ts.sources))
-    params = _pack([net], ts.sources.dtype)
-    values, grads = _loss_and_grads(arch, params, input_cols, targets.transpose(0, 1, 3, 4, 2))
-    layers, skip = _unpack(arch, grads, 0)
-    return float(values[0]), Gradients(layers=list(layers), skip=skip)
-
-
-def _param_list(layers, skip) -> list:
-    return list(layers) + ([] if skip is None else [skip])
-
-
-def _from_param_list(net: ScanNetwork, params) -> ScanNetwork:
-    n = len(net.weights)
-    skip = params[n] if net.skip_weight is not None else None
-    return ScanNetwork(arch=net.arch, weights=tuple(params[:n]), skip_weight=skip, seed=net.seed)
-
-
-def sgd_momentum_step(net: ScanNetwork, grads: Gradients, state, lr: float, momentum: float):
-    """One heavy-ball update: v <- momentum*v + lr*g, w <- w - v."""
-    params = _param_list(net.weights, net.skip_weight)
-    if state is None:
-        vel = [np.zeros_like(w) for w in params]
-    else:
-        vel = _param_list(state.velocities, state.skip_velocity)
-    _sgd_update(params, _param_list(grads.layers, grads.skip), vel, lr, momentum)
-    n = len(net.weights)
-    skip_v = vel[n] if net.skip_weight is not None else None
-    return _from_param_list(net, params), MomentumState(velocities=vel[:n], skip_velocity=skip_v)
-
-
-def adam_step(net: ScanNetwork, grads: Gradients, state, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam update with bias correction."""
-    params = _param_list(net.weights, net.skip_weight)
-    if state is None:
-        step = 0
-        m, v = [np.zeros_like(w) for w in params], [np.zeros_like(w) for w in params]
-    else:
-        step = state.step
-        m, v = _param_list(state.m, state.skip_m), _param_list(state.v, state.skip_v)
-    _adam_update(params, _param_list(grads.layers, grads.skip), m, v, step + 1, lr, beta1, beta2, eps)
-    n = len(net.weights)
-    has_skip = net.skip_weight is not None
-    new_state = AdamState(
-        step=step + 1, m=m[:n], v=v[:n],
-        skip_m=m[n] if has_skip else None, skip_v=v[n] if has_skip else None,
-    )
-    return _from_param_list(net, params), new_state
 
 
 def train(net, ts: TrainingSet, opt: OptimizerConfig):

@@ -44,7 +44,6 @@ from .network import (
     LayerSpec,
     NetworkArch,
     OptimizerConfig,
-    TrainGeometry,
     TrainingSet,
     forward,
     init_network,
@@ -177,12 +176,12 @@ def build_training_pairs(
     """
     if not 0 <= target_coil < acs.n_coils:
         raise ValueError(f"target_coil {target_coil} out of range for {acs.n_coils} coils")
-    sources, targets, geometry = _training_pairs(acs, R, arch, acs_row0)
-    return TrainingSet(sources=sources, targets=targets[target_coil], geometry=geometry)
+    sources, targets = _training_pairs(acs, R, arch, acs_row0)
+    return TrainingSet(sources=sources, targets=targets[target_coil])
 
 
 def _training_pairs(acs: MultiCoilKSpace, R: int, arch: NetworkArch, acs_row0: int):
-    """Sources [1, ch, ky, kx] shared by all coils, every coil's targets, and the geometry.
+    """Sources [1, ch, ky, kx] shared by all coils, and every coil's targets.
 
     Targets are [coils, 1, 2*(R-1), oh, ow]; see :func:`build_training_pairs`.
     """
@@ -219,7 +218,7 @@ def _training_pairs(acs: MultiCoilKSpace, R: int, arch: NetworkArch, acs_row0: i
         block = acs.data[:, anchor_rows + m, tx : tx + ow]
         targets[:, 0, m - 1] = block.real
         targets[:, 0, (R - 1) + m - 1] = block.imag
-    return sources, targets, TrainGeometry(R=R, row_gap=gap, col_offset=tx)
+    return sources, targets
 
 
 def build_mw_batch(kspace: MultiCoilKSpace, mw: MultiWeightConfig) -> np.ndarray:
@@ -277,7 +276,6 @@ def _scan_specific_reconstruct(
         targets=np.concatenate(  # [n_c, n_f, out, oh, ow]
             [p[1] for p in pairs], axis=1, dtype=np.float32
         ),
-        geometry=pairs[0][2],
     )
     nets0 = [init_network(arch, cfg.seed + coil) for coil in range(n_coils)]
     nets, histories = train(nets0, ts, cfg.optimizer)

@@ -171,3 +171,24 @@ def test_ablate_scores_a_synthesized_scene_against_its_noise_free_image(tmp_path
     assert len(references) == 2
     for ref in references:
         assert np.array_equal(ref, clean) and not np.allclose(ref, noisy)
+
+
+def test_recon_names_an_unknown_optimizer_from_the_config(scan, capsys):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("iters = 2\noptimizer = rmsprop\n", encoding="utf-8")
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:2: unknown optimizer 'rmsprop'" in err
+
+
+def test_ablate_names_an_unknown_optimizer_from_the_config(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1, 2\n"
+                      "optimizer = rmsprop\n", encoding="utf-8")
+    argv = ["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:6: unknown optimizer 'rmsprop'" in err

@@ -4,11 +4,11 @@ import pytest
 from mwrecon.filters import (
     FilterParams,
     all_pass_filter,
-    apply_filter,
     make_filter,
     remove_filter,
 )
 from mwrecon.kspace import MultiCoilKSpace
+from mwrecon.pipelines import MultiWeightConfig, build_mw_batch
 from oracles import filter_gain
 
 
@@ -81,18 +81,25 @@ class TestMakeFilter:
         assert np.array_equal(b.h, 2.0 * a.h)
 
 
+def weighted(ks, f):
+    """``ks`` weighted by the high-pass filter ``f``, as the pipelines' branch batch holds it."""
+    return build_mw_batch(ks, MultiWeightConfig((all_pass_filter(ks.ny, ks.nx), f)))[1]
+
+
 class TestApplyFilter:
+    """Weighting a measurement, which :func:`build_mw_batch` does for every branch."""
+
     def test_all_pass_identity(self):
         rng = np.random.default_rng(0)
         ks = random_kspace(rng, 2, 8, 8)
-        out = apply_filter(ks, all_pass_filter(8, 8))
-        assert np.array_equal(out.data, ks.data)
+        out = build_mw_batch(ks, MultiWeightConfig((all_pass_filter(8, 8),)))[0]
+        assert np.array_equal(out, ks.data)
 
     def test_center_zeroed(self):
         rng = np.random.default_rng(1)
         ks = random_kspace(rng, 3, 8, 8)
-        out = apply_filter(ks, make_filter(FilterParams(P=0.4), 8, 8))
-        assert np.all(out.data[:, 4, 4] == 0)
+        out = weighted(ks, make_filter(FilterParams(P=0.4), 8, 8))
+        assert np.all(out[:, 4, 4] == 0)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(2)
@@ -103,12 +110,12 @@ class TestApplyFilter:
             for ky in range(8):
                 for kx in range(8):
                     expected[c, ky, kx] = ks.data[c, ky, kx] * filter_gain(1, 1, 0.4, 8, 8, ky, kx)
-        assert np.max(np.abs(apply_filter(ks, f).data - expected)) < 1e-14
+        assert np.max(np.abs(weighted(ks, f) - expected)) < 1e-14
 
     def test_dimension_mismatch(self):
         ks = MultiCoilKSpace(np.zeros((1, 8, 8), dtype=complex))
         with pytest.raises(ValueError, match="grid"):
-            apply_filter(ks, all_pass_filter(4, 4))
+            build_mw_batch(ks, MultiWeightConfig((all_pass_filter(4, 4),)))
 
 
 class TestRemoveFilter:
@@ -116,7 +123,7 @@ class TestRemoveFilter:
         rng = np.random.default_rng(3)
         ks = random_kspace(rng, 2, 16, 16)
         f = make_filter(FilterParams(P=0.4), 16, 16)
-        recovered, valid = remove_filter(apply_filter(ks, f), f, eps=1e-8)
+        recovered, valid = remove_filter(MultiCoilKSpace(ks.data * f.h), f, eps=1e-8)
         err = np.abs(recovered.data - ks.data)[:, valid]
         assert np.max(err / np.abs(ks.data)[:, valid]) < 1e-10
 
@@ -143,7 +150,7 @@ class TestRemoveFilter:
         rng = np.random.default_rng(6)
         ks = random_kspace(rng, 1, 8, 8)
         f = make_filter(FilterParams(P=0.4), 8, 8)
-        _, valid = remove_filter(apply_filter(ks, f), f)
+        _, valid = remove_filter(MultiCoilKSpace(ks.data * f.h), f)
         assert not valid[4, 4]
 
     def test_rejects_bad_eps(self):
@@ -156,6 +163,6 @@ class TestRemoveFilter:
         rng = np.random.default_rng(int(p * 100))
         ks = random_kspace(rng, 3, 64, 64)
         f = make_filter(FilterParams(P=p), 64, 64)
-        recovered, valid = remove_filter(apply_filter(ks, f), f)
+        recovered, valid = remove_filter(MultiCoilKSpace(ks.data * f.h), f)
         err = np.abs(recovered.data - ks.data)[:, valid]
         assert np.max(err / np.abs(ks.data)[:, valid]) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mwrecon.grappa import GrappaKernel, KernelGeometry, build_calibration_system, calibrate, interpolate
+from mwrecon.grappa import GrappaKernel, KernelGeometry, _calibration_system, calibrate, interpolate
 from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
 from oracles import grappa_apply_loops, normal_equations_solve, planted_full_grid as _planted
 
@@ -38,30 +38,31 @@ class TestCalibrationSystem:
         )
         geom = KernelGeometry(R=2, bx_half=1, by_taps=2)
         anchors = [r for r in range(10 - geom.footprint_rows + 1) if r % 2 == 0]
-        A, b = build_calibration_system(acs, geom, target_coil=0, offset_m=1)
+        A, B = _calibration_system(acs, geom, row0=0)
         assert A.shape == (len(anchors) * 6, 12)
         assert A.shape == (24, 12)
-        assert b.shape == (24,)
+        assert B.shape == (24, 2)  # one column per (coil, offset m)
 
     def test_minimal_footprint_columns(self):
         rng = np.random.default_rng(1)
         acs = MultiCoilKSpace(rng.standard_normal((1, 6, 4)) + 0j)
         geom = KernelGeometry(R=2, bx_half=0, by_taps=2)
-        A, _ = build_calibration_system(acs, geom, target_coil=0, offset_m=1)
+        A, _ = _calibration_system(acs, geom, row0=0)
         assert A.shape[1] == 2  # one coil, two ky taps, one column
 
     def test_acs_too_small(self):
         acs = MultiCoilKSpace(np.zeros((2, 3, 8), dtype=complex))
         geom = KernelGeometry(R=4, bx_half=1, by_taps=2)  # needs 5 rows
         with pytest.raises(ValueError, match="ACS too small"):
-            build_calibration_system(acs, geom, target_coil=0, offset_m=1)
+            _calibration_system(acs, geom, row0=0)
 
     def test_entries_match_manual_gather(self):
         rng = np.random.default_rng(2)
         acs_data = rng.standard_normal((2, 8, 6)) + 1j * rng.standard_normal((2, 8, 6))
         acs = MultiCoilKSpace(acs_data)
         geom = KernelGeometry(R=2, bx_half=1, by_taps=2)
-        A, b = build_calibration_system(acs, geom, target_coil=1, offset_m=1)
+        A, B = _calibration_system(acs, geom, row0=0)
+        b = B[:, 1 * (geom.R - 1) + 1 - 1]  # target coil 1, offset m = 1
         # first row: anchor 0, leftmost window (target column 1)
         manual = []
         for c in range(2):
@@ -75,8 +76,8 @@ class TestCalibrationSystem:
         rng = np.random.default_rng(3)
         acs = MultiCoilKSpace(rng.standard_normal((1, 9, 5)) + 0j)
         geom = KernelGeometry(R=2, bx_half=1, by_taps=2)
-        A0, _ = build_calibration_system(acs, geom, 0, 1, row0=0)
-        A1, _ = build_calibration_system(acs, geom, 0, 1, row0=1)
+        A0, _ = _calibration_system(acs, geom, row0=0)
+        A1, _ = _calibration_system(acs, geom, row0=1)
         # row0=1 moves the lattice to odd ACS rows: anchors {1,3,5} instead of {0,2,4,6}
         assert A0.shape[0] == 4 * 3
         assert A1.shape[0] == 3 * 3
@@ -125,7 +126,8 @@ class TestCalibrate:
         acs = MultiCoilKSpace(acs_data)
         geom = KernelGeometry(R=2, bx_half=1, by_taps=2)  # 8*2*3 = 48 unknowns
         kernel = calibrate(acs, geom, ridge=0.0)
-        A, b = build_calibration_system(acs, geom, target_coil=3, offset_m=1)
+        A, B = _calibration_system(acs, geom, row0=0)
+        b = B[:, 3 * (geom.R - 1) + 1 - 1]  # target coil 3, offset m = 1
         # 6 lattice anchors x 47 interior columns
         assert A.shape == (282, 48)
         expected = normal_equations_solve(A, b)
@@ -138,7 +140,8 @@ class TestCalibrate:
         acs = MultiCoilKSpace(acs_data)
         geom = KernelGeometry(R=3, bx_half=2, by_taps=2)
         kernel = calibrate(acs, geom, ridge=0.5)
-        A, b = build_calibration_system(acs, geom, target_coil=1, offset_m=2)
+        A, B = _calibration_system(acs, geom, row0=0)
+        b = B[:, 1 * (geom.R - 1) + 2 - 1]  # target coil 1, offset m = 2
         expected = normal_equations_solve(A, b, ridge=0.5)
         got = kernel.weights[1, 1].reshape(-1)
         assert np.max(np.abs(got - expected)) < 1e-8

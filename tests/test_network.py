@@ -5,30 +5,30 @@ import numpy as np
 import pytest
 
 from mwrecon.network import (
-    Gradients,
     LayerSpec,
     NetworkArch,
     OptimizerConfig,
     ScanNetwork,
-    TrainGeometry,
     TrainingDivergedError,
     TrainingSet,
-    adam_step,
-    conv2d_dilated,
     forward,
-    forward_main,
-    forward_skip,
     init_network,
-    loss,
-    loss_and_gradients,
-    sgd_momentum_step,
     train,
 )
 from mwrecon import network as network_module
 from mwrecon.pipelines import default_arch
 from oracles import conv_naive
 
-GEOM = TrainGeometry(R=2, row_gap=0, col_offset=1)
+
+def mse(net, ts):
+    """Mean squared error of ``forward`` against the targets."""
+    diff = forward(net, ts.sources) - ts.targets
+    return float(np.mean(diff * diff))
+
+
+def zero_main(net):
+    """``net`` with its main chain zeroed, so its output is the skip path alone."""
+    return ScanNetwork(net.arch, tuple(np.zeros_like(w) for w in net.weights), net.skip_weight, net.seed)
 
 
 def small_arch(in_ch=2, hidden=3, out=2, dilation=1, skip=False, depth=2):
@@ -42,7 +42,7 @@ def make_training_set(rng, arch, batch=1, h=9, w=10):
     src = rng.standard_normal((batch, arch.in_channels, h, w))
     oh, ow = arch.output_shape(h, w)
     tgt = rng.standard_normal((batch, arch.out_channels, oh, ow))
-    return TrainingSet(sources=src, targets=tgt, geometry=GEOM)
+    return TrainingSet(sources=src, targets=tgt)
 
 
 class TestArchValidation:
@@ -139,7 +139,8 @@ class TestForward:
         x = rng.standard_normal((1, 3, 10, 8))
         w = rng.standard_normal((4, 3, 2, 3))
         for d in (1, 2, 3):
-            assert np.max(np.abs(conv2d_dilated(x, w, d) - conv_naive(x, w, d))) < 1e-12
+            net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),), dilation=d), (w,), None, 0)
+            assert np.max(np.abs(forward(net, x) - conv_naive(x, w, d))) < 1e-12
 
     def test_dilated_on_lattice_equals_compact(self):
         # R-spaced taps sliding on the stride-R lattice compute the same sums
@@ -161,7 +162,14 @@ class TestForward:
         net = init_network(arch, 8)
         x = rng.standard_normal((1, 2, 9, 9))
         total = forward(net, x)
-        assert np.array_equal(total, forward_main(net, x) + forward_skip(net, x))
+        main = ScanNetwork(replace(arch, skip=None), net.weights, None, net.seed)
+        skip = forward(zero_main(net), x)
+        assert np.array_equal(total, forward(main, x) + skip)
+        # the skip path is a plain convolution, cropped to the main chain's grid
+        oh, ow = arch.output_shape(9, 9)
+        dy, dx = arch.skip_row_offset * arch.dilation, arch.skip_col_offset
+        expected = conv_naive(x, net.skip_weight, arch.dilation)[:, :, dy:dy + oh, dx:dx + ow]
+        assert np.max(np.abs(skip - expected)) < 1e-12
 
     def test_channel_mismatch(self):
         net = init_network(small_arch(in_ch=2), 0)
@@ -175,16 +183,16 @@ class TestLoss:
         arch = small_arch()
         net = init_network(arch, 1)
         src = rng.standard_normal((1, 2, 9, 9))
-        ts = TrainingSet(sources=src, targets=forward(net, src), geometry=GEOM)
-        assert loss(net, ts) == 0.0
+        ts = TrainingSet(sources=src, targets=forward(net, src))
+        assert mse(net, ts) == 0.0
 
     def test_zero_net_unit_targets(self):
         arch = small_arch()
         zero = ScanNetwork(arch, tuple(np.zeros_like(w) for w in init_network(arch, 0).weights), None, 0)
         src = np.zeros((1, 2, 9, 9))
         oh, ow = arch.output_shape(9, 9)
-        ts = TrainingSet(sources=src, targets=np.ones((1, arch.out_channels, oh, ow)), geometry=GEOM)
-        assert loss(zero, ts) == pytest.approx(1.0)
+        ts = TrainingSet(sources=src, targets=np.ones((1, arch.out_channels, oh, ow)))
+        assert mse(zero, ts) == pytest.approx(1.0)
 
     def test_matches_mean_square_oracle(self):
         rng = np.random.default_rng(2)
@@ -197,7 +205,7 @@ class TestLoss:
         for idx in np.ndindex(out.shape):
             total += (out[idx] - ts.targets[idx]) ** 2
             count += 1
-        assert loss(net, ts) == pytest.approx(total / count, rel=1e-12)
+        assert mse(net, ts) == pytest.approx(total / count, rel=1e-12)
 
 
 def _min_preactivation(net, x):
@@ -225,7 +233,7 @@ def finite_difference_gradients(net, ts, h=1e-5):
                 bumped = [np.array(x) for x in net.weights]
                 bumped[li][idx] += sign * h
                 pnet = ScanNetwork(net.arch, tuple(bumped), net.skip_weight, net.seed)
-                g[idx] += sign * loss(pnet, ts)
+                g[idx] += sign * mse(pnet, ts)
         layer_grads.append(g / (2 * h))
     skip_grad = None
     if net.skip_weight is not None:
@@ -235,7 +243,7 @@ def finite_difference_gradients(net, ts, h=1e-5):
                 bumped = np.array(net.skip_weight)
                 bumped[idx] += sign * h
                 pnet = ScanNetwork(net.arch, net.weights, bumped, net.seed)
-                skip_grad[idx] += sign * loss(pnet, ts)
+                skip_grad[idx] += sign * mse(pnet, ts)
         skip_grad /= 2 * h
     return layer_grads, skip_grad
 
@@ -254,7 +262,6 @@ def gradient_check_instance(seed, dilation=1, skip=False, depth=2):
         ts = TrainingSet(
             sources=rng.standard_normal((1, 2, h, 9)),
             targets=rng.standard_normal((1, 2) + arch.output_shape(h, 9)),
-            geometry=GEOM,
         )
         if _min_preactivation(net, ts.sources) > 1e-3:
             return net, ts
@@ -270,53 +277,88 @@ class TestGradients:
         dilation = (1, 2, 3)[seed % 3]
         depth = 3 if seed >= 6 else 2
         net, ts = gradient_check_instance(seed, dilation=dilation, skip=skip, depth=depth)
-        value, grads = loss_and_gradients(net, ts)
-        assert value == pytest.approx(loss(net, ts), rel=1e-12)
+        # the training path's loss and gradients, against the inference path's loss
+        nw, arch = network_module, net.arch
+        params = nw._pack([net], ts.sources.dtype)
+        targets = np.ascontiguousarray(ts.targets[None].transpose(0, 1, 3, 4, 2))
+        input_cols = nw._input_cols(arch, nw._channels_last(ts.sources))
+        losses, grads = nw._loss_and_grads(arch, params, input_cols, targets)
+        assert losses[0] == pytest.approx(mse(net, ts), rel=1e-12)
+        layers, skip_grad = nw._unpack(arch, grads, 0)
         fd_layers, fd_skip = finite_difference_gradients(net, ts)
-        for analytic, numeric in zip(grads.layers, fd_layers):
+        for analytic, numeric in zip(layers, fd_layers):
             assert np.max(relative_error(analytic, numeric)) < 1e-5
         if skip:
-            assert np.max(relative_error(grads.skip, fd_skip)) < 1e-5
+            assert np.max(relative_error(skip_grad, fd_skip)) < 1e-5
+
+
+def scalar(value):
+    return np.full((1, 1, 1, 1), value)
 
 
 class TestOptimizerSteps:
-    def _scalar_net(self, w0):
-        arch = NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),))
-        return ScanNetwork(arch, (np.full((1, 1, 1, 1), w0),), None, 0)
+    """The update formulas ``train`` applies, on one weight."""
 
     def test_momentum_hand_example(self):
         # v = 0.9*0.5 + 0.1*2 = 0.65 ; w = 1 - 0.65 = 0.35
-        from mwrecon.network import MomentumState
-
-        net = self._scalar_net(1.0)
-        grads = Gradients(layers=[np.full((1, 1, 1, 1), 2.0)])
-        state = MomentumState(velocities=[np.full((1, 1, 1, 1), 0.5)])
-        net2, state2 = sgd_momentum_step(net, grads, state, lr=0.1, momentum=0.9)
-        assert net2.weights[0][0, 0, 0, 0] == pytest.approx(0.35, abs=1e-15)
-        assert state2.velocities[0][0, 0, 0, 0] == pytest.approx(0.65, abs=1e-15)
+        params, vel = [scalar(1.0)], [scalar(0.5)]
+        network_module._sgd_update(params, [scalar(2.0)], vel, lr=0.1, momentum=0.9)
+        assert params[0][0, 0, 0, 0] == pytest.approx(0.35, abs=1e-15)
+        assert vel[0][0, 0, 0, 0] == pytest.approx(0.65, abs=1e-15)
 
     def test_zero_momentum_is_plain_descent(self):
-        net = self._scalar_net(1.0)
-        grads = Gradients(layers=[np.full((1, 1, 1, 1), 2.0)])
-        net2, _ = sgd_momentum_step(net, grads, None, lr=0.1, momentum=0.0)
-        assert net2.weights[0][0, 0, 0, 0] == pytest.approx(1.0 - 0.2, abs=1e-15)
+        params = [scalar(1.0)]
+        network_module._sgd_update(params, [scalar(2.0)], [scalar(0.0)], lr=0.1, momentum=0.0)
+        assert params[0][0, 0, 0, 0] == pytest.approx(1.0 - 0.2, abs=1e-15)
 
     def test_zero_gradient_zero_velocity_is_identity(self):
-        net = self._scalar_net(1.0)
-        grads = Gradients(layers=[np.zeros((1, 1, 1, 1))])
-        net2, _ = sgd_momentum_step(net, grads, None, lr=0.1, momentum=0.9)
-        assert net2.weights[0][0, 0, 0, 0] == 1.0
+        params = [scalar(1.0)]
+        network_module._sgd_update(params, [scalar(0.0)], [scalar(0.0)], lr=0.1, momentum=0.9)
+        assert params[0][0, 0, 0, 0] == 1.0
 
     def test_adam_first_step_hand_formula(self):
-        net = self._scalar_net(1.0)
         g = 2.0
-        grads = Gradients(layers=[np.full((1, 1, 1, 1), g)])
-        net2, state = adam_step(net, grads, None, lr=0.1)
+        params, m, v = [scalar(1.0)], [scalar(0.0)], [scalar(0.0)]
+        network_module._adam_update(params, [scalar(g)], m, v, 1, 0.1, 0.9, 0.999, 1e-8)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
         expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert net2.weights[0][0, 0, 0, 0] == pytest.approx(expected, abs=1e-15)
-        assert state.step == 1
+        assert params[0][0, 0, 0, 0] == pytest.approx(expected, abs=1e-15)
+        assert m[0][0, 0, 0, 0] == pytest.approx(0.1 * g, abs=1e-15)
+        assert v[0][0, 0, 0, 0] == pytest.approx(0.001 * g * g, abs=1e-15)
+
+
+class TestTrainOptimizerWiring:
+    """Two ``train`` steps of a one-weight network whose loss is w**2 (gradient 2w)."""
+
+    W0 = 0.75
+
+    def run(self, opt):
+        net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),)), (scalar(self.W0),), None, 0)
+        trained, history = train(net, TrainingSet(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1))), opt)
+        return trained.weights[0][0, 0, 0, 0], history
+
+    def test_adam_two_steps_with_custom_betas(self):
+        lr, b1, b2, eps = 0.1, 0.8, 0.99, 1e-6
+        w, m, v, steps = self.W0, 0.0, 0.0, []
+        for t in (1, 2):
+            g = 2.0 * w
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            w = w - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            steps.append(w)
+        got, history = self.run(OptimizerConfig(kind="adam", lr=lr, beta1=b1, beta2=b2, eps=eps, iters=2))
+        assert got == pytest.approx(steps[1], abs=1e-15)
+        assert np.array_equal(history, [self.W0**2, steps[0] ** 2])
+
+    def test_momentum_two_steps(self):
+        lr, mu = 0.1, 0.9
+        v1 = lr * (2.0 * self.W0)
+        w1 = self.W0 - v1
+        v2 = mu * v1 + lr * (2.0 * w1)
+        got, history = self.run(OptimizerConfig(kind="sgd_momentum", lr=lr, momentum=mu, iters=2))
+        assert got == pytest.approx(w1 - v2, abs=1e-15)
+        assert np.array_equal(history, [self.W0**2, w1**2])
 
 
 class TestTrain:
@@ -369,13 +411,11 @@ class TestTrain:
         )
         teacher = init_network(arch, 99)
         src = rng.standard_normal((1, 24, 8, 64))
-        ts = TrainingSet(
-            sources=src, targets=forward(teacher, src), geometry=TrainGeometry(R=4, row_gap=0, col_offset=3)
-        )
+        ts = TrainingSet(sources=src, targets=forward(teacher, src))
         student = init_network(arch, 7)
-        initial = loss(student, ts)
+        initial = mse(student, ts)
         trained, history = train(student, ts, OptimizerConfig(kind="adam", lr=0.001, iters=2000))
-        assert loss(trained, ts) <= 1e-4 * initial
+        assert mse(trained, ts) <= 1e-4 * initial
 
     def test_momentum_trains_too(self):
         rng = np.random.default_rng(6)
@@ -394,7 +434,7 @@ def coil_case(coils=3, depth=2, dilation=1, skip=False, seed=0):
     src = rng.standard_normal((2, 2, h, 9))
     tgt = rng.standard_normal((coils, 2, 2) + arch.output_shape(h, 9))
     nets = [init_network(arch, 10 + c) for c in range(coils)]
-    return nets, TrainingSet(sources=src, targets=tgt, geometry=GEOM)
+    return nets, TrainingSet(sources=src, targets=tgt)
 
 
 def max_relative(a, b):
@@ -414,7 +454,7 @@ class TestCoilBatching:
         trained, histories = train(nets, ts, opt)
         assert len(trained) == 3 and histories.shape == (3, 30)
         for c, net in enumerate(nets):
-            alone, history = train(net, TrainingSet(ts.sources, ts.targets[c], GEOM), opt)
+            alone, history = train(net, TrainingSet(ts.sources, ts.targets[c]), opt)
             assert history.shape == (30,)
             assert max_relative(histories[c], history) <= 1e-10
             assert history[-1] < history[0]
@@ -437,7 +477,7 @@ class TestCoilBatching:
         nets, ts = coil_case(seed=2)
         targets = np.array(ts.targets)
         targets[1] *= 1e200  # squared error overflows for coil 1 only
-        ts = TrainingSet(ts.sources, targets, GEOM)
+        ts = TrainingSet(ts.sources, targets)
         message = r"^coil 1: non-finite training loss at iteration 1$"
         with pytest.raises(TrainingDivergedError, match=message):
             train(nets, ts, OptimizerConfig(iters=5))
@@ -525,7 +565,7 @@ class TestPrecision:
         nets, ts = coil_case(depth=depth, skip=skip, seed=3)
         src = ts.sources.astype(np.float32)
         tgt = ts.targets.astype(np.float32)
-        return nets, TrainingSet(src, tgt, GEOM), TrainingSet(src.astype(np.float64), tgt, GEOM)
+        return nets, TrainingSet(src, tgt), TrainingSet(src.astype(np.float64), tgt)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("depth", [1, 3])
@@ -549,7 +589,7 @@ class TestPrecision:
         assert forward(nets, ts64.sources).dtype == np.float64
         assert forward(nets[0], ts32.sources).dtype == np.float32
         if skip:
-            assert forward_skip(nets[0], ts32.sources).dtype == np.float32
+            assert forward(zero_main(nets[0]), ts32.sources).dtype == np.float32
         assert max_relative(out32, forward(nets, ts64.sources)) <= 1e-5
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -596,6 +636,6 @@ class TestPrecision:
     def test_other_dtypes_compute_in_float64(self):
         nets, ts32, _ = self.float32_case(skip=True, depth=2)
         for dtype in (np.float16, np.int64):
-            ts = TrainingSet(ts32.sources.astype(dtype), ts32.targets, GEOM)
+            ts = TrainingSet(ts32.sources.astype(dtype), ts32.targets)
             assert ts.sources.dtype == np.float64 and ts.targets.dtype == np.float64
             assert forward(nets, ts32.sources.astype(dtype)).dtype == np.float64
