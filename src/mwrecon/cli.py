@@ -42,7 +42,6 @@ from .metrics import evaluate
 from .network import NetworkArch, OptimizerConfig
 from .phantom import make_coil_maps, shepp_logan, simulate_kspace
 from .pipelines import (
-    DEFAULT_FILTER_EXPONENTS,
     METHODS,
     MultiWeightConfig,
     ReconConfig,
@@ -148,10 +147,8 @@ def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None
     eps = args.filter_eps if args.filter_eps is not None else get_scalar(
         entries, "filter_eps", float, None, source
     )
-    if exponents is None and eps is None:
-        return None
     if exponents is None:
-        exponents = DEFAULT_FILTER_EXPONENTS
+        return None if eps is None else make_multiweight_config(ny, nx, eps=eps)
     return make_multiweight_config(ny, nx, exponents, eps=eps)
 
 
@@ -179,13 +176,18 @@ def _build_recon_config(args, measured, method, pattern) -> ReconConfig:
     )
 
 
+def _train_iters(result) -> int:
+    """Iterations each network trained for; GRAPPA trains none."""
+    return len(result.loss_histories[0]) if result.loss_histories else 0
+
+
 def _metrics_row(method, pattern, seed, result, ref_sos, wall_ms):
     row = {
         "method": method.replace("_", "-"),
         "R": pattern.R,
         "acs": pattern.acs_count,
         "seed": seed,
-        "train_iters": result.config["iters"],
+        "train_iters": _train_iters(result),
         "wall_ms": wall_ms,
     }
     if ref_sos is not None:
@@ -274,6 +276,15 @@ def _load_ablation_scene(entries, source):
     return full, reconstruct_image(clean)
 
 
+def _int_at_least(low: int):
+    """Parse an int and reject values below ``low``; the config reader names file:line."""
+    def convert(text):
+        if int(text) < low:
+            raise ValueError(text)
+        return int(text)
+    return convert
+
+
 def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     method, R, acs, p_value, n_filters, depth, rep, seed = cell
     pattern = make_uniform_pattern(full.ny, R, acs)
@@ -281,19 +292,16 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     arch = None
     if depth is not None:
         arch = default_arch(method, full.n_coils, R, depth)
+    # P and L are blank without a filter bank; with neither, pipelines picks the bank
     multiweight = None
-    if method in ("mw_raki", "mw_rraki"):
-        if p_value is not None:
-            exponents = (p_value,)
-        elif n_filters is not None:
-            if n_filters > len(base_exponents):
-                raise ConfigError(
-                    f"L={n_filters} exceeds the configured filter list ({len(base_exponents)})"
-                )
-            exponents = tuple(base_exponents[:n_filters])
-        else:
-            exponents = DEFAULT_ABLATION_EXPONENTS[:2]
-        multiweight = make_multiweight_config(full.ny, full.nx, exponents)
+    if p_value is not None:
+        multiweight = make_multiweight_config(full.ny, full.nx, (p_value,))
+    elif n_filters is not None:
+        if n_filters > len(base_exponents):
+            raise ConfigError(
+                f"L={n_filters} exceeds the configured filter list ({len(base_exponents)})"
+            )
+        multiweight = make_multiweight_config(full.ny, full.nx, base_exponents[:n_filters])
     cfg = ReconConfig(
         method=method,
         pattern=pattern,
@@ -309,7 +317,7 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
         "R": R, "acs": acs, "P": p_value, "L": n_filters, "depth": depth,
         "rep": rep, "seed": seed,
         "psnr": report.psnr_db, "ssim": report.ssim, "rmse": report.rmse_pct,
-        "train_iters": result.config["iters"], "status": "ok",
+        "train_iters": _train_iters(result), "status": "ok",
     }
     curves = []
     if result.loss_histories:
@@ -336,9 +344,9 @@ def cmd_ablate(args) -> int:
     r_values = get_list(entries, "R", int, source) or [4]
     acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
     p_values = get_list(entries, "P", float, source) or [None]
-    l_values = get_list(entries, "L", int, source) or [None]
+    l_values = get_list(entries, "L", _int_at_least(0), source) or [None]
     depth_values = get_list(entries, "depth", int, source) or [None]
-    reps = get_scalar(entries, "reps", int, 1, source)
+    reps = get_scalar(entries, "reps", _int_at_least(1), 1, source)
     if p_values != [None] and l_values != [None]:
         raise ConfigError(f"{source}: sweep either P or L, not both")
     axes = [methods, r_values, acs_values, p_values, l_values, depth_values, list(range(reps))]

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   (the only undersampled one), ``kx`` is the fully sampled readout axis,
 * Fourier transforms are centered (DC at ``(ny // 2, nx // 2)``) and
   orthonormal, so ``ifft2c(fft2c(x)) == x`` and Parseval holds,
+* a sampling pattern is three numbers, ``(ny, R, acs_count)``; the ACS
+  block's first row and the row mask are derived from them,
 * one frozen container, :class:`MultiCoilKSpace`, holds a coil array in
   either domain; ``CoilImage`` is a second name for it that marks
   image-domain arguments.  Containers are immutable after construction;
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +66,7 @@ class MultiCoilKSpace:
 CoilImage = MultiCoilKSpace
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SamplingPattern:
     """Uniform ky undersampling with a centered, fully sampled ACS block.
 
@@ -75,53 +78,33 @@ class SamplingPattern:
     ny: int
     R: int
     acs_count: int
-    acs_start: int
-    mask: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, SamplingPattern):
-            return NotImplemented
-        # the mask is fully determined by these three fields
-        return (self.ny, self.R, self.acs_count) == (other.ny, other.R, other.acs_count)
-
-    def __hash__(self):
-        return hash((self.ny, self.R, self.acs_count))
 
     def __post_init__(self):
         if self.R < 2:
             raise ValueError(f"acceleration must be >= 2, got R={self.R}")
         if not 1 <= self.acs_count <= self.ny:
             raise ValueError(f"acs_count must be in [1, ny], got {self.acs_count} for ny={self.ny}")
-        if self.acs_start != (self.ny - self.acs_count) // 2:
-            raise ValueError("ACS block is not centered")
-        expected = _uniform_mask(self.ny, self.R, self.acs_start, self.acs_count)
-        mask = np.array(self.mask, dtype=bool, copy=True)
-        if mask.shape != (self.ny,) or not np.array_equal(mask, expected):
-            raise ValueError("mask does not match the stride/ACS predicate")
+
+    @property
+    def acs_start(self) -> int:
+        return (self.ny - self.acs_count) // 2
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only [ny] boolean array, True on acquired rows."""
+        ky = np.arange(self.ny)
+        mask = (ky % self.R == 0) | ((ky >= self.acs_start) & (ky < self.acs_start + self.acs_count))
         mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
+        return mask
 
     @property
     def missing_rows(self) -> np.ndarray:
         return np.flatnonzero(~self.mask)
 
 
-def _uniform_mask(ny: int, R: int, acs_start: int, acs_count: int) -> np.ndarray:
-    ky = np.arange(ny)
-    return (ky % R == 0) | ((ky >= acs_start) & (ky < acs_start + acs_count))
-
-
 def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     """Build the uniform-undersampling pattern for an ``ny``-row grid."""
-    if ny < 1:
-        raise ValueError(f"ny must be positive, got {ny}")
-    if R < 2:
-        raise ValueError(f"acceleration must be >= 2, got R={R}")
-    if not 1 <= acs_count <= ny:
-        raise ValueError(f"acs_count must be in [1, ny], got {acs_count} for ny={ny}")
-    acs_start = (ny - acs_count) // 2
-    mask = _uniform_mask(ny, R, acs_start, acs_count)
-    return SamplingPattern(ny=ny, R=R, acs_count=acs_count, acs_start=acs_start, mask=mask)
+    return SamplingPattern(ny, R, acs_count)
 
 
 def fft2c(image: CoilImage) -> MultiCoilKSpace:
@@ -151,8 +134,6 @@ def extract_acs(kspace: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilK
     """Return the contiguous fully sampled ACS block (acs_count x nx rows)."""
     if kspace.ny != pattern.ny:
         raise ValueError(f"grid has {kspace.ny} rows but pattern expects {pattern.ny}")
-    if pattern.acs_count < 1:
-        raise ValueError("pattern has an empty ACS block")
     block = kspace.data[:, pattern.acs_start : pattern.acs_start + pattern.acs_count, :]
     return MultiCoilKSpace(block)
 

@@ -175,7 +175,6 @@ class ScanNetwork:
     arch: NetworkArch
     weights: tuple[np.ndarray, ...]
     skip_weight: np.ndarray | None
-    seed: int
 
     def __post_init__(self):
         frozen = []
@@ -529,10 +528,7 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
             else:
                 _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr),
                              float(opt.beta1), float(opt.beta2), float(opt.eps))
-    trained = tuple(
-        ScanNetwork(arch, *_unpack(arch, params, c), seed=net.seed) for c, net in enumerate(nets)
-    )
-    return trained, losses
+    return tuple(ScanNetwork(arch, *_unpack(arch, params, c)) for c in range(len(nets))), losses
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +543,7 @@ def init_network(arch: NetworkArch, seed: int) -> ScanNetwork:
         weights.append(_glorot(rng, spec, in_ch))
         in_ch = spec.out_channels
     skip = _glorot(rng, arch.skip, arch.in_channels) if arch.skip is not None else None
-    return ScanNetwork(arch=arch, weights=tuple(weights), skip_weight=skip, seed=seed)
+    return ScanNetwork(arch=arch, weights=tuple(weights), skip_weight=skip)
 
 
 def _glorot(rng, spec: LayerSpec, in_ch: int) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .filters import WeightFilter, all_pass_filter, make_filter, FilterParams, remove_filter
 from .grappa import KernelGeometry, calibrate, interpolate
-from .kspace import CoilImage, MultiCoilKSpace, SamplingPattern, extract_acs, ifft2c, sos_combine
+from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs, ifft2c, sos_combine
 from .network import (
     LayerSpec,
     NetworkArch,
@@ -78,22 +78,16 @@ class MultiWeightConfig:
         if self.eps is not None and self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
-    @property
-    def n_highpass(self) -> int:
-        return len(self.filters) - 1
-
 
 def make_multiweight_config(
     ny: int,
     nx: int,
     exponents=DEFAULT_FILTER_EXPONENTS,
-    M: float = 1.0,
-    D0: float = 1.0,
     eps: float | None = None,
 ) -> MultiWeightConfig:
-    """Bank with one high-pass filter per exponent plus the all-pass branch."""
+    """Bank with one high-pass filter per exponent (M = D0 = 1) plus the all-pass branch."""
     filters = [all_pass_filter(ny, nx)]
-    filters += [make_filter(FilterParams(M=M, D0=D0, P=p), ny, nx) for p in exponents]
+    filters += [make_filter(FilterParams(P=p), ny, nx) for p in exponents]
     return MultiWeightConfig(filters=tuple(filters), eps=eps)
 
 
@@ -119,11 +113,11 @@ class ReconConfig:
 
 @dataclass
 class ReconResult:
+    """The filled k-space, its SoS image and one loss history per coil (none for GRAPPA)."""
+
     kspace: MultiCoilKSpace
-    coil_images: CoilImage
     sos: np.ndarray
     loss_histories: tuple
-    config: dict
 
 
 _DEFAULT_DEPTHS = {"raki": 3, "rraki": 3, "mw_raki": 2, "mw_rraki": 3}
@@ -307,22 +301,7 @@ def _scan_specific_reconstruct(
     final = combined * scale
     final[:, pattern.mask, :] = measured.data[:, pattern.mask, :]
     result_kspace = MultiCoilKSpace(final)
-    images = ifft2c(result_kspace)
-    return ReconResult(
-        kspace=result_kspace,
-        coil_images=images,
-        sos=sos_combine(images),
-        loss_histories=tuple(histories),
-        config={
-            "method": cfg.method,
-            "R": R,
-            "acs_count": pattern.acs_count,
-            "seed": cfg.seed,
-            "iters": cfg.optimizer.iters,
-            "n_highpass": mw.n_highpass,
-            "normalization_scale": scale,
-        },
-    )
+    return ReconResult(result_kspace, reconstruct_image(result_kspace), tuple(histories))
 
 
 def raki_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
@@ -355,22 +334,7 @@ def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResu
     acs = extract_acs(measured, pattern)
     kernel = calibrate(acs, geom, ridge=cfg.ridge, row0=pattern.acs_start)
     filled = interpolate(kernel, measured, pattern)
-    images = ifft2c(filled)
-    return ReconResult(
-        kspace=filled,
-        coil_images=images,
-        sos=sos_combine(images),
-        loss_histories=(),
-        config={
-            "method": cfg.method,
-            "R": pattern.R,
-            "acs_count": pattern.acs_count,
-            "seed": cfg.seed,
-            "iters": 0,
-            "n_highpass": 0,
-            "normalization_scale": 1.0,
-        },
-    )
+    return ReconResult(filled, reconstruct_image(filled), ())
 
 
 def reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:

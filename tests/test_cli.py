@@ -192,3 +192,97 @@ def test_ablate_names_an_unknown_optimizer_from_the_config(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{config}:6: unknown optimizer 'rmsprop'" in err
+
+
+@pytest.mark.parametrize("line", ["L = 1, -1", "reps = 0"], ids=["negative_L", "zero_reps"])
+def test_ablate_rejects_out_of_range_counts(tmp_path, capsys, line):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = mw_raki\ndepth = 1, 2\n{line}\n"
+                      "iters = 1\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"{config}:6: bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def spy_on_reconstruct(monkeypatch):
+    """Record every (config, result) the CLI's reconstruct call sees."""
+    from mwrecon import cli
+
+    calls = []
+    real = cli.reconstruct
+
+    def spy(measured, cfg):
+        calls.append((cfg, real(measured, cfg)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "reconstruct", spy)
+    return calls
+
+
+def test_recon_config_keys_reach_the_recon_config(scan, monkeypatch):
+    from mwrecon.grappa import KernelGeometry
+    from mwrecon.network import LayerSpec, NetworkArch
+
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("layers = 16@3x2, out@3x2\nskip = out@3x2\nfilter = P:0.5\nfilter_eps = 1e-4\n",
+                      encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+
+    def run(method, *extra):
+        argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
+                "--iters", "1", "--ridge", "1e-3", "--out", str(tmp_path / "r.mwks"), *extra]
+        assert main(argv) == 0
+        return calls[-1][0]
+
+    cfg = run("mw-rraki", "--config", str(config))
+    out = LayerSpec(6, 3, 2, "identity")  # 2·(R−1) channels at R = 4
+    assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2, "relu"), out), dilation=1, skip=out)
+    assert cfg.multiweight.filters[0].is_all_pass
+    assert [f.params.P for f in cfg.multiweight.filters[1:]] == [0.5]
+    assert cfg.multiweight.eps == 1e-4
+    cfg = run("mw-rraki", "--config", str(config), "--filters", "")
+    assert len(cfg.multiweight.filters) == 1 and cfg.multiweight.filters[0].is_all_pass
+    assert cfg.multiweight.eps == 1e-4
+    cfg = run("grappa", "--grappa-kernel", "bx:2,by:2")
+    assert cfg.grappa_geometry == KernelGeometry(R=4, bx_half=2, by_taps=2)
+    cfg = run("grappa", "--grappa-kernel", "bx:1,by:3")
+    assert cfg.grappa_geometry == KernelGeometry(R=4, bx_half=1, by_taps=3)
+
+
+def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("layers = 16@3\n", encoding="utf-8")
+
+    def run(method, *extra):
+        return main(["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4",
+                     "--acs", "16", "--iters", "1", "--out", str(tmp_path / "r.mwks"), *extra])
+
+    assert run("raki", "--config", str(config)) == 2
+    assert f"{config}:1: bad value for key 'layers': '16@3'" in capsys.readouterr().err
+    assert run("grappa", "--grappa-kernel", "bx:1") != 0
+    assert "'bx:1'" in capsys.readouterr().err
+
+
+def test_ablate_curves_hold_the_coil_mean_loss_per_cell_and_iteration(tmp_path, monkeypatch):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = grappa, raki, mw_rraki\ndepth = 1, 2\n"
+                      "iters = 3\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    curves = tmp_path / "curves.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv"),
+                 "--curves", str(curves)]) == 0
+    histories = {cfg.seed: result.loss_histories for cfg, result in calls}
+    assert len(histories) == 5  # one GRAPPA cell; raki and mw_rraki at two depths
+    rows = read_rows(curves)
+    assert sorted((int(r["seed"]), int(r["iteration"])) for r in rows) == sorted(
+        (seed, it) for seed, h in histories.items() if h for it in range(1, len(h[0]) + 1)
+    )
+    assert len(rows) == 4 * 3
+    for r in rows:
+        coil_losses = [h[int(r["iteration"]) - 1] for h in histories[int(r["seed"])]]
+        assert len(coil_losses) == 4
+        assert float(r["loss"]) == pytest.approx(np.mean(coil_losses), rel=1e-12)

@@ -108,6 +108,18 @@ class TestPattern:
         assert p.acs_start == 3
         assert set(np.flatnonzero(p.mask)) == {0, 3, 4}
 
+    def test_pattern_is_three_numbers(self):
+        p = make_uniform_pattern(ny=16, R=3, acs_count=4)
+        assert p == make_uniform_pattern(16, 3, 4) and hash(p) == hash(make_uniform_pattern(16, 3, 4))
+        assert p != make_uniform_pattern(16, 3, 6)
+        assert p.mask is p.mask  # derived once
+        with pytest.raises(ValueError):
+            p.mask[1] = True
+        with pytest.raises(AttributeError):
+            p.mask = np.ones(16, dtype=bool)
+        with pytest.raises(AttributeError):
+            p.acs_start = 0
+
     def test_rejects_unaccelerated(self):
         with pytest.raises(ValueError, match=">= 2"):
             make_uniform_pattern(ny=8, R=1, acs_count=2)

@@ -28,7 +28,7 @@ def mse(net, ts):
 
 def zero_main(net):
     """``net`` with its main chain zeroed, so its output is the skip path alone."""
-    return ScanNetwork(net.arch, tuple(np.zeros_like(w) for w in net.weights), net.skip_weight, net.seed)
+    return ScanNetwork(net.arch, tuple(np.zeros_like(w) for w in net.weights), net.skip_weight)
 
 
 def small_arch(in_ch=2, hidden=3, out=2, dilation=1, skip=False, depth=2):
@@ -111,7 +111,6 @@ class TestForward:
             arch,
             tuple(np.zeros_like(w) for w in init_network(arch, 0).weights),
             None,
-            seed=0,
         )
         x = np.random.default_rng(0).standard_normal((1, 2, 8, 8))
         assert np.all(forward(zero, x) == 0)
@@ -119,7 +118,7 @@ class TestForward:
     def test_identity_one_by_one_layer(self):
         arch = NetworkArch(3, (LayerSpec(3, 1, 1, "identity"),))
         eye = np.eye(3).reshape(3, 3, 1, 1)
-        net = ScanNetwork(arch, (eye,), None, seed=0)
+        net = ScanNetwork(arch, (eye,), None)
         x = np.random.default_rng(1).standard_normal((2, 3, 5, 6))
         assert np.array_equal(forward(net, x), x)
 
@@ -139,7 +138,7 @@ class TestForward:
         x = rng.standard_normal((1, 3, 10, 8))
         w = rng.standard_normal((4, 3, 2, 3))
         for d in (1, 2, 3):
-            net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),), dilation=d), (w,), None, 0)
+            net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),), dilation=d), (w,), None)
             assert np.max(np.abs(forward(net, x) - conv_naive(x, w, d))) < 1e-12
 
     def test_dilated_on_lattice_equals_compact(self):
@@ -151,7 +150,7 @@ class TestForward:
         arch_d = small_arch(dilation=R)
         net_d = init_network(arch_d, 5)
         arch_c = small_arch(dilation=1)
-        net_c = ScanNetwork(arch_c, net_d.weights, None, seed=5)
+        net_c = ScanNetwork(arch_c, net_d.weights, None)
         out_full = forward(net_d, full)[:, :, ::R, :]
         out_compact = forward(net_c, full[:, :, ::R, :])
         assert np.max(np.abs(out_full - out_compact)) < 1e-12
@@ -162,7 +161,7 @@ class TestForward:
         net = init_network(arch, 8)
         x = rng.standard_normal((1, 2, 9, 9))
         total = forward(net, x)
-        main = ScanNetwork(replace(arch, skip=None), net.weights, None, net.seed)
+        main = ScanNetwork(replace(arch, skip=None), net.weights, None)
         skip = forward(zero_main(net), x)
         assert np.array_equal(total, forward(main, x) + skip)
         # the skip path is a plain convolution, cropped to the main chain's grid
@@ -188,7 +187,7 @@ class TestLoss:
 
     def test_zero_net_unit_targets(self):
         arch = small_arch()
-        zero = ScanNetwork(arch, tuple(np.zeros_like(w) for w in init_network(arch, 0).weights), None, 0)
+        zero = ScanNetwork(arch, tuple(np.zeros_like(w) for w in init_network(arch, 0).weights), None)
         src = np.zeros((1, 2, 9, 9))
         oh, ow = arch.output_shape(9, 9)
         ts = TrainingSet(sources=src, targets=np.ones((1, arch.out_channels, oh, ow)))
@@ -232,7 +231,7 @@ def finite_difference_gradients(net, ts, h=1e-5):
             for sign in (+1, -1):
                 bumped = [np.array(x) for x in net.weights]
                 bumped[li][idx] += sign * h
-                pnet = ScanNetwork(net.arch, tuple(bumped), net.skip_weight, net.seed)
+                pnet = ScanNetwork(net.arch, tuple(bumped), net.skip_weight)
                 g[idx] += sign * mse(pnet, ts)
         layer_grads.append(g / (2 * h))
     skip_grad = None
@@ -242,7 +241,7 @@ def finite_difference_gradients(net, ts, h=1e-5):
             for sign in (+1, -1):
                 bumped = np.array(net.skip_weight)
                 bumped[idx] += sign * h
-                pnet = ScanNetwork(net.arch, net.weights, bumped, net.seed)
+                pnet = ScanNetwork(net.arch, net.weights, bumped)
                 skip_grad[idx] += sign * mse(pnet, ts)
         skip_grad /= 2 * h
     return layer_grads, skip_grad
@@ -334,7 +333,7 @@ class TestTrainOptimizerWiring:
     W0 = 0.75
 
     def run(self, opt):
-        net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),)), (scalar(self.W0),), None, 0)
+        net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),)), (scalar(self.W0),), None)
         trained, history = train(net, TrainingSet(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1))), opt)
         return trained.weights[0][0, 0, 0, 0], history
 
@@ -462,7 +461,6 @@ class TestCoilBatching:
                 assert max_relative(wb, wa) <= 1e-10
             if skip:
                 assert max_relative(trained[c].skip_weight, alone.skip_weight) <= 1e-10
-            assert trained[c].seed == net.seed
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("dilation", [1, 2])

@@ -51,11 +51,11 @@ class TestMultiWeightConfig:
         f = make_filter(FilterParams(P=0.4), 8, 8)
         mw = MultiWeightConfig(filters=(f, all_pass_filter(8, 8)))
         assert mw.filters[0].is_all_pass
-        assert mw.n_highpass == 1
+        assert len(mw.filters) - 1 == 1
 
     def test_factory_default_bank(self):
         mw = make_multiweight_config(16, 16)
-        assert mw.n_highpass == 2
+        assert len(mw.filters) - 1 == 2
         assert mw.filters[0].is_all_pass
         assert [f.params.P for f in mw.filters[1:]] == [0.6, 0.2]
 
@@ -108,7 +108,7 @@ class TestBuildTrainingPairs:
         # a zero-weight linear net starts at the mean of the squared targets
         zero_net = init_network(arch, 0)
         zero_net = type(zero_net)(
-            arch, tuple(np.zeros_like(w) for w in zero_net.weights), None, 0
+            arch, tuple(np.zeros_like(w) for w in zero_net.weights), None
         )
         _, history = train(zero_net, ts, OptimizerConfig(lr=0.0, iters=1))
         assert history[0] == pytest.approx(np.mean(ts.targets**2))
