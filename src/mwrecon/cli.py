@@ -343,7 +343,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"{source}: ablation config needs at least one `method = ...` line")
     r_values = get_list(entries, "R", int, source) or [4]
     acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
-    p_values = get_list(entries, "P", float, source) or [None]
+    p_values = get_list(entries, "P", parse_filter_exponent, source) or [None]
     l_values = get_list(entries, "L", _int_at_least(0), source) or [None]
     depth_values = get_list(entries, "depth", int, source) or [None]
     reps = get_scalar(entries, "reps", _int_at_least(1), 1, source)

@@ -15,28 +15,31 @@ per coil, and run all of them in one pass (one network is the case of a
 single coil):
 
 * The first layer and the skip path read the shared input.  Each gets one
-  patch matrix and one GEMM ``[M, K] @ [K, coils*O]`` for all coils, and
-  its weight gradient is one GEMM ``cols.T @ d[M, coils*O]``.  Training is
-  full batch, so these patch matrices are built once per training run.
+  patch matrix ``[K, M]`` and one GEMM ``[coils*O, K] @ [K, M]`` for all
+  coils, and its weight gradient is one GEMM ``d[coils*O, M] @ cols.T``.
+  Training is full batch, so these patch matrices are built once per
+  training run.
 * Later layers read a different input per coil, and their weights are
-  stacked as ``[coils, I, kt*kw*O]``, so each layer is one batched
+  stacked as ``[coils, kt*kw*O, I]``, so each layer is one batched
   ``np.matmul`` over a leading coil axis plus one shifted add per kernel
-  tap.  Training runs every layer, its gradients and the loss once for all
-  coils, with no loop over coils, so its working set grows with the coil
-  count.  (Stacking im2col patch matrices as ``[coils, M, K]`` instead, in
-  float64, was measured slower.)
-* Inference keeps two loops, both for the working set.  It runs one batch
-  sample (weighting branch) at a time and drops that sample's activations
-  before the next starts, so peak memory does not grow with the batch.
-  Within a sample, the later layers run one coil at a time on that coil's
-  slice of the first layer's output: at the full k-space grid, all coils'
-  later-layer arrays outgrow the L2 cache, and that was measured slower.
+  tap.  They run one coil group at a time: a group's later layers, its
+  loss and its backward pass down to the first layer's output gradient
+  finish before the next group starts.  The group size is derived from the
+  shapes, as many coils as keep a later layer's working set within about
+  1 MiB, so the working set stays in the L2 cache whatever the coil count
+  or the number of weighting branches.
+* Inference runs one batch sample (weighting branch) at a time and drops
+  that sample's activations before the next starts, so peak memory does
+  not grow with the batch.  Within a sample, the later layers run in coil
+  groups sized by the same rule.
 
-Activations are channels-last ``[batch, ky, kx, ch]`` and patch columns
-are ordered (ky tap, kx, channel), so each patch copy reads contiguous
-channel runs.  Weights are packed into GEMM layouts once before training
-and unpacked into the ``[out, in, ky_taps, kx_width]`` kernels of
-:class:`ScanNetwork` afterwards.
+Activations are channels-first, ``[coils, ch, N, H, W]``: each coil's
+channel is one contiguous block and readout is innermost, so every patch
+copy, tap add and gradient scatter runs along readout rows.  Patch rows
+are ordered (ky tap, kx tap, channel).  Weights are packed into GEMM
+layouts once before training and unpacked into the
+``[out, in, ky_taps, kx_width]`` kernels of :class:`ScanNetwork`
+afterwards.
 
 Precision: the network computes in the precision of its input.  A float32
 input (training sources, or the input of :func:`forward`) runs every
@@ -267,47 +270,48 @@ def _as_input(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convolution primitives (valid, stride 1, ky dilation, channels-last)
+# convolution primitives (valid, stride 1, ky dilation, channels-first)
+#
+# Activations are channels-first, [coils, ch, N, H, W]: each coil's channel
+# is one contiguous run of N*H*W values, and readout (kx) is innermost.
 #
 # A layer that reads the shared input (the first layer, the skip path) is a
-# patch-matrix GEMM: _im2col columns [M, kt*kw*I] times a [kt*kw*I, O]
-# weight, shared by all coils.  A later layer has its own input per coil;
-# it multiplies each coil's unwindowed input [M, I] by that coil's
-# tap-major [I, kt*kw*O] weight and adds each tap's shifted output block.
-# That is the same arithmetic with no patch copy, and its input gradient is
-# one GEMM with no col2im fold.  Its intermediate is kt*kw*O wide instead of
-# kt*kw*I, and later layers narrow the channels (32 -> 8 -> 6 or 32 -> 6 in
-# the default architectures), so it is also the smaller one.
-
-def _channels_last(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-
+# patch-matrix GEMM: a [coils*O, kt*kw*I] weight times _im2col columns
+# [kt*kw*I, N*OH*OW], one GEMM for all coils.  A later layer has its own
+# input per coil; it multiplies each coil's tap-major [kt*kw*O, I] weight by
+# that coil's unwindowed input [I, N*H*W] and adds each tap's shifted output
+# block.  That is the same arithmetic with no patch copy, and its input
+# gradient is one GEMM with no col2im fold.  Its intermediate is kt*kw*O
+# rows instead of kt*kw*I, and later layers narrow the channels (32 -> 8 -> 6
+# or 32 -> 6 in the default architectures), so it is also the smaller one.
+# Each tap's shifted add (and, in the backward pass, its scatter) runs over
+# readout rows OW long, not over the few output channels.
 
 def _im2col(x: np.ndarray, ky_taps: int, kx_width: int, dilation: int):
-    """Patch matrix [N*OH*OW, ky_taps*kx_width*C] of a [N, H, W, C] input, plus (N, OH, OW)."""
+    """Patch matrix [ky_taps*kx_width*C, N*OH*OW] of a [N, C, H, W] input, plus (N, OH, OW)."""
     span = (ky_taps - 1) * dilation + 1
-    win = sliding_window_view(x, (span, kx_width), axis=(1, 2))[:, :, :, :, ::dilation, :]
-    n, oh, ow = win.shape[:3]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, -1)
+    win = sliding_window_view(x, (span, kx_width), axis=(2, 3))[..., ::dilation, :]
+    n, _, oh, ow = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(4, 5, 1, 0, 2, 3)).reshape(-1, n * oh * ow)
     return cols, (n, oh, ow)
 
 
 def _patch_matrix(w: np.ndarray) -> np.ndarray:
-    """[O, I, kt, kw] kernel as the [kt*kw*I, O] right operand of :func:`_im2col` columns."""
-    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
-
-
-def _tap_matrix(w: np.ndarray) -> np.ndarray:
-    """[O, I, kt, kw] kernel as the tap-major [I, kt*kw*O] weight of a per-coil layer."""
-    return w.transpose(1, 2, 3, 0).reshape(w.shape[1], -1)
+    """[O, I, kt, kw] kernel as the [O, kt*kw*I] left operand of :func:`_im2col` columns."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
 def _patch_kernel(mat: np.ndarray, spec: LayerSpec, in_ch: int) -> np.ndarray:
-    return mat.reshape(spec.ky_taps, spec.kx_width, in_ch, spec.out_channels).transpose(3, 2, 0, 1)
+    return mat.reshape(spec.out_channels, spec.ky_taps, spec.kx_width, in_ch).transpose(0, 3, 1, 2)
+
+
+def _tap_matrix(w: np.ndarray) -> np.ndarray:
+    """[O, I, kt, kw] kernel as the tap-major [kt*kw*O, I] weight of a later layer."""
+    return w.transpose(2, 3, 0, 1).reshape(-1, w.shape[1])
 
 
 def _tap_kernel(mat: np.ndarray, spec: LayerSpec, in_ch: int) -> np.ndarray:
-    return mat.reshape(in_ch, spec.ky_taps, spec.kx_width, spec.out_channels).transpose(3, 0, 1, 2)
+    return mat.reshape(spec.ky_taps, spec.kx_width, spec.out_channels, in_ch).transpose(2, 3, 0, 1)
 
 
 def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
@@ -323,38 +327,62 @@ def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
 # coil-stacked evaluation
 #
 # A stacked parameter list holds the weights of same-architecture networks,
-# one per coil: the first layer as [kt*kw*I, coils, O], each later layer as
-# [coils, I, kt*kw*O], and the skip weight, if any, last as
-# [kt*kw*I, coils, O].  Its gradients have the same layout, and both take the
-# dtype of the data they run on.
+# one per coil: the first layer as [coils, O, kt*kw*I], each later layer as
+# [coils, kt*kw*O, I], and the skip weight, if any, last as
+# [coils, O, kt*kw*I].  Its gradients have the same layout, and both take
+# the dtype of the data they run on.
+#
+# The later layers run one coil group at a time: every later layer's
+# forward pass, the loss and the backward pass down to the first layer's
+# output gradient finish for one group before the next group starts.  A
+# group holds as many coils as keep a later layer's input and tap outputs
+# within _COIL_GROUP_BYTES, half the 2 MB per-core L2 cache of the x86 hosts
+# this was measured on; a stack of every coil outgrows that cache and ran
+# slower.  Coils have disjoint weights, so the grouping does not change any
+# coil's arithmetic.
+
+_COIL_GROUP_BYTES = 1 << 20
+
+
+def _coil_groups(arch: NetworkArch, coils: int, cols: np.ndarray) -> list:
+    """Coil slices for the later layers, given the first layer's patch matrix ``cols``."""
+    widths = [
+        prev.out_channels + spec.ky_taps * spec.kx_width * spec.out_channels
+        for prev, spec in zip(arch.layers, arch.layers[1:])
+    ]
+    per_coil = cols.itemsize * cols.shape[1] * max(widths, default=0)
+    # one layer: nothing runs per group but the loss
+    size = max(1, min(coils, _COIL_GROUP_BYTES // per_coil)) if per_coil else coils
+    return [slice(c, c + size) for c in range(0, coils, size)]
+
 
 def _pack(nets, dtype) -> list:
     arch = nets[0].arch
-    params = [np.stack([_patch_matrix(net.weights[0]) for net in nets], axis=1)]
+    params = [np.stack([_patch_matrix(net.weights[0]) for net in nets])]
     params += [
         np.stack([_tap_matrix(net.weights[li]) for net in nets])
         for li in range(1, len(arch.layers))
     ]
     if arch.skip is not None:
-        params.append(np.stack([_patch_matrix(net.skip_weight) for net in nets], axis=1))
+        params.append(np.stack([_patch_matrix(net.skip_weight) for net in nets]))
     return [p.astype(dtype, copy=False) for p in params]
 
 
 def _unpack(arch: NetworkArch, params, coil: int):
     """Coil ``coil``'s ([O, I, kt, kw] kernels, skip kernel or None) from a stacked list."""
-    kernels = [_patch_kernel(params[0][:, coil], arch.layers[0], arch.in_channels)]
+    kernels = [_patch_kernel(params[0][coil], arch.layers[0], arch.in_channels)]
     for li in range(1, len(arch.layers)):
         in_ch = arch.layers[li - 1].out_channels
         kernels.append(_tap_kernel(params[li][coil], arch.layers[li], in_ch))
     skip = None
     if arch.skip is not None:
-        skip = _patch_kernel(params[-1][:, coil], arch.skip, arch.in_channels)
+        skip = _patch_kernel(params[-1][coil], arch.skip, arch.in_channels)
     return tuple(kernels), skip
 
 
-def _shared_gemm(cols: np.ndarray, shape, w: np.ndarray) -> np.ndarray:
-    """All coils' outputs [N, OH, OW, coils, O] of a layer that reads the shared input."""
-    return (cols @ w.reshape(w.shape[0], -1)).reshape(*shape, *w.shape[1:])
+def _shared_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """All coils' outputs [coils, O, M] of a layer that reads the shared input."""
+    return (w.reshape(-1, w.shape[-1]) @ cols).reshape(*w.shape[:2], -1)
 
 
 def _skip_crop(arch: NetworkArch, oh: int, ow: int):
@@ -373,21 +401,29 @@ def _input_cols(arch: NetworkArch, x: np.ndarray):
     return main, skip
 
 
-def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Layer ``li`` >= 1 of every coil: [coils, N, H, W, I] input to [coils, N, OH, OW, O].
+def _first_layer(arch: NetworkArch, w: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """Every coil's first-layer activations [coils, O, N, OH, OW]."""
+    z = _shared_gemm(w, cols).reshape(*w.shape[:2], *shape)
+    if arch.layers[0].activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
 
-    ``w`` holds the coils' tap-major weights, [coils, I, kt*kw*O].
+
+def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Layer ``li`` >= 1 of a coil group: [coils, I, N, H, W] input to [coils, O, N, OH, OW].
+
+    ``w`` holds the coils' tap-major weights, [coils, kt*kw*O, I].
     """
     spec = arch.layers[li]
-    coils, n, hh, ww, in_ch = h.shape
+    coils, in_ch, n, hh, ww = h.shape
     oh = hh - (spec.ky_taps - 1) * arch.dilation
     ow = ww - (spec.kx_width - 1)
-    y = np.matmul(h.reshape(coils, -1, in_ch), w)
-    y = y.reshape(coils, n, hh, ww, spec.ky_taps, spec.kx_width, -1)
+    y = np.matmul(w, h.reshape(coils, in_ch, -1))
+    y = y.reshape(coils, spec.ky_taps, spec.kx_width, spec.out_channels, n, hh, ww)
     (i, j, rows, cols), *rest = _taps(spec, arch.dilation, oh, ow)
-    z = y[:, :, rows, cols, i, j].copy()
+    z = y[:, i, j, :, :, rows, cols].copy()
     for i, j, rows, cols in rest:
-        z += y[:, :, rows, cols, i, j]
+        z += y[:, i, j, :, :, rows, cols]
     if spec.activation == "relu":
         np.maximum(z, 0.0, out=z)
     return z
@@ -396,48 +432,46 @@ def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarr
 def _layer_grads(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray, d: np.ndarray):
     """Weight and input gradients of :func:`_layer` for an output gradient ``d``."""
     spec = arch.layers[li]
-    coils, n, hh, ww, in_ch = h.shape
-    dy = np.zeros((coils, n, hh, ww, spec.ky_taps, spec.kx_width, spec.out_channels), dtype=d.dtype)
-    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[2], d.shape[3]):
-        dy[:, :, rows, cols, i, j] = d
-    dy = dy.reshape(coils, n * hh * ww, -1)
-    h_mat = h.reshape(coils, -1, in_ch)
-    grad_w = np.matmul(h_mat.transpose(0, 2, 1), dy)
-    return grad_w, np.matmul(dy, w.transpose(0, 2, 1)).reshape(h.shape)
+    coils, in_ch, n, hh, ww = h.shape
+    dy = np.zeros((coils, spec.ky_taps, spec.kx_width, spec.out_channels, n, hh, ww), dtype=d.dtype)
+    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[3], d.shape[4]):
+        dy[:, i, j, :, :, rows, cols] = d
+    dy = dy.reshape(coils, -1, n * hh * ww)
+    h_mat = h.reshape(coils, in_ch, -1)
+    grad_w = np.matmul(dy, h_mat.transpose(0, 2, 1))
+    return grad_w, np.matmul(w.transpose(0, 2, 1), dy).reshape(h.shape)
 
 
 def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
-    """Every coil's output [coils, N, OH, OW, O] for an input [N, I, H, W].
+    """Every coil's output [coils, N, O, OH, OW] for an input [N, I, H, W].
 
     One batch sample (weighting branch) runs at a time, and its activations
     are dropped before the next starts.  Within a sample the skip path runs
     first, so its patch matrix is freed before the first layer's is built;
     the first layer is one GEMM for all coils, and the later layers run one
-    coil at a time on that coil's slice of it.
+    coil group at a time on that group's slice of it.
     """
     oh, ow = arch.output_shape(x.shape[2], x.shape[3])
-    coils = params[0].shape[1]
-    out = np.zeros((coils, x.shape[0], oh, ow, arch.out_channels), dtype=x.dtype)
+    coils = params[0].shape[0]
+    out = np.zeros((coils, x.shape[0], arch.out_channels, oh, ow), dtype=x.dtype)
     first = arch.layers[0]
     rows, cols_sl = _skip_crop(arch, oh, ow)
     for s in range(x.shape[0]):
-        xs = _channels_last(x[s:s + 1])
+        xs = x[s:s + 1]
         if arch.skip is not None:
             s_cols, s_shape = _im2col(xs, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
-            skip = _shared_gemm(s_cols, s_shape, params[-1])[0, rows, cols_sl]
-            out[:, s] += skip.transpose(2, 0, 1, 3)
+            skip = _shared_gemm(params[-1], s_cols).reshape(coils, -1, *s_shape)
+            out[:, s] += skip[:, :, 0, rows, cols_sl]
             del s_cols, skip
         cols, shape = _im2col(xs, first.ky_taps, first.kx_width, arch.dilation)
-        h1 = _shared_gemm(cols, shape, params[0])
+        groups = _coil_groups(arch, coils, cols)
+        h1 = _first_layer(arch, params[0], cols, shape)
         del cols
-        if first.activation == "relu":
-            np.maximum(h1, 0.0, out=h1)
-        h1 = h1.transpose(3, 0, 1, 2, 4)  # [coils, 1, OH, OW, O] view
-        for c in range(coils):
-            h = h1[c:c + 1]
+        for g in groups:
+            h = h1[g]
             for li in range(1, len(arch.layers)):
-                h = _layer(arch, li, params[li][c:c + 1], h)
-            out[c, s] += h[0, 0]
+                h = _layer(arch, li, params[li][g], h)
+            out[g, s] += h[:, :, 0]
         del h, h1
     return out
 
@@ -445,45 +479,49 @@ def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
 def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
     """Each coil's loss [coils] and the stacked gradients of their sum.
 
-    ``targets`` is channels-last, [coils, N, OH, OW, O].  Coils have
+    ``targets`` is channels-first, [coils, O, N, OH, OW].  Coils have
     disjoint weights, so the gradient of the sum is each coil's own.
     """
     (cols1, shape1), skip_cols = input_cols
     n_layers = len(arch.layers)
-    z1 = _shared_gemm(cols1, shape1, params[0])  # [N, OH, OW, coils, O]
-    relu1 = arch.layers[0].activation == "relu"
-    if relu1:
-        np.maximum(z1, 0.0, out=z1)
-    acts = [z1.transpose(3, 0, 1, 2, 4)]
-    for li in range(1, n_layers):
-        acts.append(_layer(arch, li, params[li], acts[-1]))
-    rows, cols_sl = _skip_crop(arch, *targets.shape[2:4])
-    # contiguous and coil-major, so each coil's loss sums its own run in order
-    diff = np.empty_like(targets)
+    coils = params[0].shape[0]
+    a1 = _first_layer(arch, params[0], cols1, shape1)
+    skip = None
     if skip_cols is not None:
-        skip_full = _shared_gemm(*skip_cols, params[-1])
-        np.add(acts[-1], skip_full[:, rows, cols_sl].transpose(3, 0, 1, 2, 4), out=diff)
-        diff -= targets
-    else:
-        np.subtract(acts[-1], targets, out=diff)
-    losses = np.mean(diff * diff, axis=(1, 2, 3, 4)).astype(np.float64)
-    d = (2.0 / diff[0].size) * diff
-    grads = [None] * len(params)
-    if skip_cols is not None:
+        s_cols, s_shape = skip_cols
+        skip_full = _shared_gemm(params[-1], s_cols).reshape(coils, -1, *s_shape)
+        crop = (..., *_skip_crop(arch, *targets.shape[3:]))
+        skip = skip_full[crop]
         d_skip = np.zeros_like(skip_full)
-        d_skip[:, rows, cols_sl] = d.transpose(1, 2, 3, 0, 4)
-        s_cols = skip_cols[0]
-        grads[-1] = (s_cols.T @ d_skip.reshape(s_cols.shape[0], -1)).reshape(params[-1].shape)
-    for li in range(n_layers - 1, 0, -1):
-        if arch.layers[li].activation == "relu":
-            d *= acts[li] > 0
-        grads[li], d = _layer_grads(arch, li, params[li], acts[li - 1], d)
-    d1 = np.empty_like(z1)
-    if relu1:
-        np.multiply(d.transpose(1, 2, 3, 0, 4), z1 > 0, out=d1)
-    else:
-        d1[...] = d.transpose(1, 2, 3, 0, 4)
-    grads[0] = (cols1.T @ d1.reshape(cols1.shape[0], -1)).reshape(params[0].shape)
+    grads = [np.empty_like(p) for p in params]
+    losses = np.empty(coils)
+    scale = 2.0 / targets[0].size
+    for g in _coil_groups(arch, coils, cols1):
+        acts = [a1[g]]
+        for li in range(1, n_layers):
+            acts.append(_layer(arch, li, params[li][g], acts[-1]))
+        if skip is not None:
+            diff = acts[-1] + skip[g]
+            diff -= targets[g]
+        else:
+            diff = acts[-1] - targets[g]
+        losses[g] = np.mean(diff * diff, axis=(1, 2, 3, 4))
+        d = np.multiply(diff, scale, out=diff)
+        if skip is not None:
+            d_skip[g][crop] = d
+        for li in range(n_layers - 1, 0, -1):
+            if arch.layers[li].activation == "relu":
+                d *= acts[li] > 0
+            grads[li][g], d = _layer_grads(arch, li, params[li][g], acts[li - 1], d)
+        # the group's first-layer activations are read for the last time
+        # above, so they take the first layer's output gradient
+        if arch.layers[0].activation == "relu":
+            np.multiply(d, acts[0] > 0, out=acts[0])
+        else:
+            acts[0][...] = d
+    grads[0] = (a1.reshape(-1, cols1.shape[1]) @ cols1.T).reshape(params[0].shape)
+    if skip is not None:
+        grads[-1] = (d_skip.reshape(-1, s_cols.shape[1]) @ s_cols.T).reshape(params[-1].shape)
     return losses, grads
 
 
@@ -506,8 +544,8 @@ def _adam_update(params, grads, m, v, t: int, lr: float,
 
 def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
     arch = nets[0].arch
-    input_cols = _input_cols(arch, _channels_last(sources))
-    y = np.ascontiguousarray(targets.transpose(0, 1, 3, 4, 2))
+    input_cols = _input_cols(arch, sources)
+    y = np.ascontiguousarray(targets.transpose(0, 2, 1, 3, 4))
     params = _pack(nets, sources.dtype)
     first_moment = [np.zeros_like(p) for p in params]
     second_moment = [np.zeros_like(p) for p in params]
@@ -579,7 +617,7 @@ def forward(net, x: np.ndarray) -> np.ndarray:
     if x.ndim != 4 or x.shape[1] != arch.in_channels:
         raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
     arch.output_shape(x.shape[2], x.shape[3])
-    out = _forward(arch, _pack(nets, x.dtype), x).transpose(0, 1, 4, 2, 3)
+    out = _forward(arch, _pack(nets, x.dtype), x)
     return out[0] if single else out
 
 

@@ -206,6 +206,24 @@ def test_ablate_rejects_out_of_range_counts(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_ablate_reads_P_like_the_filter_key(tmp_path, capsys):
+    def ablate(p_line):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = mw_raki\ndepth = 1\n{p_line}\n"
+                          "iters = 1\n", encoding="utf-8")
+        out = tmp_path / "a.csv"
+        return main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]), config, out
+
+    code, _, out = ablate("P = P:0.5, 0.2")
+    assert code == 0
+    assert [(r["P"], r["status"]) for r in read_rows(out)] == [("0.2", "ok"), ("0.5", "ok")]
+    out.unlink()
+    code, config, out = ablate("P = 0.5, -1")
+    assert code == 2
+    assert f"{config}:6: bad value for key 'P': '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def spy_on_reconstruct(monkeypatch):
     """Record every (config, result) the CLI's reconstruct call sees."""
     from mwrecon import cli

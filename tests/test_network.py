@@ -279,8 +279,8 @@ class TestGradients:
         # the training path's loss and gradients, against the inference path's loss
         nw, arch = network_module, net.arch
         params = nw._pack([net], ts.sources.dtype)
-        targets = np.ascontiguousarray(ts.targets[None].transpose(0, 1, 3, 4, 2))
-        input_cols = nw._input_cols(arch, nw._channels_last(ts.sources))
+        targets = np.ascontiguousarray(ts.targets[None].transpose(0, 2, 1, 3, 4))
+        input_cols = nw._input_cols(arch, ts.sources)
         losses, grads = nw._loss_and_grads(arch, params, input_cols, targets)
         assert losses[0] == pytest.approx(mse(net, ts), rel=1e-12)
         layers, skip_grad = nw._unpack(arch, grads, 0)
@@ -506,13 +506,12 @@ class TestCoilAxis:
         coils, n, hh, ww = 3, 2, 3 + 2 * dilation, 9
         for li in range(1, depth):
             spec, in_ch = arch.layers[li], arch.layers[li - 1].out_channels
-            # coil-major view of a coils-inner array, as training passes the first layer
-            h = rng.standard_normal((n, hh, ww, coils, in_ch)).transpose(3, 0, 1, 2, 4)
+            h = rng.standard_normal((coils, in_ch, n, hh, ww))
             taps = spec.ky_taps * spec.kx_width
-            w = rng.standard_normal((coils, in_ch, taps * spec.out_channels))
+            w = rng.standard_normal((coils, taps * spec.out_channels, in_ch))
             out = nw._layer(arch, li, w, h)
             oh, ow = hh - (spec.ky_taps - 1) * dilation, ww - (spec.kx_width - 1)
-            assert out.shape == (coils, n, oh, ow, spec.out_channels)
+            assert out.shape == (coils, spec.out_channels, n, oh, ow)
             d = rng.standard_normal(out.shape)
             grad_w, grad_h = nw._layer_grads(arch, li, w, h, d)
             assert grad_w.shape == w.shape and grad_h.shape == h.shape
@@ -522,6 +521,84 @@ class TestCoilAxis:
                 gw, gh = nw._layer_grads(arch, li, w[one], h[one], d[one])
                 assert max_relative(grad_w[c], gw[0]) <= 1e-12
                 assert max_relative(grad_h[c], gh[0]) <= 1e-12
+
+
+def later_layer_width(arch):
+    """Largest input plus tap-output channel count of a later layer (0 for one layer)."""
+    return max((prev.out_channels + spec.ky_taps * spec.kx_width * spec.out_channels
+                for prev, spec in zip(arch.layers, arch.layers[1:])), default=0)
+
+
+def spy_on_group_sizes(monkeypatch):
+    """Record the size of the first coil group of every ``_coil_groups`` call."""
+    sizes = []
+    rule = network_module._coil_groups
+
+    def spy(*args):
+        groups = rule(*args)
+        sizes.append(groups[0].stop - groups[0].start)
+        return groups
+
+    monkeypatch.setattr(network_module, "_coil_groups", spy)
+    return sizes
+
+
+class TestCoilGroups:
+    """The later layers run in cache-sized coil groups; the group size is not in the result."""
+
+    @staticmethod
+    def run_with_groups(monkeypatch, nets, ts, size, opt):
+        """``train`` and ``forward`` with the budget set for groups of ``size`` coils."""
+        nw, arch = network_module, nets[0].arch
+        sizes = spy_on_group_sizes(monkeypatch)
+        per_position = ts.sources.itemsize * later_layer_width(arch)
+        results = []
+        # training sees every sample's first-layer positions, inference one sample's
+        for samples, run in ((ts.sources, lambda: train(nets, ts, opt)),
+                             (ts.sources[:1], lambda: forward(nets, ts.sources))):
+            positions = nw._input_cols(arch, samples)[0][0].shape[1]
+            monkeypatch.setattr(nw, "_COIL_GROUP_BYTES", size * positions * per_position)
+            results.append(run())
+        return results, sizes
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_group_size_does_not_change_the_result(self, monkeypatch, depth, dilation, skip):
+        nets, ts = coil_case(coils=3, depth=depth, dilation=dilation, skip=skip, seed=4)
+        opt = OptimizerConfig(lr=0.01, iters=30)
+        (reference, ref_out), ref_sizes = self.run_with_groups(monkeypatch, nets, ts, 1, opt)
+        # one layer has no later layers, so every coil is one group
+        assert set(ref_sizes) == ({3} if depth == 1 else {1})
+        for size in (2, 3):  # 3 coils in groups of 2 leave a partial last group
+            ((trained, histories), out), sizes = self.run_with_groups(monkeypatch, nets, ts, size, opt)
+            assert set(sizes) == ({3} if depth == 1 else {size})
+            assert max_relative(histories, reference[1]) <= 1e-10
+            for net, ref in zip(trained, reference[0]):
+                for w, w_ref in zip(net.weights, ref.weights):
+                    assert max_relative(w, w_ref) <= 1e-10
+                if skip:
+                    assert max_relative(net.skip_weight, ref.skip_weight) <= 1e-10
+            assert max_relative(out, ref_out) <= 1e-12
+
+    # (train, inference) group sizes at 128x128, 8 coils, R=4, ACS 32, float32:
+    # raki and rraki train one weighting branch, mw_raki and mw_rraki three
+    @pytest.mark.parametrize("method, train_size, infer_size", [
+        ("raki", 6, 1), ("rraki", 6, 1), ("mw_raki", 1, 1), ("mw_rraki", 2, 1),
+    ])
+    def test_group_sizes_at_the_benchmark_shapes(self, monkeypatch, method, train_size, infer_size):
+        from mwrecon.kspace import apply_pattern, make_uniform_pattern
+        from mwrecon.phantom import make_coil_maps, shepp_logan, simulate_kspace
+        from mwrecon.pipelines import ReconConfig, reconstruct
+
+        sizes = spy_on_group_sizes(monkeypatch)
+        pattern = make_uniform_pattern(128, 4, 32)
+        full = simulate_kspace(shepp_logan(128, 128), make_coil_maps(8, 128, 128, seed=7))
+        cfg = ReconConfig(method=method, pattern=pattern, optimizer=OptimizerConfig(iters=1))
+        reconstruct(apply_pattern(full, pattern), cfg)
+        branches = 3 if method.startswith("mw") else 1
+        # one training step, then inference one branch at a time
+        assert sizes == [train_size] + [infer_size] * branches
 
 
 class TestPerSampleForward:
@@ -597,8 +674,8 @@ class TestPrecision:
         nets, ts32, _ = self.float32_case(skip, depth)
         arch = nets[0].arch
         params = nw._pack(nets, ts32.sources.dtype)
-        targets = np.ascontiguousarray(ts32.targets.transpose(0, 1, 3, 4, 2))
-        input_cols = nw._input_cols(arch, nw._channels_last(ts32.sources))
+        targets = np.ascontiguousarray(ts32.targets.transpose(0, 2, 1, 3, 4))
+        input_cols = nw._input_cols(arch, ts32.sources)
         losses, grads = nw._loss_and_grads(arch, params, input_cols, targets)
         assert len(params) == len(grads) == depth + skip
         for p, g in zip(params, grads):
@@ -606,7 +683,8 @@ class TestPrecision:
         assert losses.dtype == np.float64 and np.isfinite(losses).all()
         # _loss_and_grads writes into preallocated float32 buffers, which
         # would hide an upcast in the later layers, so check them on their own
-        h = nw._shared_gemm(*input_cols[0], params[0]).transpose(3, 0, 1, 2, 4)
+        h = nw._first_layer(arch, params[0], *input_cols[0])
+        assert h.dtype == np.float32
         for li in range(1, depth):
             out = nw._layer(arch, li, params[li], h)
             grad_w, grad_h = nw._layer_grads(arch, li, params[li], h, out)
