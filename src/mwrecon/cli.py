@@ -58,6 +58,11 @@ ABLATE_COLUMNS = (
 )
 CURVE_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed", "iteration", "loss")
 DEFAULT_ABLATION_EXPONENTS = (0.6, 0.2, 0.4, 0.3)
+RECON_KEYS = ("seed", "iters", "lr", "layers", "skip", "filter", "filter_eps")
+ABLATE_KEYS = (
+    "input", "size", "coils", "snr_db", "scene_seed", "method", "R", "acs", "P", "L",
+    "depth", "reps", "master_seed", "filter", "iters", "lr",
+)
 
 
 def _fmt(value) -> str:
@@ -114,16 +119,8 @@ def cmd_undersample(args) -> int:
 
 
 def _optimizer_from(entries, args, source) -> OptimizerConfig:
-    name = args.optimizer or get_scalar(entries, "optimizer", str, "adam", source)
-    kind = {"adam": "adam", "sgd": "sgd_momentum", "sgd_momentum": "sgd_momentum"}.get(name)
-    if kind is None:  # argparse restricts --optimizer, so the name came from the config
-        lineno = entries["optimizer"][-1][0]
-        raise ConfigError(f"{source}:{lineno}: unknown optimizer {name!r}; "
-                          "expected one of adam, sgd, sgd_momentum")
     return OptimizerConfig(
-        kind=kind,
         lr=args.lr if args.lr is not None else get_scalar(entries, "lr", float, 0.001, source),
-        momentum=get_scalar(entries, "momentum", float, 0.9, source),
         iters=args.iters if args.iters is not None else get_scalar(entries, "iters", int, 1000, source),
     )
 
@@ -154,7 +151,7 @@ def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None
 
 def _build_recon_config(args, measured, method, pattern) -> ReconConfig:
     source = str(args.config) if args.config else "<cli>"
-    entries = load_config(args.config) if args.config else {}
+    entries = load_config(args.config, RECON_KEYS) if args.config else {}
     optimizer = _optimizer_from(entries, args, source)
     arch = _arch_from(entries, measured.n_coils, pattern.R, source)
     multiweight = None
@@ -335,7 +332,7 @@ def cmd_ablate(args) -> int:
     if not args.config:
         raise ConfigError("ablate needs --config FILE")
     source = str(args.config)
-    entries = load_config(args.config)
+    entries = load_config(args.config, ABLATE_KEYS)
     full, ref_sos = _load_ablation_scene(entries, source)
 
     methods = [_normalize_method(m) for m in get_list(entries, "method", str, source)]
@@ -432,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--iters", type=int)
         p.add_argument("--lr", type=float)
-        p.add_argument("--optimizer", choices=("adam", "sgd", "sgd_momentum"))
         p.add_argument("--filters", help="high-pass exponents, e.g. 0.6,0.2")
         p.add_argument("--filter-eps", type=float, dest="filter_eps")
         p.add_argument("--ridge", type=float, default=0.0)
@@ -472,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", help="per-iteration loss curve CSV")
     p.add_argument("--iters", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd", "sgd_momentum"))
     p.set_defaults(func=cmd_ablate)
     return parser
 

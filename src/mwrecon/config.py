@@ -1,8 +1,10 @@
 """Line-based `key = value` run configuration.
 
 Repeated keys accumulate into lists (`filter = P:0.6` twice gives a
-two-filter bank).  Blank lines and `#` comments are ignored.  Parse errors
-carry the offending key and line number.
+two-filter bank).  Blank lines and `#` comments are ignored.  Each reader
+names the keys it accepts, so a misspelt or stale key is an error rather
+than a silent default.  Parse errors carry the offending key and line
+number.
 """
 
 from __future__ import annotations
@@ -32,9 +34,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return entries
 
 
-def load_config(path) -> dict:
+def load_config(path, keys) -> dict:
+    """Parse the file at ``path``; a key not in ``keys`` is an error naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+        entries = parse_config_text(fh.read(), source=str(path))
+    unknown = [(lines[0][0], key) for key, lines in entries.items() if key not in keys]
+    if unknown:
+        lineno, key = min(unknown)
+        raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    return entries
 
 
 def get_scalar(entries: dict, key: str, convert, default=None, source: str = "<config>"):

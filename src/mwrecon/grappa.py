@@ -97,13 +97,14 @@ def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.nd
     return anchors[(row0 + anchors) % geom.R == 0]
 
 
-def _source_matrix(acs: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -> np.ndarray:
-    """Flattened source patches, one row per (anchor, column) position.
+def _source_matrix(data: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -> np.ndarray:
+    """Flattened source patches of ``data``, one row per (anchor, column) position.
 
-    Column order is coil-major, then by tap, then bx tap.
+    ``anchors`` are the footprints' top rows.  Column order is coil-major,
+    then by tap, then bx tap.
     """
-    n_coils, _, nx = acs.shape
-    cols = sliding_window_view(acs, geom.kx_width, axis=2)  # [c, ky, x0, kx]
+    n_coils = data.shape[0]
+    cols = sliding_window_view(data, geom.kx_width, axis=2)  # [c, ky, x0, kx]
     tap_rows = anchors[:, None] + np.arange(geom.by_taps) * geom.R  # [n_anchor, by]
     patches = cols[:, tap_rows, :, :]  # [c, n_anchor, by, x0, kx]
     patches = patches.transpose(1, 3, 0, 2, 4)  # [n_anchor, x0, c, by, kx]
@@ -182,25 +183,21 @@ def interpolate(
         )
     if undersampled.ny != pattern.ny:
         raise ValueError(f"grid has {undersampled.ny} rows but pattern expects {pattern.ny}")
-    ny, nx = undersampled.ny, undersampled.nx
+    nx = undersampled.nx
     pad_top = geom.gap_index * geom.R
     pad_bottom = (geom.by_taps - 1 - geom.gap_index) * geom.R
     padded = np.pad(
         undersampled.data,
         ((0, 0), (pad_top, pad_bottom), (geom.bx_half, geom.bx_half)),
     )
-    cols = sliding_window_view(padded, geom.kx_width, axis=2)  # [c, ky, x, kx]
+    missing = pattern.missing_rows
+    offsets = missing % geom.R
+    # every offset m of an acquired line g reads the same footprint, which
+    # starts at padded row g; one patch matrix serves all R - 1 offsets
+    governing, which = np.unique(missing - offsets, return_inverse=True)
+    w = kernel.weights.reshape(kernel.n_coils * (geom.R - 1), -1)
+    vals = _source_matrix(padded, governing, geom) @ w.T  # patch matrix dropped before `out`
+    vals = vals.reshape(governing.size, nx, kernel.n_coils, geom.R - 1)
     out = undersampled.data.copy()
-    w_flat = kernel.weights.reshape(kernel.n_coils, geom.R - 1, -1)
-    tap_offsets = np.arange(geom.by_taps) * geom.R
-    for m in range(1, geom.R):
-        targets = pattern.missing_rows[pattern.missing_rows % geom.R == m]
-        if targets.size == 0:
-            continue
-        # anchor (topmost source row) in padded coordinates
-        anchors = targets - m - geom.gap_index * geom.R + pad_top
-        patches = cols[:, anchors[:, None] + tap_offsets, :, :]  # [c, t, by, x, kx]
-        src = patches.transpose(1, 3, 0, 2, 4).reshape(targets.size * nx, -1)
-        vals = src @ w_flat[:, m - 1, :].T  # [t*nx, n_coils]
-        out[:, targets, :] = vals.reshape(targets.size, nx, kernel.n_coils).transpose(2, 0, 1)
+    out[:, missing, :] = vals[which, :, :, offsets - 1].transpose(2, 0, 1)
     return MultiCoilKSpace(out)

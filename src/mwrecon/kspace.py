@@ -185,8 +185,8 @@ def save_pattern(path, pattern: SamplingPattern) -> None:
 
 def load_pattern(path) -> SamplingPattern:
     """Read a sampling pattern written by :func:`save_pattern`."""
-    entries = load_config(path)
     keys = ("ny", "R", "acs_count")
+    entries = load_config(path, keys)
     missing = set(keys) - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")

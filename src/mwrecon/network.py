@@ -5,8 +5,8 @@ of the missing rows between acquired lines.  All convolutions are valid (no
 padding); ky taps may be spaced ``dilation`` rows apart so they ride the
 acquired-line lattice.  Complex data is handled as paired real channels and
 all weights are real.  An optional parallel linear convolution (the
-``skip`` path) realizes residual variants: its output is cropped to the
-main chain's spatial grid and added.
+``skip`` path) realizes residual variants: it is computed on the main
+chain's output grid only and added.
 
 A reconstruction trains one network per target coil, and every coil's
 network reads the same source tensor; only the targets differ.  So
@@ -48,11 +48,13 @@ halves the time of a training step; any other input runs in float64.
 Targets are cast to the sources' dtype.  Stored weights
 (:class:`ScanNetwork`) and loss histories stay float64: a float32 value
 converts to float64 exactly, so a float32 run's weights can seed or be
-compared with a float64 run.  The float32 path relies on Python scalars
-(``0.0``, the learning rate, the Adam betas) not upcasting float32 arrays,
-which holds under both numpy 1.x value-based casting and numpy 2 weak
-scalars; the optimizer hyperparameters are passed on as Python floats for
-that reason.
+compared with a float64 run.  Training is full-batch Adam with the fixed
+constants β1 = 0.9, β2 = 0.999 and ε = 1e-8; only the learning rate and
+the iteration count are set.  The float32 path relies on Python scalars
+(``0.0``, the learning rate, the Adam constants) not upcasting float32
+arrays, which holds under both numpy 1.x value-based casting and numpy 2
+weak scalars; the learning rate is passed on as a Python float for that
+reason.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class NetworkArch:
 
     @property
     def skip_row_offset(self) -> int:
-        """Skip output crop offset along ky, in tap units."""
+        """Offset of the skip path's window along ky, in tap units."""
         if self.skip is None:
             return 0
         return self.target_row_gap - (self.skip.ky_taps - 1) // 2
@@ -209,25 +211,14 @@ def _frozen_weight(w, expected_shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"  # "adam" or "sgd_momentum"
+    """Adam's learning rate and iteration count; its other constants are fixed."""
+
     lr: float = 0.001
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     iters: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("adam", "sgd_momentum"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("adam betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"adam eps must be positive, got {self.eps}")
         if self.iters < 1:
             raise ValueError(f"iteration count must be >= 1, got {self.iters}")
 
@@ -385,20 +376,19 @@ def _shared_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (w.reshape(-1, w.shape[-1]) @ cols).reshape(*w.shape[:2], -1)
 
 
-def _skip_crop(arch: NetworkArch, oh: int, ow: int):
-    dy = arch.skip_row_offset * arch.dilation
-    dx = arch.skip_col_offset
-    return slice(dy, dy + oh), slice(dx, dx + ow)
+def _skip_cols(arch: NetworkArch, x: np.ndarray) -> np.ndarray:
+    """The skip path's patch matrix of ``x``, over the main chain's output grid only."""
+    oh, ow = arch.output_shape(x.shape[2], x.shape[3])
+    spec, dy, dx = arch.skip, arch.skip_row_offset * arch.dilation, arch.skip_col_offset
+    window = x[:, :, dy:dy + oh + (spec.ky_taps - 1) * arch.dilation, dx:dx + ow + spec.kx_width - 1]
+    return _im2col(window, spec.ky_taps, spec.kx_width, arch.dilation)[0]
 
 
 def _input_cols(arch: NetworkArch, x: np.ndarray):
     """Patch matrices of the shared input for the first layer and the skip path."""
     first = arch.layers[0]
     main = _im2col(x, first.ky_taps, first.kx_width, arch.dilation)
-    skip = None
-    if arch.skip is not None:
-        skip = _im2col(x, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
-    return main, skip
+    return main, (_skip_cols(arch, x) if arch.skip is not None else None)
 
 
 def _first_layer(arch: NetworkArch, w: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
@@ -455,14 +445,12 @@ def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
     coils = params[0].shape[0]
     out = np.zeros((coils, x.shape[0], arch.out_channels, oh, ow), dtype=x.dtype)
     first = arch.layers[0]
-    rows, cols_sl = _skip_crop(arch, oh, ow)
     for s in range(x.shape[0]):
         xs = x[s:s + 1]
         if arch.skip is not None:
-            s_cols, s_shape = _im2col(xs, arch.skip.ky_taps, arch.skip.kx_width, arch.dilation)
-            skip = _shared_gemm(params[-1], s_cols).reshape(coils, -1, *s_shape)
-            out[:, s] += skip[:, :, 0, rows, cols_sl]
-            del s_cols, skip
+            s_cols = _skip_cols(arch, xs)
+            out[:, s] += _shared_gemm(params[-1], s_cols).reshape(coils, -1, oh, ow)
+            del s_cols
         cols, shape = _im2col(xs, first.ky_taps, first.kx_width, arch.dilation)
         groups = _coil_groups(arch, coils, cols)
         h1 = _first_layer(arch, params[0], cols, shape)
@@ -482,17 +470,14 @@ def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
     ``targets`` is channels-first, [coils, O, N, OH, OW].  Coils have
     disjoint weights, so the gradient of the sum is each coil's own.
     """
-    (cols1, shape1), skip_cols = input_cols
+    (cols1, shape1), s_cols = input_cols
     n_layers = len(arch.layers)
     coils = params[0].shape[0]
     a1 = _first_layer(arch, params[0], cols1, shape1)
     skip = None
-    if skip_cols is not None:
-        s_cols, s_shape = skip_cols
-        skip_full = _shared_gemm(params[-1], s_cols).reshape(coils, -1, *s_shape)
-        crop = (..., *_skip_crop(arch, *targets.shape[3:]))
-        skip = skip_full[crop]
-        d_skip = np.zeros_like(skip_full)
+    if s_cols is not None:
+        skip = _shared_gemm(params[-1], s_cols).reshape(targets.shape)
+        d_skip = np.empty_like(skip)
     grads = [np.empty_like(p) for p in params]
     losses = np.empty(coils)
     scale = 2.0 / targets[0].size
@@ -508,7 +493,7 @@ def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
         losses[g] = np.mean(diff * diff, axis=(1, 2, 3, 4))
         d = np.multiply(diff, scale, out=diff)
         if skip is not None:
-            d_skip[g][crop] = d
+            d_skip[g] = d
         for li in range(n_layers - 1, 0, -1):
             if arch.layers[li].activation == "relu":
                 d *= acts[li] > 0
@@ -525,21 +510,17 @@ def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
     return losses, grads
 
 
-def _sgd_update(params, grads, vel, lr: float, momentum: float) -> None:
-    """Heavy-ball update of list entries in place: v <- momentum*v + lr*g, w <- w - v."""
-    for i, g in enumerate(grads):
-        vel[i] = momentum * vel[i] + lr * g
-        params[i] = params[i] - vel[i]
+# Adam's constants (Kingma & Ba), as Python floats so float32 state stays float32
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-def _adam_update(params, grads, m, v, t: int, lr: float,
-                 beta1: float, beta2: float, eps: float) -> None:
+def _adam_update(params, grads, m, v, t: int, lr: float) -> None:
     """Bias-corrected Adam step ``t`` (from 1) of list entries in place."""
-    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    c1, c2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     for i, g in enumerate(grads):
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-        params[i] = params[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+        m[i] = _BETA1 * m[i] + (1.0 - _BETA1) * g
+        v[i] = _BETA2 * v[i] + (1.0 - _BETA2) * g * g
+        params[i] = params[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
 
 
 def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
@@ -561,11 +542,7 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
                     f"coil {bad[0]}: non-finite training loss at iteration {it}"
                 )
             losses[:, it - 1] = values
-            if opt.kind == "sgd_momentum":
-                _sgd_update(params, grads, first_moment, float(opt.lr), float(opt.momentum))
-            else:
-                _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr),
-                             float(opt.beta1), float(opt.beta2), float(opt.eps))
+            _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr))
     return tuple(ScanNetwork(arch, *_unpack(arch, params, c)) for c in range(len(nets))), losses
 
 

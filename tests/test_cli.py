@@ -181,7 +181,7 @@ def test_recon_names_an_unknown_optimizer_from_the_config(scan, capsys):
             "--config", str(config), "--out", str(tmp_path / "r.mwks")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{config}:2: unknown optimizer 'rmsprop'" in err
+    assert f"{config}:2: unknown key 'optimizer'" in err
 
 
 def test_ablate_names_an_unknown_optimizer_from_the_config(tmp_path, capsys):
@@ -191,7 +191,46 @@ def test_ablate_names_an_unknown_optimizer_from_the_config(tmp_path, capsys):
     argv = ["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{config}:6: unknown optimizer 'rmsprop'" in err
+    assert f"{config}:6: unknown key 'optimizer'" in err
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("iter = 3\n", 1, "iter"),
+    ("lr = 0.01\nmomentum = 0.9\n", 2, "momentum"),
+    ("seed = 1\nsnr_db = 20\n", 2, "snr_db"),  # an ablate key
+], ids=["misspelt_iters", "momentum", "ablate_key"])
+def test_recon_rejects_an_unknown_config_key(scan, capsys, text, line, key):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    assert f"{config}:{line}: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+def test_ablate_rejects_an_unknown_config_key(tmp_path, capsys):
+    # `snr` for `snr_db` would otherwise score a noise-free scene
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1, 2\n"
+                      "iters = 1\nsnr = 20\n", encoding="utf-8")
+    argv = ["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 2
+    assert f"{config}:7: unknown key 'snr'" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["recon", "--method", "raki", "--input", "u.mwks", "--R", "4", "--acs", "16", "--out", "r.mwks"],
+    ["compare", "--input", "f.mwks", "--methods", "raki", "--R", "4", "--acs", "16", "--report", "c.csv"],
+    ["ablate", "--config", "sweep.cfg", "--out", "a.csv"],
+], ids=["recon", "compare", "ablate"])
+def test_there_is_no_optimizer_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--optimizer", "adam"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --optimizer adam" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["L = 1, -1", "reps = 0"], ids=["negative_L", "zero_reps"])

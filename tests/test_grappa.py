@@ -218,21 +218,23 @@ class TestInterpolate:
         b = interpolate(kernel, measured, pattern)
         assert np.max(np.abs(a.data - alpha * b.data)) < 1e-12 * np.max(np.abs(a.data)) + 1e-12
 
-    def test_interpolation_matches_loop_oracle(self):
-        rng = np.random.default_rng(15)
-        geom = KernelGeometry(R=3, bx_half=1, by_taps=2)
-        pattern = make_uniform_pattern(ny=18, R=3, acs_count=8)
+    @pytest.mark.parametrize("bx_half, by_taps", [(1, 2), (2, 3), (0, 4)], ids=["bx1_by2", "bx2_by3", "bx0_by4"])
+    @pytest.mark.parametrize("R", [2, 3, 4, 5])
+    def test_interpolation_matches_loop_oracle(self, R, bx_half, by_taps):
+        rng = np.random.default_rng(15 + R)
+        geom = KernelGeometry(R=R, bx_half=bx_half, by_taps=by_taps)
+        ny = 4 * R + 3  # not a multiple of R: the last lattice rows have partial footprints
+        pattern = make_uniform_pattern(ny=ny, R=R, acs_count=R + 2)
         measured = apply_pattern(
-            MultiCoilKSpace(rng.standard_normal((2, 18, 7)) + 1j * rng.standard_normal((2, 18, 7))),
+            MultiCoilKSpace(rng.standard_normal((2, ny, 7)) + 1j * rng.standard_normal((2, ny, 7))),
             pattern,
         )
-        weights = 0.2 * (
-            rng.standard_normal((2, 2, 2, 2, 3)) + 1j * rng.standard_normal((2, 2, 2, 2, 3))
-        )
+        shape = (2, R - 1, 2, by_taps, geom.kx_width)
+        weights = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         kernel = GrappaKernel(geom, 2, weights)
         out = interpolate(kernel, measured, pattern)
         expected = grappa_apply_loops(
-            measured.data, weights, 3, 1, 2, list(np.flatnonzero(~pattern.mask))
+            measured.data, weights, R, bx_half, by_taps, list(np.flatnonzero(~pattern.mask))
         )
         assert np.max(np.abs(out.data - expected)) < 1e-12
 

@@ -301,8 +301,9 @@ class TestFileFormat:
         [
             ("ny = 64\nR = 4\n", r"missing keys \['acs_count'\]"),
             ("ny = 64\nR = four\nacs_count = 16\n", r"bad value for key 'R'"),
+            ("ny = 64\nR = 4\nacs = 16\nacs_count = 16\n", r":3: unknown key 'acs'"),
         ],
-        ids=["missing_key", "non_integer"],
+        ids=["missing_key", "non_integer", "unknown_key"],
     )
     def test_bad_pattern_names_the_file(self, tmp_path, text, problem):
         path = tmp_path / "bad_pattern.txt"

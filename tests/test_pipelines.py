@@ -38,7 +38,7 @@ def phantom_scene(ny=48, nx=48, coils=4, R=4, acs=16, snr=None, seed=0):
 
 
 def fast_opt(iters=150):
-    return OptimizerConfig(kind="adam", lr=0.001, iters=iters)
+    return OptimizerConfig(lr=0.001, iters=iters)
 
 
 class TestMultiWeightConfig:
@@ -317,7 +317,7 @@ class TestScanSpecificPipeline:
             pattern=pattern,
             seed=2,
             arch=arch,
-            optimizer=OptimizerConfig(kind="adam", lr=0.003, iters=4000),
+            optimizer=OptimizerConfig(lr=0.003, iters=4000),
         )
         result = raki_reconstruct(measured, cfg)
         missing = ~pattern.mask
@@ -331,7 +331,7 @@ class TestScanSpecificPipeline:
         cfg = ReconConfig(
             method="raki",
             pattern=pattern,
-            optimizer=OptimizerConfig(kind="sgd_momentum", lr=1e12, iters=50),
+            optimizer=OptimizerConfig(lr=1e12, iters=50),
         )
         with pytest.raises(TrainingDivergedError, match=r"coil \d"):
             raki_reconstruct(measured, cfg)
