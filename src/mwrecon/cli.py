@@ -51,18 +51,32 @@ from .pipelines import (
     reconstruct_image,
 )
 
-RECON_COLUMNS = ("method", "R", "acs", "seed", "psnr", "ssim", "rmse", "train_iters", "wall_ms")
+RECON_COLUMNS = (
+    "method", "R", "acs", "seed", "psnr", "ssim", "rmse", "train_iters", "virtual_coils", "wall_ms",
+)
 ABLATE_COLUMNS = (
     "method", "R", "acs", "P", "L", "depth", "rep", "seed",
     "psnr", "ssim", "rmse", "train_iters", "status",
 )
 CURVE_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed", "iteration", "loss")
 DEFAULT_ABLATION_EXPONENTS = (0.6, 0.2, 0.4, 0.3)
-RECON_KEYS = ("seed", "iters", "lr", "layers", "skip", "filter", "filter_eps")
+# the recon config keys each method reads: GRAPPA trains no network, and only
+# the multi-weight methods have a filter bank
+_NETWORK_KEYS = ("seed", "iters", "lr", "layers", "skip")
+METHOD_KEYS = {
+    "grappa": (),
+    "raki": _NETWORK_KEYS,
+    "rraki": _NETWORK_KEYS,
+    "mw_raki": _NETWORK_KEYS + ("filter", "filter_eps"),
+    "mw_rraki": _NETWORK_KEYS + ("filter", "filter_eps"),
+}
+RECON_KEYS = METHOD_KEYS["mw_rraki"]
+RECON_LISTS = ("layers", "filter")
 ABLATE_KEYS = (
     "input", "size", "coils", "snr_db", "scene_seed", "method", "R", "acs", "P", "L",
     "depth", "reps", "master_seed", "filter", "iters", "lr",
 )
+ABLATE_LISTS = ("method", "R", "acs", "P", "L", "depth", "filter")
 
 
 def _fmt(value) -> str:
@@ -149,9 +163,22 @@ def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None
     return make_multiweight_config(ny, nx, exponents, eps=eps)
 
 
-def _build_recon_config(args, measured, method, pattern) -> ReconConfig:
+def _recon_entries(args, methods) -> dict:
+    """The ``--config`` entries; a key none of ``methods`` reads is an error."""
+    if not args.config:
+        return {}
+    entries = load_config(args.config, RECON_KEYS, RECON_LISTS)
+    read = {key for method in methods for key in METHOD_KEYS[method]}
+    unread = [(lines[0][0], key) for key, lines in entries.items() if key not in read]
+    if unread:
+        lineno, key = min(unread)
+        names = ", ".join(m.replace("_", "-") for m in methods)
+        raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read by {names}")
+    return entries
+
+
+def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
     source = str(args.config) if args.config else "<cli>"
-    entries = load_config(args.config, RECON_KEYS) if args.config else {}
     optimizer = _optimizer_from(entries, args, source)
     arch = _arch_from(entries, measured.n_coils, pattern.R, source)
     multiweight = None
@@ -185,6 +212,7 @@ def _metrics_row(method, pattern, seed, result, ref_sos, wall_ms):
         "acs": pattern.acs_count,
         "seed": seed,
         "train_iters": _train_iters(result),
+        "virtual_coils": len(result.loss_histories),  # one network per virtual coil
         "wall_ms": wall_ms,
     }
     if ref_sos is not None:
@@ -200,7 +228,7 @@ def cmd_recon(args) -> int:
         pattern = load_pattern(args.pattern)
     else:
         pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
-    cfg = _build_recon_config(args, measured, method, pattern)
+    cfg = _build_recon_config(args, _recon_entries(args, [method]), measured, method, pattern)
     ref_sos = reconstruct_image(load_kspace(args.ref)) if args.ref else None
     t0 = time.perf_counter()
     result = reconstruct(measured, cfg)
@@ -228,10 +256,11 @@ def cmd_compare(args) -> int:
     pattern = make_uniform_pattern(full.ny, args.R, args.acs)
     measured = apply_pattern(full, pattern)
     ref_sos = reconstruct_image(full)
+    methods = [_normalize_method(name) for name in args.methods.split(",")]
+    entries = _recon_entries(args, methods)
     rows = []
-    for name in args.methods.split(","):
-        method = _normalize_method(name)
-        cfg = _build_recon_config(args, measured, method, pattern)
+    for method in methods:
+        cfg = _build_recon_config(args, entries, measured, method, pattern)
         t0 = time.perf_counter()
         result = reconstruct(measured, cfg)
         wall_ms = 1e3 * (time.perf_counter() - t0)
@@ -332,7 +361,7 @@ def cmd_ablate(args) -> int:
     if not args.config:
         raise ConfigError("ablate needs --config FILE")
     source = str(args.config)
-    entries = load_config(args.config, ABLATE_KEYS)
+    entries = load_config(args.config, ABLATE_KEYS, ABLATE_LISTS)
     full, ref_sos = _load_ablation_scene(entries, source)
 
     methods = [_normalize_method(m) for m in get_list(entries, "method", str, source)]

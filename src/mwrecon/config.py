@@ -1,10 +1,10 @@
 """Line-based `key = value` run configuration.
 
-Repeated keys accumulate into lists (`filter = P:0.6` twice gives a
-two-filter bank).  Blank lines and `#` comments are ignored.  Each reader
-names the keys it accepts, so a misspelt or stale key is an error rather
-than a silent default.  Parse errors carry the offending key and line
-number.
+Repeated list keys accumulate (`filter = P:0.6` twice gives a two-filter
+bank); any other key given twice is an error, not a silent override.
+Blank lines and `#` comments are ignored.  Each reader names the keys it
+accepts, so a misspelt or stale key is an error rather than a silent
+default.  Parse errors carry the offending key and line number.
 """
 
 from __future__ import annotations
@@ -34,22 +34,28 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return entries
 
 
-def load_config(path, keys) -> dict:
-    """Parse the file at ``path``; a key not in ``keys`` is an error naming its line."""
+def load_config(path, keys, lists=()) -> dict:
+    """Parse the file at ``path``; a key not in ``keys``, or a key not in
+    ``lists`` given twice, is an error naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         entries = parse_config_text(fh.read(), source=str(path))
     unknown = [(lines[0][0], key) for key, lines in entries.items() if key not in keys]
     if unknown:
         lineno, key = min(unknown)
         raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    repeated = [(lines[1][0], lines[0][0], key) for key, lines in entries.items()
+                if len(lines) > 1 and key not in lists]
+    if repeated:
+        lineno, first, key = min(repeated)
+        raise ConfigError(f"{path}:{lineno}: key {key!r} given twice (first at line {first})")
     return entries
 
 
 def get_scalar(entries: dict, key: str, convert, default=None, source: str = "<config>"):
-    """Last occurrence wins for scalar keys."""
+    """The value of a key given once (:func:`load_config` rejects repeats)."""
     if key not in entries:
         return default
-    lineno, value = entries[key][-1]
+    lineno, value = entries[key][0]
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:

@@ -343,3 +343,87 @@ def test_ablate_curves_hold_the_coil_mean_loss_per_cell_and_iteration(tmp_path, 
         coil_losses = [h[int(r["iteration"]) - 1] for h in histories[int(r["seed"])]]
         assert len(coil_losses) == 4
         assert float(r["loss"]) == pytest.approx(np.mean(coil_losses), rel=1e-12)
+
+
+def test_recon_rejects_a_scalar_key_given_twice(scan, capsys):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("iters = 3\nlayers = 16@3x2\nlayers = out@3x2\niters = 5\n", encoding="utf-8")
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    assert f"{config}:4: key 'iters' given twice (first at line 1)" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+def test_ablate_rejects_a_scalar_key_given_twice(tmp_path, capsys):
+    def ablate(last_line):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1\niters = 1\n"
+                          f"{last_line}\n", encoding="utf-8")
+        out = tmp_path / "a.csv"
+        return main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]), config, out
+
+    code, config, out = ablate("iters = 2")
+    assert code == 2
+    assert f"{config}:7: key 'iters' given twice (first at line 6)" in capsys.readouterr().err
+    assert not out.exists()
+    code, _, out = ablate("depth = 2")  # an axis may repeat
+    assert code == 0
+    assert [r["depth"] for r in read_rows(out)] == ["1", "2"]
+
+
+@pytest.mark.parametrize("method, text, line, key", [
+    ("grappa", "layers = 16@3x2, out@3x2\n", 1, "layers"),
+    ("grappa", "filter = P:0.5\n", 1, "filter"),
+    ("grappa", "seed = 4\n", 1, "seed"),
+    ("raki", "iters = 2\nfilter = P:0.5\n", 2, "filter"),
+    ("rraki", "filter_eps = 1e-4\n", 1, "filter_eps"),
+], ids=["grappa_layers", "grappa_filter", "grappa_seed", "raki_filter", "rraki_filter_eps"])
+def test_recon_rejects_a_key_the_method_never_reads(scan, capsys, method, text, line, key):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
+            "--iters", "1", "--ridge", "1e-3", "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    assert f"{config}:{line}: key '{key}' is not read by {method}" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+def test_compare_checks_keys_against_all_its_methods(scan, capsys):
+    tmp_path, full, _ = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("layers = 16@3x2, out@3x2\nfilter = P:0.5\n", encoding="utf-8")
+
+    def compare(methods):
+        return main(["--quiet", "compare", "--input", str(full), "--methods", methods, "--R", "4",
+                     "--acs", "16", "--iters", "1", "--ridge", "1e-3", "--config", str(config),
+                     "--report", str(tmp_path / "c.csv")])
+
+    assert compare("grappa,raki") == 2
+    assert f"{config}:2: key 'filter' is not read by grappa, raki" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    assert compare("grappa,mw-raki") == 0  # mw-raki reads both keys
+    assert len(read_rows(tmp_path / "c.csv")) == 2
+
+
+def test_reports_count_the_virtual_coils(tmp_path, monkeypatch):
+    full, under = tmp_path / "full.mwks", tmp_path / "under.mwks"
+    assert main(["--quiet", "--seed", "3", "phantom", "--size", "32", "--coils", "8",
+                 "--snr", "30", "--out", str(full)]) == 0
+    assert main(["--quiet", "undersample", "--input", str(full), "--R", "2", "--acs", "16",
+                 "--out", str(under)]) == 0
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "r.csv"
+    assert main(["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "2",
+                 "--acs", "16", "--iters", "1", "--out", str(tmp_path / "r.mwks"),
+                 "--report", str(report)]) == 0
+    (row,) = read_rows(report)
+    virtual = len(calls[-1][1].loss_histories)
+    assert 2 <= virtual < 8  # this scene compresses
+    assert row["virtual_coils"] == str(virtual)
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "grappa,rraki", "--R", "2",
+                 "--acs", "16", "--iters", "1", "--ridge", "1e-3", "--report", str(report)]) == 0
+    rows = read_rows(report)
+    assert [r["virtual_coils"] for r in rows] == ["0", str(len(calls[-1][1].loss_histories))]

@@ -12,7 +12,8 @@ from mwrecon.network import (
     init_network,
     train,
 )
-from mwrecon.phantom import make_coil_maps, shepp_logan, simulate_kspace
+from mwrecon.phantom import CoilMaps, make_coil_maps, shepp_logan, simulate_kspace
+from mwrecon import pipelines
 from mwrecon.pipelines import (
     MultiWeightConfig,
     ReconConfig,
@@ -335,6 +336,94 @@ class TestScanSpecificPipeline:
         )
         with pytest.raises(TrainingDivergedError, match=r"coil \d"):
             raki_reconstruct(measured, cfg)
+
+
+def virtual_coil_basis(measured, pattern):
+    acs = measured.data[:, pattern.acs_start : pattern.acs_start + pattern.acs_count]
+    return pipelines._virtual_coil_basis(acs / np.max(np.abs(measured.data)), pattern.R)
+
+
+def virtual_coil_count(measured, pattern):
+    return virtual_coil_basis(measured, pattern).shape[1]
+
+
+class TestVirtualCoils:
+    """The networks run on SVD virtual coils; the result stays in physical coils."""
+
+    @pytest.mark.parametrize("method", ["raki", "rraki", "mw_raki", "mw_rraki"])
+    def test_compressed_scene_keeps_acquired_rows_and_coil_count(self, method):
+        _, measured, pattern = phantom_scene(coils=8, R=2, snr=30, seed=17)
+        cfg = ReconConfig(method=method, pattern=pattern, seed=1, optimizer=fast_opt(20))
+        result = reconstruct(measured, cfg)
+        nv = virtual_coil_count(measured, pattern)
+        assert 2 <= nv < 8
+        assert len(result.loss_histories) == nv
+        assert result.kspace.data.shape == measured.data.shape
+        assert np.array_equal(result.kspace.data[:, pattern.mask], measured.data[:, pattern.mask])
+
+    @pytest.mark.parametrize("coils", [4, 8])
+    @pytest.mark.parametrize("R", [2, 3, 4, 6])
+    @pytest.mark.parametrize("snr", [None, 30])
+    def test_count_lies_between_R_and_the_coils(self, coils, R, snr):
+        _, measured, pattern = phantom_scene(coils=coils, R=R, acs=18, snr=snr, seed=18)
+        assert min(R, coils) <= virtual_coil_count(measured, pattern) <= coils
+
+    def test_keeps_the_physical_coils_when_compression_would_keep_most(self):
+        # 8 coils at R = 6 need at least 6 virtual coils, more than the share
+        _, measured, pattern = phantom_scene(coils=8, R=6, acs=18, snr=30, seed=18)
+        assert 6 > pipelines.VIRTUAL_COIL_MAX_SHARE * 8
+        assert np.array_equal(virtual_coil_basis(measured, pattern), np.eye(8))
+
+    @pytest.mark.parametrize("coils", [4, 8])
+    @pytest.mark.parametrize("R", [2, 4])
+    def test_full_rank_maps_with_noise_keep_every_coil(self, coils, R):
+        rng = np.random.default_rng(19)
+        maps = rng.standard_normal((coils, 48, 48)) + 1j * rng.standard_normal((coils, 48, 48))
+        full = simulate_kspace(shepp_logan(48, 48), CoilMaps(maps), snr_db=30, seed=19)
+        pattern = make_uniform_pattern(48, R, 16)
+        assert virtual_coil_count(apply_pattern(full, pattern), pattern) == coils
+
+    @pytest.mark.parametrize("sources", [1, 2, 3])
+    @pytest.mark.parametrize("R", [2, 3, 4])
+    def test_noise_free_mix_of_few_sources_needs_at_most_that_many(self, sources, R):
+        rng = np.random.default_rng(20 + sources)
+        mix = rng.standard_normal((8, sources)) + 1j * rng.standard_normal((8, sources))
+        src = rng.standard_normal((sources, 24, 16)) + 1j * rng.standard_normal((sources, 24, 16))
+        data = np.einsum("cs,syx->cyx", mix, src)
+        pattern = make_uniform_pattern(24, R, 12)
+        nv = virtual_coil_count(apply_pattern(MultiCoilKSpace(data), pattern), pattern)
+        assert R <= nv <= max(R, sources)
+
+    def test_planted_kernel_on_mixed_sources(self):
+        # 4 coils mix 2 sources whose missing rows obey a planted linear
+        # kernel; the 2 virtual coils span the sources, so one linear layer
+        # sized for the 4 physical coils still recovers the missing rows
+        rng = np.random.default_rng(21)
+        src, _ = planted_full_grid(rng, 2, 24, 16, R=2)
+        mix = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        full = np.einsum("cs,syx->cyx", mix, src)
+        pattern = make_uniform_pattern(24, 2, 10)
+        measured = apply_pattern(MultiCoilKSpace(full), pattern)
+        arch = NetworkArch(8, (LayerSpec(2, 3, 2, "identity"),))
+        cfg = ReconConfig(
+            method="raki", pattern=pattern, seed=2, arch=arch,
+            optimizer=OptimizerConfig(lr=0.003, iters=4000),
+        )
+        result = raki_reconstruct(measured, cfg)
+        assert len(result.loss_histories) == 2
+        assert result.kspace.n_coils == 4
+        missing = ~pattern.mask
+        rel = np.linalg.norm(result.kspace.data[:, missing] - full[:, missing]) / np.linalg.norm(
+            full[:, missing]
+        )
+        assert rel < 1e-3
+
+    def test_custom_arch_must_fit_the_physical_coils(self):
+        _, measured, pattern = phantom_scene(coils=8, R=2, snr=30, seed=17)
+        arch = default_arch("raki", n_coils=virtual_coil_count(measured, pattern), R=2)
+        cfg = ReconConfig(method="raki", pattern=pattern, arch=arch, optimizer=fast_opt(1))
+        with pytest.raises(ValueError, match="arch expects .* input channels, data provides 16"):
+            reconstruct(measured, cfg)
 
 
 class TestMultiWeightSemantics:
