@@ -60,15 +60,22 @@ ABLATE_COLUMNS = (
 )
 CURVE_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed", "iteration", "loss")
 DEFAULT_ABLATION_EXPONENTS = (0.6, 0.2, 0.4, 0.3)
-# the recon config keys each method reads: GRAPPA trains no network, and only
-# the multi-weight methods have a filter bank
+# the recon settings each method reads: GRAPPA trains no network, and only
+# the multi-weight methods have a filter bank.  A setting is a config key, a
+# flag (RECON_FLAGS) or both; a setting none of the chosen methods reads is
+# an error either way.
 _NETWORK_KEYS = ("seed", "iters", "lr", "layers", "skip")
 METHOD_KEYS = {
-    "grappa": (),
+    "grappa": ("ridge", "grappa_kernel"),
     "raki": _NETWORK_KEYS,
     "rraki": _NETWORK_KEYS,
     "mw_raki": _NETWORK_KEYS + ("filter", "filter_eps"),
     "mw_rraki": _NETWORK_KEYS + ("filter", "filter_eps"),
+}
+# setting -> flag; ridge and the GRAPPA kernel have no config key
+RECON_FLAGS = {
+    "seed": "--seed", "iters": "--iters", "lr": "--lr", "filter": "--filters",
+    "filter_eps": "--filter-eps", "ridge": "--ridge", "grappa_kernel": "--grappa-kernel",
 }
 RECON_KEYS = METHOD_KEYS["mw_rraki"]
 RECON_LISTS = ("layers", "filter")
@@ -132,10 +139,22 @@ def cmd_undersample(args) -> int:
     return 0
 
 
+def _at_least(kind, low):
+    """Parse a ``kind`` value and reject values below ``low``; the config reader names file:line."""
+    def convert(text):
+        value = kind(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    return convert
+
+
 def _optimizer_from(entries, args, source) -> OptimizerConfig:
+    lr = get_scalar(entries, "lr", _at_least(float, 0.0), 0.001, source)
+    iters = get_scalar(entries, "iters", _at_least(int, 1), 1000, source)
     return OptimizerConfig(
-        lr=args.lr if args.lr is not None else get_scalar(entries, "lr", float, 0.001, source),
-        iters=args.iters if args.iters is not None else get_scalar(entries, "iters", int, 1000, source),
+        lr=args.lr if args.lr is not None else lr,
+        iters=args.iters if args.iters is not None else iters,
     )
 
 
@@ -164,16 +183,17 @@ def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None
 
 
 def _recon_entries(args, methods) -> dict:
-    """The ``--config`` entries; a key none of ``methods`` reads is an error."""
-    if not args.config:
-        return {}
-    entries = load_config(args.config, RECON_KEYS, RECON_LISTS)
+    """The ``--config`` entries; a key or flag none of ``methods`` reads is an error."""
     read = {key for method in methods for key in METHOD_KEYS[method]}
+    names = ", ".join(m.replace("_", "-") for m in methods)
+    entries = load_config(args.config, RECON_KEYS, RECON_LISTS) if args.config else {}
     unread = [(lines[0][0], key) for key, lines in entries.items() if key not in read]
     if unread:
         lineno, key = min(unread)
-        names = ", ".join(m.replace("_", "-") for m in methods)
         raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read by {names}")
+    for key, flag in RECON_FLAGS.items():
+        if key not in read and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"flag {flag} is not read by {names}")
     return entries
 
 
@@ -196,7 +216,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
         optimizer=optimizer,
         multiweight=multiweight,
         grappa_geometry=geometry,
-        ridge=args.ridge,
+        ridge=args.ridge if args.ridge is not None else 0.0,
     )
 
 
@@ -302,15 +322,6 @@ def _load_ablation_scene(entries, source):
     return full, reconstruct_image(clean)
 
 
-def _int_at_least(low: int):
-    """Parse an int and reject values below ``low``; the config reader names file:line."""
-    def convert(text):
-        if int(text) < low:
-            raise ValueError(text)
-        return int(text)
-    return convert
-
-
 def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     method, R, acs, p_value, n_filters, depth, rep, seed = cell
     pattern = make_uniform_pattern(full.ny, R, acs)
@@ -370,9 +381,9 @@ def cmd_ablate(args) -> int:
     r_values = get_list(entries, "R", int, source) or [4]
     acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
     p_values = get_list(entries, "P", parse_filter_exponent, source) or [None]
-    l_values = get_list(entries, "L", _int_at_least(0), source) or [None]
+    l_values = get_list(entries, "L", _at_least(int, 0), source) or [None]
     depth_values = get_list(entries, "depth", int, source) or [None]
-    reps = get_scalar(entries, "reps", _int_at_least(1), 1, source)
+    reps = get_scalar(entries, "reps", _at_least(int, 1), 1, source)
     if p_values != [None] and l_values != [None]:
         raise ConfigError(f"{source}: sweep either P or L, not both")
     axes = [methods, r_values, acs_values, p_values, l_values, depth_values, list(range(reps))]
@@ -460,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float)
         p.add_argument("--filters", help="high-pass exponents, e.g. 0.6,0.2")
         p.add_argument("--filter-eps", type=float, dest="filter_eps")
-        p.add_argument("--ridge", type=float, default=0.0)
+        p.add_argument("--ridge", type=float)
         p.add_argument("--grappa-kernel", dest="grappa_kernel", help="e.g. bx:1,by:2")
 
     p = sub.add_parser("recon", help="reconstruct undersampled k-space")

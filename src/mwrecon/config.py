@@ -116,7 +116,7 @@ def build_arch(layer_specs, in_channels: int, out_channels: int, skip_spec=None)
     if skip_spec is not None:
         channels, kx, ky, activation = skip_spec
         skip = LayerSpec(out_channels if channels is None else channels, kx, ky, activation or "identity")
-    return NetworkArch(in_channels=in_channels, layers=tuple(layers), dilation=1, skip=skip)
+    return NetworkArch(in_channels=in_channels, layers=tuple(layers), skip=skip)
 
 
 def parse_grappa_kernel(spec: str):

@@ -2,17 +2,18 @@
 
 Networks map real/imaginary-split multi-coil k-space windows to the values
 of the missing rows between acquired lines.  All convolutions are valid (no
-padding); ky taps may be spaced ``dilation`` rows apart so they ride the
-acquired-line lattice.  Complex data is handled as paired real channels and
-all weights are real.  An optional parallel linear convolution (the
-``skip`` path) realizes residual variants: it is computed on the main
-chain's output grid only and added.
+padding), stride 1, with adjacent ky taps one row apart: the caller compacts
+the acquired-line lattice to consecutive rows (see :mod:`mwrecon.pipelines`),
+so a tap spacing of R grid rows is one row of the compacted input.  Complex
+data is handled as paired real channels and all weights are real.  An
+optional parallel linear convolution (the ``skip`` path) realizes residual
+variants: it is computed on the main chain's output grid only and added.
 
 A reconstruction trains one network per target coil, and every coil's
 network reads the same source tensor; only the targets differ.  So
-:func:`train` and :func:`forward` also take a sequence of networks, one
-per coil, and run all of them in one pass (one network is the case of a
-single coil):
+:func:`train` and :func:`forward` take a non-empty sequence of
+same-architecture networks, one per coil, and run all of them in one pass
+(a single network is passed as a one-element list):
 
 * The first layer and the skip path read the shared input.  Each gets one
   patch matrix ``[K, M]`` and one GEMM ``[coils*O, K] @ [K, M]`` for all
@@ -90,20 +91,18 @@ class NetworkArch:
     """Ordered conv layers plus an optional linear skip path.
 
     Hidden layers use ReLU; the final layer (and the skip) are linear.
-    ``dilation`` is the ky tap spacing in input rows.
+    Adjacent ky taps read adjacent input rows.
     """
 
     in_channels: int
     layers: tuple[LayerSpec, ...]
-    dilation: int = 1
     skip: LayerSpec | None = None
+    dilation = 1  # not a field: kept only because perfbench's work counts read it
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.in_channels < 1:
             raise ValueError(f"in_channels must be positive, got {self.in_channels}")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
         if not self.layers:
             raise ValueError("network needs at least one layer")
         for spec in self.layers[:-1]:
@@ -129,10 +128,6 @@ class NetworkArch:
     def ky_taps_excess(self) -> int:
         """Total ky taps consumed beyond one row (receptive field in tap units)."""
         return sum(spec.ky_taps - 1 for spec in self.layers)
-
-    @property
-    def rf_rows(self) -> int:
-        return self.ky_taps_excess * self.dilation + 1
 
     @property
     def rf_cols(self) -> int:
@@ -163,12 +158,12 @@ class NetworkArch:
 
     def output_shape(self, height: int, width: int) -> tuple[int, int]:
         """Valid-convolution output dims for an input of the given size."""
-        oh = height - self.ky_taps_excess * self.dilation
+        oh = height - self.ky_taps_excess
         ow = width - (self.rf_cols - 1)
         if oh < 1 or ow < 1:
             raise ValueError(
                 f"input {height}x{width} is smaller than the receptive field "
-                f"{self.rf_rows}x{self.rf_cols}"
+                f"{self.ky_taps_excess + 1}x{self.rf_cols}"
             )
         return oh, ow
 
@@ -225,13 +220,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Full-batch training tensors: [batch, ch, ky, kx] sources and targets.
+    """Full-batch training tensors: sources [batch, ch, ky, kx] shared by
+    every coil's network, and targets [coils, batch, ch, ky, kx].
 
     float32 sources stay float32 and anything else becomes float64; the
     targets take the sources' dtype, which is the precision training runs in.
-
-    Targets may carry a leading coil axis, [coils, batch, ch, ky, kx], for
-    one network per coil trained on the shared sources (see :func:`train`).
     """
 
     sources: np.ndarray
@@ -240,11 +233,11 @@ class TrainingSet:
     def __post_init__(self):
         src = np.array(_as_input(self.sources), copy=True)
         tgt = np.array(self.targets, dtype=src.dtype, copy=True)
-        if src.ndim != 4 or tgt.ndim not in (4, 5):
+        if src.ndim != 4 or tgt.ndim != 5:
             raise ValueError(
-                "sources must be [batch, ch, ky, kx] and targets [(coils,) batch, ch, ky, kx]"
+                "sources must be [batch, ch, ky, kx] and targets [coils, batch, ch, ky, kx]"
             )
-        if src.shape[0] != tgt.shape[-4]:
+        if src.shape[0] != tgt.shape[1]:
             raise ValueError("sources and targets disagree on batch size")
         if not (np.isfinite(src).all() and np.isfinite(tgt).all()):
             raise ValueError("training tensors contain non-finite values")
@@ -261,7 +254,7 @@ def _as_input(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# convolution primitives (valid, stride 1, ky dilation, channels-first)
+# convolution primitives (valid, stride 1, unit tap spacing, channels-first)
 #
 # Activations are channels-first, [coils, ch, N, H, W]: each coil's channel
 # is one contiguous run of N*H*W values, and readout (kx) is innermost.
@@ -278,10 +271,9 @@ def _as_input(x) -> np.ndarray:
 # Each tap's shifted add (and, in the backward pass, its scatter) runs over
 # readout rows OW long, not over the few output channels.
 
-def _im2col(x: np.ndarray, ky_taps: int, kx_width: int, dilation: int):
+def _im2col(x: np.ndarray, ky_taps: int, kx_width: int):
     """Patch matrix [ky_taps*kx_width*C, N*OH*OW] of a [N, C, H, W] input, plus (N, OH, OW)."""
-    span = (ky_taps - 1) * dilation + 1
-    win = sliding_window_view(x, (span, kx_width), axis=(2, 3))[..., ::dilation, :]
+    win = sliding_window_view(x, (ky_taps, kx_width), axis=(2, 3))
     n, _, oh, ow = win.shape[:4]
     cols = np.ascontiguousarray(win.transpose(4, 5, 1, 0, 2, 3)).reshape(-1, n * oh * ow)
     return cols, (n, oh, ow)
@@ -305,10 +297,10 @@ def _tap_kernel(mat: np.ndarray, spec: LayerSpec, in_ch: int) -> np.ndarray:
     return mat.reshape(spec.ky_taps, spec.kx_width, spec.out_channels, in_ch).transpose(2, 3, 0, 1)
 
 
-def _taps(spec: LayerSpec, dilation: int, oh: int, ow: int):
+def _taps(spec: LayerSpec, oh: int, ow: int):
     """(ky tap, kx tap, input rows, input cols) of every kernel tap for an OH x OW output."""
     return [
-        (i, j, slice(i * dilation, i * dilation + oh), slice(j, j + ow))
+        (i, j, slice(i, i + oh), slice(j, j + ow))
         for i in range(spec.ky_taps)
         for j in range(spec.kx_width)
     ]
@@ -379,15 +371,15 @@ def _shared_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _skip_cols(arch: NetworkArch, x: np.ndarray) -> np.ndarray:
     """The skip path's patch matrix of ``x``, over the main chain's output grid only."""
     oh, ow = arch.output_shape(x.shape[2], x.shape[3])
-    spec, dy, dx = arch.skip, arch.skip_row_offset * arch.dilation, arch.skip_col_offset
-    window = x[:, :, dy:dy + oh + (spec.ky_taps - 1) * arch.dilation, dx:dx + ow + spec.kx_width - 1]
-    return _im2col(window, spec.ky_taps, spec.kx_width, arch.dilation)[0]
+    spec, dy, dx = arch.skip, arch.skip_row_offset, arch.skip_col_offset
+    window = x[:, :, dy:dy + oh + spec.ky_taps - 1, dx:dx + ow + spec.kx_width - 1]
+    return _im2col(window, spec.ky_taps, spec.kx_width)[0]
 
 
 def _input_cols(arch: NetworkArch, x: np.ndarray):
     """Patch matrices of the shared input for the first layer and the skip path."""
     first = arch.layers[0]
-    main = _im2col(x, first.ky_taps, first.kx_width, arch.dilation)
+    main = _im2col(x, first.ky_taps, first.kx_width)
     return main, (_skip_cols(arch, x) if arch.skip is not None else None)
 
 
@@ -406,11 +398,11 @@ def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarr
     """
     spec = arch.layers[li]
     coils, in_ch, n, hh, ww = h.shape
-    oh = hh - (spec.ky_taps - 1) * arch.dilation
+    oh = hh - (spec.ky_taps - 1)
     ow = ww - (spec.kx_width - 1)
     y = np.matmul(w, h.reshape(coils, in_ch, -1))
     y = y.reshape(coils, spec.ky_taps, spec.kx_width, spec.out_channels, n, hh, ww)
-    (i, j, rows, cols), *rest = _taps(spec, arch.dilation, oh, ow)
+    (i, j, rows, cols), *rest = _taps(spec, oh, ow)
     z = y[:, i, j, :, :, rows, cols].copy()
     for i, j, rows, cols in rest:
         z += y[:, i, j, :, :, rows, cols]
@@ -424,7 +416,7 @@ def _layer_grads(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray, d: np
     spec = arch.layers[li]
     coils, in_ch, n, hh, ww = h.shape
     dy = np.zeros((coils, spec.ky_taps, spec.kx_width, spec.out_channels, n, hh, ww), dtype=d.dtype)
-    for i, j, rows, cols in _taps(spec, arch.dilation, d.shape[3], d.shape[4]):
+    for i, j, rows, cols in _taps(spec, d.shape[3], d.shape[4]):
         dy[:, i, j, :, :, rows, cols] = d
     dy = dy.reshape(coils, -1, n * hh * ww)
     h_mat = h.reshape(coils, in_ch, -1)
@@ -451,7 +443,7 @@ def _forward(arch: NetworkArch, params, x: np.ndarray) -> np.ndarray:
             s_cols = _skip_cols(arch, xs)
             out[:, s] += _shared_gemm(params[-1], s_cols).reshape(coils, -1, oh, ow)
             del s_cols
-        cols, shape = _im2col(xs, first.ky_taps, first.kx_width, arch.dilation)
+        cols, shape = _im2col(xs, first.ky_taps, first.kx_width)
         groups = _coil_groups(arch, coils, cols)
         h1 = _first_layer(arch, params[0], cols, shape)
         del cols
@@ -568,64 +560,55 @@ def _glorot(rng, spec: LayerSpec, in_ch: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(spec.out_channels, in_ch, spec.ky_taps, spec.kx_width))
 
 
-def _as_nets(net) -> tuple[list, bool]:
-    """(networks, whether a single network was given) for a net-or-sequence argument."""
-    if isinstance(net, ScanNetwork):
-        return [net], True
-    nets = list(net)
+def _as_nets(nets) -> list:
+    """The networks of a non-empty same-architecture sequence, as a list."""
+    nets = list(nets)
     if not nets:
         raise ValueError("need at least one network")
     arch = nets[0].arch
     if any(other.arch != arch for other in nets):
         raise ValueError("networks trained or run together must share one architecture")
-    return nets, False
+    return nets
 
 
-def forward(net, x: np.ndarray) -> np.ndarray:
-    """Network output [batch, out, oh, ow] for a [batch, in_ch, ky, kx] input.
+def forward(nets, x: np.ndarray) -> np.ndarray:
+    """Every network's output [coils, batch, out, oh, ow] for a [batch, in_ch, ky, kx] input.
 
-    ``net`` may also be a sequence of same-architecture networks, one per
-    coil; the result is then [coils, batch, out, oh, ow].  The output has
-    the input's precision: float32 for a float32 input, else float64.
+    ``nets`` is a sequence of same-architecture networks, one per coil.  The
+    output has the input's precision: float32 for a float32 input, else
+    float64.
     """
-    nets, single = _as_nets(net)
+    nets = _as_nets(nets)
     arch = nets[0].arch
     x = _as_input(x)
     if x.ndim != 4 or x.shape[1] != arch.in_channels:
         raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
     arch.output_shape(x.shape[2], x.shape[3])
-    out = _forward(arch, _pack(nets, x.dtype), x)
-    return out[0] if single else out
+    return _forward(arch, _pack(nets, x.dtype), x)
 
 
-def _check_training_set(nets, ts: TrainingSet, single: bool) -> np.ndarray:
-    """``ts.targets`` with a leading coil axis, after checking it against the networks."""
+def _check_training_set(nets, ts: TrainingSet) -> None:
     arch = nets[0].arch
     if ts.sources.shape[1] != arch.in_channels:
         raise ValueError(
             f"training sources have {ts.sources.shape[1]} channels, arch expects {arch.in_channels}"
         )
     oh, ow = arch.output_shape(ts.sources.shape[2], ts.sources.shape[3])
-    targets = ts.targets[None] if single else ts.targets
     expected = (len(nets), ts.sources.shape[0], arch.out_channels, oh, ow)
-    if targets.shape != expected:
-        shown = expected[1:] if single else expected
-        raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {shown}")
-    return targets
+    if ts.targets.shape != expected:
+        raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {expected}")
 
 
-def train(net, ts: TrainingSet, opt: OptimizerConfig):
-    """Run ``opt.iters`` full-batch iterations; returns (trained net, loss history).
+def train(nets, ts: TrainingSet, opt: OptimizerConfig):
+    """Run ``opt.iters`` full-batch iterations; returns (trained nets, loss histories).
 
-    The history records the loss at the start of each iteration.  ``net``
-    may also be a sequence of same-architecture networks, one per coil,
-    that all read ``ts.sources``; ``ts.targets`` then carries a leading
-    coil axis, and the result is (tuple of trained nets, histories
-    [coils, iters]).  Each coil's history and weights agree with training
-    it alone up to rounding.  A non-finite loss aborts with
-    :class:`TrainingDivergedError` naming the first such coil.
+    ``nets`` is a sequence of same-architecture networks, one per coil, that
+    all read ``ts.sources``; coil ``c`` fits ``ts.targets[c]``.  The result
+    is a tuple of trained networks and histories [coils, iters], each the
+    loss at the start of every iteration.  Each coil's history and weights
+    agree with training it alone up to rounding.  A non-finite loss aborts
+    with :class:`TrainingDivergedError` naming the first such coil.
     """
-    nets, single = _as_nets(net)
-    targets = _check_training_set(nets, ts, single)
-    trained, losses = _train(nets, ts.sources, targets, opt)
-    return (trained[0], losses[0]) if single else (trained, losses)
+    nets = _as_nets(nets)
+    _check_training_set(nets, ts)
+    return _train(nets, ts.sources, ts.targets, opt)

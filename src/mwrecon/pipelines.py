@@ -4,9 +4,10 @@ Scan-specific methods train one network per (virtual) coil on training pairs
 cut from the ACS block, slide it over the acquired-line lattice of the full
 grid, write the predicted missing rows, and finally overwrite every
 acquired row with the measured data (data consistency).  Every coil's
-network reads the same sources, so the sources are cut once per weighting
-branch, the targets once per coil, and all coils train and infer together
-(see :mod:`mwrecon.network`).
+network reads the same sources, so one builder cuts the sources of every
+weighting branch and the targets of every coil and branch from the ACS
+block in one pass, and all coils train and infer together as one list of
+networks (see :mod:`mwrecon.network`).
 
 Multi-weight variants run the same flow on a batch of weighted copies of
 the measurement (one per weighting matrix, plus the untouched original).
@@ -16,11 +17,11 @@ the final value of each missing sample is the mean over the valid branches
 (the all-pass branch is always valid).  RAKI and rRAKI are the one-branch
 case: their bank holds only the all-pass filter.
 
-Networks ride the acquired-line lattice: a ky tap spacing of ``R`` rows on
-the full grid is realized by extracting every ``R``-th row and running the
-convolutions with unit ky spacing on the compacted array, which computes
-exactly the sums an ``R``-dilated convolution evaluated at lattice offsets
-would.
+Networks ride the acquired-line lattice: as in the paper, adjacent ky taps
+are ``R`` rows apart on the full grid.  The lattice rows are extracted into
+a compacted array, on which those taps are adjacent rows, so every network
+runs with unit ky spacing; this computes exactly the sums an ``R``-dilated
+convolution evaluated at lattice offsets would.
 
 Virtual coils: the networks run on a projection of the coils.  The
 scale-normalised ACS block is factored by an SVD, and all k-space is
@@ -173,7 +174,7 @@ def default_arch(method: str, n_coils: int, R: int, depth: int | None = None) ->
     if method in ("rraki", "mw_rraki"):
         rf_cols = sum(spec.kx_width - 1 for spec in layers) + 1
         skip = LayerSpec(out, min(5, rf_cols), 2, "identity")
-    return NetworkArch(in_channels=2 * n_coils, layers=layers, dilation=1, skip=skip)
+    return NetworkArch(in_channels=2 * n_coils, layers=layers, skip=skip)
 
 
 def build_training_pairs(
@@ -187,54 +188,54 @@ def build_training_pairs(
 
     Sources are the ACS rows on the acquisition lattice (``acs_row0`` is the
     absolute grid row of the first ACS row), real/imag split into channels.
-    Targets are the R-1 rows between acquired lines at every valid window
-    position; every value is a raw ACS sample.
+    Targets are ``target_coil``'s R-1 rows between acquired lines at every
+    valid window position, [1, 1, 2*(R-1), oh, ow]; every value is a raw
+    ACS sample.  The set trains a one-network list.
     """
     if not 0 <= target_coil < acs.n_coils:
         raise ValueError(f"target_coil {target_coil} out of range for {acs.n_coils} coils")
-    sources, targets = _training_pairs(acs, R, arch, acs_row0)
-    return TrainingSet(sources=sources, targets=targets[target_coil])
+    ts = _training_pairs(acs.data[None], R, arch, acs_row0, np.float64)
+    return TrainingSet(sources=ts.sources, targets=ts.targets[target_coil:target_coil + 1])
 
 
-def _training_pairs(acs: MultiCoilKSpace, R: int, arch: NetworkArch, acs_row0: int):
-    """Sources [1, ch, ky, kx] shared by all coils, and every coil's targets.
+def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, dtype) -> TrainingSet:
+    """Training pairs of every branch and coil of an ACS batch [n_f, coils, rows, nx].
 
-    Targets are [coils, 1, 2*(R-1), oh, ow]; see :func:`build_training_pairs`.
+    Sources are [n_f, 2*coils, ky, kx] and targets [coils, n_f, 2*(R-1), oh, ow],
+    both in ``dtype``; see :func:`build_training_pairs`.
     """
-    if arch.dilation != 1:
-        raise ValueError("training pairs use lattice-compacted rows; arch must have dilation 1")
-    if arch.in_channels != 2 * acs.n_coils:
+    n_f, n_coils, ny, nx = acs.shape
+    if arch.in_channels != 2 * n_coils:
         raise ValueError(
-            f"arch expects {arch.in_channels} input channels, data provides {2 * acs.n_coils}"
+            f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}"
         )
     if arch.out_channels != 2 * (R - 1):
         raise ValueError(
             f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}"
         )
-    lat = np.arange(acs.ny)[(acs_row0 + np.arange(acs.ny)) % R == 0]
+    lat = np.arange(ny)[(acs_row0 + np.arange(ny)) % R == 0]
     taps = arch.ky_taps_excess
     gap = arch.target_row_gap
     min_rows = taps * R + 1
     n_win = lat.size - taps
-    while n_win > 0 and lat[n_win - 1 + gap] + (R - 1) > acs.ny - 1:
+    while n_win > 0 and lat[n_win - 1 + gap] + (R - 1) > ny - 1:
         n_win -= 1
     if n_win < 1:
         raise ValueError(
-            f"ACS too small: {acs.ny} rows; this architecture needs at least "
+            f"ACS too small: {ny} rows; this architecture needs at least "
             f"{min_rows} fully sampled rows (plus shift room for the R-1 targets)"
         )
-    used = lat[: n_win + taps]
-    compact = acs.data[:, used, :]
-    sources = np.concatenate([compact.real, compact.imag], axis=0)[None]
-    ow = acs.nx - (arch.rf_cols - 1)
+    compact = acs[:, :, lat[: n_win + taps], :]
+    sources = np.concatenate([compact.real, compact.imag], axis=1, dtype=dtype)
+    ow = nx - (arch.rf_cols - 1)
     tx = arch.target_col_offset
-    targets = np.empty((acs.n_coils, 1, 2 * (R - 1), n_win, ow))
+    targets = np.empty((n_coils, n_f, 2 * (R - 1), n_win, ow), dtype=dtype)
     anchor_rows = lat[gap : gap + n_win]
     for m in range(1, R):
-        block = acs.data[:, anchor_rows + m, tx : tx + ow]
-        targets[:, 0, m - 1] = block.real
-        targets[:, 0, (R - 1) + m - 1] = block.imag
-    return sources, targets
+        block = acs[:, :, anchor_rows + m, tx : tx + ow].transpose(1, 0, 2, 3)
+        targets[:, :, m - 1] = block.real
+        targets[:, :, (R - 1) + m - 1] = block.imag
+    return TrainingSet(sources=sources, targets=targets)
 
 
 def build_mw_batch(kspace: MultiCoilKSpace, mw: MultiWeightConfig) -> np.ndarray:
@@ -312,16 +313,8 @@ def _scan_specific_reconstruct(
         arch = replace(cfg.arch, in_channels=2 * nv)
     batch = build_mw_batch(MultiCoilKSpace(virt), mw)  # [n_f, nv, ny, nx]
 
-    pairs = [
-        _training_pairs(MultiCoilKSpace(w[:, acs_sl, :]), R, arch, pattern.acs_start)
-        for w in batch
-    ]
-    ts = TrainingSet(  # float32: the networks compute in their input's precision
-        sources=np.concatenate([p[0] for p in pairs], dtype=np.float32),  # [n_f, ch, ky, kx]
-        targets=np.concatenate(  # [nv, n_f, out, oh, ow]
-            [p[1] for p in pairs], axis=1, dtype=np.float32
-        ),
-    )
+    # float32: the networks compute in their input's precision
+    ts = _training_pairs(batch[:, :, acs_sl, :], R, arch, pattern.acs_start, np.float32)
     nets0 = [init_network(arch, cfg.seed + coil) for coil in range(nv)]
     nets, histories = train(nets0, ts, cfg.optimizer)
 

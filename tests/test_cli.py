@@ -290,22 +290,23 @@ def test_recon_config_keys_reach_the_recon_config(scan, monkeypatch):
 
     def run(method, *extra):
         argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
-                "--iters", "1", "--ridge", "1e-3", "--out", str(tmp_path / "r.mwks"), *extra]
+                "--out", str(tmp_path / "r.mwks"), *extra]
         assert main(argv) == 0
         return calls[-1][0]
 
-    cfg = run("mw-rraki", "--config", str(config))
+    cfg = run("mw-rraki", "--iters", "1", "--config", str(config))
     out = LayerSpec(6, 3, 2, "identity")  # 2·(R−1) channels at R = 4
-    assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2, "relu"), out), dilation=1, skip=out)
+    assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2, "relu"), out), skip=out)
     assert cfg.multiweight.filters[0].is_all_pass
     assert [f.params.P for f in cfg.multiweight.filters[1:]] == [0.5]
     assert cfg.multiweight.eps == 1e-4
-    cfg = run("mw-rraki", "--config", str(config), "--filters", "")
+    cfg = run("mw-rraki", "--iters", "1", "--config", str(config), "--filters", "")
     assert len(cfg.multiweight.filters) == 1 and cfg.multiweight.filters[0].is_all_pass
     assert cfg.multiweight.eps == 1e-4
-    cfg = run("grappa", "--grappa-kernel", "bx:2,by:2")
+    cfg = run("grappa", "--ridge", "1e-3", "--grappa-kernel", "bx:2,by:2")
     assert cfg.grappa_geometry == KernelGeometry(R=4, bx_half=2, by_taps=2)
-    cfg = run("grappa", "--grappa-kernel", "bx:1,by:3")
+    assert cfg.ridge == 1e-3
+    cfg = run("grappa", "--ridge", "1e-3", "--grappa-kernel", "bx:1,by:3")
     assert cfg.grappa_geometry == KernelGeometry(R=4, bx_half=1, by_taps=3)
 
 
@@ -316,9 +317,9 @@ def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
 
     def run(method, *extra):
         return main(["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4",
-                     "--acs", "16", "--iters", "1", "--out", str(tmp_path / "r.mwks"), *extra])
+                     "--acs", "16", "--out", str(tmp_path / "r.mwks"), *extra])
 
-    assert run("raki", "--config", str(config)) == 2
+    assert run("raki", "--iters", "1", "--config", str(config)) == 2
     assert f"{config}:1: bad value for key 'layers': '16@3'" in capsys.readouterr().err
     assert run("grappa", "--grappa-kernel", "bx:1") != 0
     assert "'bx:1'" in capsys.readouterr().err
@@ -384,8 +385,9 @@ def test_recon_rejects_a_key_the_method_never_reads(scan, capsys, method, text, 
     tmp_path, _, under = scan
     config = tmp_path / "recon.cfg"
     config.write_text(text, encoding="utf-8")
+    flags = ["--ridge", "1e-3"] if method == "grappa" else ["--iters", "1"]
     argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
-            "--iters", "1", "--ridge", "1e-3", "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+            *flags, "--config", str(config), "--out", str(tmp_path / "r.mwks")]
     assert main(argv) == 2
     assert f"{config}:{line}: key '{key}' is not read by {method}" in capsys.readouterr().err
     assert not (tmp_path / "r.mwks").exists()
@@ -427,3 +429,65 @@ def test_reports_count_the_virtual_coils(tmp_path, monkeypatch):
                  "--acs", "16", "--iters", "1", "--ridge", "1e-3", "--report", str(report)]) == 0
     rows = read_rows(report)
     assert [r["virtual_coils"] for r in rows] == ["0", str(len(calls[-1][1].loss_histories))]
+
+
+@pytest.mark.parametrize("method, flag", [
+    ("raki", ["--filters", "0.5"]),
+    ("rraki", ["--filter-eps", "1e-4"]),
+    ("raki", ["--grappa-kernel", "bx:2,by:2"]),
+    ("mw-raki", ["--ridge", "1e-3"]),
+    ("grappa", ["--iters", "2"]),
+    ("grappa", ["--lr", "0.01"]),
+    ("grappa", ["--seed", "4"]),
+], ids=["raki_filters", "rraki_filter_eps", "raki_grappa_kernel", "mw_raki_ridge", "grappa_iters",
+        "grappa_lr", "grappa_seed"])
+def test_recon_rejects_a_flag_the_method_never_reads(scan, capsys, method, flag):
+    tmp_path, _, under = scan
+    name = flag[0]
+    global_flag = name == "--seed"
+    argv = ["--quiet", *(flag if global_flag else []), "recon", "--method", method, "--input", str(under),
+            "--R", "4", "--acs", "16", *([] if global_flag else flag), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    assert f"flag {name} is not read by {method}" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+def test_compare_checks_flags_against_all_its_methods(scan, capsys):
+    tmp_path, full, _ = scan
+
+    def compare(methods, *flags):
+        return main(["--quiet", "compare", "--input", str(full), "--methods", methods, "--R", "4",
+                     "--acs", "16", "--iters", "1", *flags, "--report", str(tmp_path / "c.csv")])
+
+    assert compare("grappa,raki", "--filters", "0.5") == 2
+    assert "flag --filters is not read by grappa, raki" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    assert compare("raki,rraki", "--ridge", "1e-3") == 2
+    assert "flag --ridge is not read by raki, rraki" in capsys.readouterr().err
+    assert compare("grappa,mw-raki", "--ridge", "1e-3", "--filters", "0.5") == 0
+    assert len(read_rows(tmp_path / "c.csv")) == 2
+
+
+@pytest.mark.parametrize("line", ["iters = 0", "lr = -1"], ids=["zero_iters", "negative_lr"])
+def test_recon_rejects_out_of_range_optimizer_values(scan, capsys, line):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(f"{line}\n", encoding="utf-8")
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(tmp_path / "r.mwks")]
+    assert main(argv) == 2
+    key = line.split(" = ")[0]
+    assert f"{config}:1: bad value for key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+@pytest.mark.parametrize("line", ["iters = 0", "lr = -1"], ids=["zero_iters", "negative_lr"])
+def test_ablate_rejects_out_of_range_optimizer_values(tmp_path, capsys, line):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1, 2\n{line}\n",
+                      encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"{config}:6: bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()

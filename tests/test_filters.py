@@ -89,12 +89,6 @@ def weighted(ks, f):
 class TestApplyFilter:
     """Weighting a measurement, which :func:`build_mw_batch` does for every branch."""
 
-    def test_all_pass_identity(self):
-        rng = np.random.default_rng(0)
-        ks = random_kspace(rng, 2, 8, 8)
-        out = build_mw_batch(ks, MultiWeightConfig((all_pass_filter(8, 8),)))[0]
-        assert np.array_equal(out, ks.data)
-
     def test_center_zeroed(self):
         rng = np.random.default_rng(1)
         ks = random_kspace(rng, 3, 8, 8)

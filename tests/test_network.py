@@ -20,9 +20,14 @@ from mwrecon.pipelines import default_arch
 from oracles import conv_naive
 
 
+def run(net, x):
+    """One network's output [batch, out, oh, ow]."""
+    return forward([net], x)[0]
+
+
 def mse(net, ts):
-    """Mean squared error of ``forward`` against the targets."""
-    diff = forward(net, ts.sources) - ts.targets
+    """Mean squared error of ``forward`` against a one-coil training set's targets."""
+    diff = forward([net], ts.sources) - ts.targets
     return float(np.mean(diff * diff))
 
 
@@ -31,18 +36,33 @@ def zero_main(net):
     return ScanNetwork(net.arch, tuple(np.zeros_like(w) for w in net.weights), net.skip_weight)
 
 
-def small_arch(in_ch=2, hidden=3, out=2, dilation=1, skip=False, depth=2):
+def small_arch(in_ch=2, hidden=3, out=2, skip=False, depth=2):
     hidden_layers = (LayerSpec(hidden, 3, 2, "relu"), LayerSpec(hidden, 2, 2, "relu"))
     layers = hidden_layers[: depth - 1] + (LayerSpec(out, 3, 2, "identity"),)
     skip_spec = LayerSpec(out, 3, 2, "identity") if skip else None
-    return NetworkArch(in_channels=in_ch, layers=layers, dilation=dilation, skip=skip_spec)
+    return NetworkArch(in_channels=in_ch, layers=layers, skip=skip_spec)
 
 
 def make_training_set(rng, arch, batch=1, h=9, w=10):
+    """Random sources and one coil's random targets."""
     src = rng.standard_normal((batch, arch.in_channels, h, w))
     oh, ow = arch.output_shape(h, w)
-    tgt = rng.standard_normal((batch, arch.out_channels, oh, ow))
+    tgt = rng.standard_normal((1, batch, arch.out_channels, oh, ow))
     return TrainingSet(sources=src, targets=tgt)
+
+
+def dilated_reference(net, x, spacing):
+    """``net``'s output with ky taps ``spacing`` rows apart, from the naive oracle."""
+    arch, h = net.arch, x
+    for w, spec in zip(net.weights, arch.layers):
+        h = conv_naive(h, w, spacing)
+        if spec.activation == "relu":
+            h = np.maximum(h, 0.0)
+    if net.skip_weight is not None:
+        oh, ow = h.shape[2:]
+        dy, dx = arch.skip_row_offset * spacing, arch.skip_col_offset
+        h = h + conv_naive(x, net.skip_weight, spacing)[:, :, dy:dy + oh, dx:dx + ow]
+    return h
 
 
 class TestArchValidation:
@@ -66,15 +86,23 @@ class TestArchValidation:
         arch = NetworkArch(
             4,
             (LayerSpec(32, 5, 2, "relu"), LayerSpec(8, 1, 1, "relu"), LayerSpec(2, 3, 2, "identity")),
-            dilation=4,
             skip=LayerSpec(2, 5, 2, "identity"),
         )
         assert arch.ky_taps_excess == 2
-        assert arch.rf_rows == 9
         assert arch.rf_cols == 7
         assert arch.target_row_gap == 0
         assert arch.target_col_offset == 3
-        assert arch.output_shape(20, 20) == (12, 14)
+        assert arch.output_shape(20, 20) == (18, 14)
+        with pytest.raises(ValueError, match="receptive field 3x7"):
+            arch.output_shape(2, 20)
+
+    def test_ky_taps_are_always_adjacent_rows(self):
+        arch = small_arch()
+        assert arch.dilation == 1
+        with pytest.raises(TypeError):
+            NetworkArch(2, arch.layers, dilation=2)
+        with pytest.raises(TypeError):
+            replace(arch, dilation=2)
 
 
 class TestInit:
@@ -113,61 +141,61 @@ class TestForward:
             None,
         )
         x = np.random.default_rng(0).standard_normal((1, 2, 8, 8))
-        assert np.all(forward(zero, x) == 0)
+        assert np.all(forward([zero], x) == 0)
 
     def test_identity_one_by_one_layer(self):
         arch = NetworkArch(3, (LayerSpec(3, 1, 1, "identity"),))
         eye = np.eye(3).reshape(3, 3, 1, 1)
         net = ScanNetwork(arch, (eye,), None)
         x = np.random.default_rng(1).standard_normal((2, 3, 5, 6))
-        assert np.array_equal(forward(net, x), x)
+        assert np.array_equal(run(net, x), x)
 
-    @pytest.mark.parametrize("dilation", [1, 2, 4, 6])
-    def test_matches_naive_convolution(self, dilation):
-        rng = np.random.default_rng(10 + dilation)
-        arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation)
-        net = init_network(arch, 7)
-        h = 2 + arch.ky_taps_excess * dilation + 3
+    @pytest.mark.parametrize("spacing", [1, 2, 4, 6])
+    def test_matches_naive_convolution(self, spacing):
+        # the pipelines run on lattice-compacted rows: unit-spaced taps there
+        # compute the sums of ``spacing``-spaced taps at the lattice rows of
+        # the full grid
+        rng = np.random.default_rng(10 + spacing)
+        net = init_network(small_arch(in_ch=2, hidden=3, out=2), 7)
+        h = 2 + net.arch.ky_taps_excess * spacing + 3
         x = rng.standard_normal((2, 2, h, 9))
-        z1 = conv_naive(x, net.weights[0], dilation)
-        expected = conv_naive(np.maximum(z1, 0.0), net.weights[1], dilation)
-        assert np.max(np.abs(forward(net, x) - expected)) < 1e-10
+        expected = dilated_reference(net, x, spacing)[:, :, ::spacing]
+        out = run(net, x[:, :, ::spacing])
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_single_conv_matches_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 3, 10, 8))
         w = rng.standard_normal((4, 3, 2, 3))
-        for d in (1, 2, 3):
-            net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),), dilation=d), (w,), None)
-            assert np.max(np.abs(forward(net, x) - conv_naive(x, w, d))) < 1e-12
+        net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),)), (w,), None)
+        assert np.max(np.abs(run(net, x) - conv_naive(x, w, 1))) < 1e-12
 
     def test_dilated_on_lattice_equals_compact(self):
-        # R-spaced taps sliding on the stride-R lattice compute the same sums
-        # as unit-spaced taps on the row-compacted array
+        # the pipelines' residual network on the row-compacted R = 3 lattice,
+        # skip window included, against R-spaced taps on the full grid
         rng = np.random.default_rng(4)
         R = 3
-        full = rng.standard_normal((1, 2, 18, 9))
-        arch_d = small_arch(dilation=R)
-        net_d = init_network(arch_d, 5)
-        arch_c = small_arch(dilation=1)
-        net_c = ScanNetwork(arch_c, net_d.weights, None)
-        out_full = forward(net_d, full)[:, :, ::R, :]
-        out_compact = forward(net_c, full[:, :, ::R, :])
-        assert np.max(np.abs(out_full - out_compact)) < 1e-12
+        net = init_network(default_arch("rraki", 1, R), 5)
+        full = rng.standard_normal((1, 2, 19, 10))
+        expected = dilated_reference(net, full, R)[:, :, ::R]
+        out = run(net, full[:, :, ::R])
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_residual_decomposition(self):
         rng = np.random.default_rng(6)
         arch = small_arch(skip=True)
         net = init_network(arch, 8)
         x = rng.standard_normal((1, 2, 9, 9))
-        total = forward(net, x)
+        total = run(net, x)
         main = ScanNetwork(replace(arch, skip=None), net.weights, None)
-        skip = forward(zero_main(net), x)
-        assert np.array_equal(total, forward(main, x) + skip)
+        skip = run(zero_main(net), x)
+        assert np.array_equal(total, run(main, x) + skip)
         # the skip path is a plain convolution, cropped to the main chain's grid
         oh, ow = arch.output_shape(9, 9)
-        dy, dx = arch.skip_row_offset * arch.dilation, arch.skip_col_offset
-        expected = conv_naive(x, net.skip_weight, arch.dilation)[:, :, dy:dy + oh, dx:dx + ow]
+        dy, dx = arch.skip_row_offset, arch.skip_col_offset
+        expected = conv_naive(x, net.skip_weight, 1)[:, :, dy:dy + oh, dx:dx + ow]
         assert np.max(np.abs(skip - expected)) < 1e-12
 
     def test_off_centre_skip_window(self):
@@ -175,18 +203,18 @@ class TestForward:
         # rows and columns offset into the receptive field
         rng = np.random.default_rng(7)
         arch = NetworkArch(2, (LayerSpec(3, 3, 3, "relu"), LayerSpec(2, 3, 3, "identity")),
-                           dilation=2, skip=LayerSpec(2, 1, 1, "identity"))
+                           skip=LayerSpec(2, 1, 1, "identity"))
         assert (arch.skip_row_offset, arch.skip_col_offset) == (2, 2)
         net = init_network(arch, 9)
         x = rng.standard_normal((2, 2, 13, 10))
         oh, ow = arch.output_shape(13, 10)
-        skip = forward(zero_main(net), x)
-        expected = conv_naive(x, net.skip_weight, arch.dilation)[:, :, 4:4 + oh, 2:2 + ow]
+        skip = run(zero_main(net), x)
+        expected = conv_naive(x, net.skip_weight, 1)[:, :, 2:2 + oh, 2:2 + ow]
         assert np.max(np.abs(skip - expected)) < 1e-12
         # training reads the same window: the skip gradient of a linear path
-        ts = TrainingSet(x, rng.standard_normal((2, 2, oh, ow)))
+        ts = TrainingSet(x, rng.standard_normal((1, 2, 2, oh, ow)))
         nw = network_module
-        targets = np.ascontiguousarray(ts.targets[None].transpose(0, 2, 1, 3, 4))
+        targets = np.ascontiguousarray(ts.targets.transpose(0, 2, 1, 3, 4))
         losses, grads = nw._loss_and_grads(arch, nw._pack([net], x.dtype),
                                            nw._input_cols(arch, x), targets)
         assert losses[0] == pytest.approx(mse(net, ts), rel=1e-12)
@@ -196,7 +224,7 @@ class TestForward:
     def test_channel_mismatch(self):
         net = init_network(small_arch(in_ch=2), 0)
         with pytest.raises(ValueError, match="input"):
-            forward(net, np.zeros((1, 3, 8, 8)))
+            forward([net], np.zeros((1, 3, 8, 8)))
 
 
 class TestLoss:
@@ -205,7 +233,7 @@ class TestLoss:
         arch = small_arch()
         net = init_network(arch, 1)
         src = rng.standard_normal((1, 2, 9, 9))
-        ts = TrainingSet(sources=src, targets=forward(net, src))
+        ts = TrainingSet(sources=src, targets=forward([net], src))
         assert mse(net, ts) == 0.0
 
     def test_zero_net_unit_targets(self):
@@ -213,7 +241,7 @@ class TestLoss:
         zero = ScanNetwork(arch, tuple(np.zeros_like(w) for w in init_network(arch, 0).weights), None)
         src = np.zeros((1, 2, 9, 9))
         oh, ow = arch.output_shape(9, 9)
-        ts = TrainingSet(sources=src, targets=np.ones((1, arch.out_channels, oh, ow)))
+        ts = TrainingSet(sources=src, targets=np.ones((1, 1, arch.out_channels, oh, ow)))
         assert mse(zero, ts) == pytest.approx(1.0)
 
     def test_matches_mean_square_oracle(self):
@@ -221,7 +249,7 @@ class TestLoss:
         arch = small_arch(skip=True)
         net = init_network(arch, 3)
         ts = make_training_set(rng, arch, batch=2)
-        out = forward(net, ts.sources)
+        out = forward([net], ts.sources)
         total = 0.0
         count = 0
         for idx in np.ndindex(out.shape):
@@ -236,7 +264,7 @@ def _min_preactivation(net, x):
     smallest = np.inf
     h = x
     for w, spec in zip(net.weights, arch.layers):
-        z = conv_naive(h, w, arch.dilation)
+        z = conv_naive(h, w, 1)
         if spec.activation == "relu":
             smallest = min(smallest, float(np.min(np.abs(z))))
             h = np.maximum(z, 0.0)
@@ -274,16 +302,16 @@ def relative_error(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-def gradient_check_instance(seed, dilation=1, skip=False, depth=2):
+def gradient_check_instance(seed, skip=False, depth=2):
     """One verified gradient-check instance; resamples away from ReLU kinks."""
     for attempt in range(20):
         rng = np.random.default_rng(seed + 1000 * attempt)
-        arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation, skip=skip, depth=depth)
+        arch = small_arch(in_ch=2, hidden=3, out=2, skip=skip, depth=depth)
         net = init_network(arch, seed + 1000 * attempt)
-        h = 2 + arch.ky_taps_excess * dilation + 3
+        h = 2 + arch.ky_taps_excess + 3
         ts = TrainingSet(
             sources=rng.standard_normal((1, 2, h, 9)),
-            targets=rng.standard_normal((1, 2) + arch.output_shape(h, 9)),
+            targets=rng.standard_normal((1, 1, 2) + arch.output_shape(h, 9)),
         )
         if _min_preactivation(net, ts.sources) > 1e-3:
             return net, ts
@@ -296,13 +324,12 @@ class TestGradients:
         # seeds 6 and 7 add a second hidden layer, so a later layer reads
         # another later layer's output
         skip = seed % 2 == 1
-        dilation = (1, 2, 3)[seed % 3]
         depth = 3 if seed >= 6 else 2
-        net, ts = gradient_check_instance(seed, dilation=dilation, skip=skip, depth=depth)
+        net, ts = gradient_check_instance(seed, skip=skip, depth=depth)
         # the training path's loss and gradients, against the inference path's loss
         nw, arch = network_module, net.arch
         params = nw._pack([net], ts.sources.dtype)
-        targets = np.ascontiguousarray(ts.targets[None].transpose(0, 2, 1, 3, 4))
+        targets = np.ascontiguousarray(ts.targets.transpose(0, 2, 1, 3, 4))
         input_cols = nw._input_cols(arch, ts.sources)
         losses, grads = nw._loss_and_grads(arch, params, input_cols, targets)
         assert losses[0] == pytest.approx(mse(net, ts), rel=1e-12)
@@ -342,8 +369,8 @@ class TestTrainOptimizerWiring:
 
     def run(self, opt):
         net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),)), (scalar(self.W0),), None)
-        trained, history = train(net, TrainingSet(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1))), opt)
-        return trained.weights[0][0, 0, 0, 0], history
+        trained, histories = train([net], TrainingSet(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1, 1))), opt)
+        return trained[0].weights[0][0, 0, 0, 0], histories[0]
 
     def test_adam_two_steps(self):
         lr = 0.1
@@ -366,9 +393,9 @@ class TestTrain:
         arch = small_arch()
         net = init_network(arch, 0)
         ts = make_training_set(rng, arch)
-        trained, history = train(net, ts, OptimizerConfig(lr=0.0, iters=1))
-        assert history.shape == (1,)
-        for w0, w1 in zip(net.weights, trained.weights):
+        trained, histories = train([net], ts, OptimizerConfig(lr=0.0, iters=1))
+        assert histories.shape == (1, 1)
+        for w0, w1 in zip(net.weights, trained[0].weights):
             assert np.array_equal(w0, w1)
 
     def test_history_minimum_not_above_start(self):
@@ -376,7 +403,7 @@ class TestTrain:
         arch = small_arch(skip=True)
         net = init_network(arch, 1)
         ts = make_training_set(rng, arch, batch=2)
-        _, history = train(net, ts, OptimizerConfig(iters=500))
+        _, (history,) = train([net], ts, OptimizerConfig(iters=500))
         assert np.isfinite(history).all()
         assert history.min() <= history[0]
 
@@ -387,8 +414,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             net = init_network(arch, 3)
-            _, history = train(net, ts, OptimizerConfig(iters=50))
-            runs.append(history)
+            _, histories = train([net], ts, OptimizerConfig(iters=50))
+            runs.append(histories)
         assert np.array_equal(runs[0], runs[1])
 
     def test_divergence_raises(self):
@@ -397,7 +424,7 @@ class TestTrain:
         net = init_network(arch, 4)
         ts = make_training_set(rng, arch)
         with pytest.raises(TrainingDivergedError, match="iteration"):
-            train(net, ts, OptimizerConfig(lr=1e100, iters=200))
+            train([net], ts, OptimizerConfig(lr=1e100, iters=200))
 
     def test_learns_self_realizable_targets(self):
         # teacher and student share the architecture; loss must fall by 1e4x.
@@ -409,20 +436,23 @@ class TestTrain:
         )
         teacher = init_network(arch, 99)
         src = rng.standard_normal((1, 24, 8, 64))
-        ts = TrainingSet(sources=src, targets=forward(teacher, src))
+        ts = TrainingSet(sources=src, targets=forward([teacher], src))
         student = init_network(arch, 7)
         initial = mse(student, ts)
-        trained, history = train(student, ts, OptimizerConfig(lr=0.001, iters=2000))
+        (trained,), _ = train([student], ts, OptimizerConfig(lr=0.001, iters=2000))
         assert mse(trained, ts) <= 1e-4 * initial
 
 
-def coil_case(coils=3, depth=2, dilation=1, skip=False, seed=0):
-    """Same-architecture networks, one per coil, with shared sources and per-coil targets."""
+def coil_case(coils=3, depth=2, samples=2, skip=False, seed=0):
+    """Same-architecture networks, one per coil, with shared sources and per-coil targets.
+
+    ``samples`` is the batch size: one weighting branch (RAKI) or several (MW-RAKI).
+    """
     rng = np.random.default_rng(seed)
-    arch = small_arch(in_ch=2, hidden=3, out=2, dilation=dilation, skip=skip, depth=depth)
-    h = 2 + arch.ky_taps_excess * dilation + 4
-    src = rng.standard_normal((2, 2, h, 9))
-    tgt = rng.standard_normal((coils, 2, 2) + arch.output_shape(h, 9))
+    arch = small_arch(in_ch=2, hidden=3, out=2, skip=skip, depth=depth)
+    h = 2 + arch.ky_taps_excess + 4
+    src = rng.standard_normal((samples, 2, h, 9))
+    tgt = rng.standard_normal((coils, samples, 2) + arch.output_shape(h, 9))
     nets = [init_network(arch, 10 + c) for c in range(coils)]
     return nets, TrainingSet(sources=src, targets=tgt)
 
@@ -434,16 +464,16 @@ def max_relative(a, b):
 class TestCoilBatching:
     """Training or running C networks together equals C independent one-network runs."""
 
-    @pytest.mark.parametrize("opt", [OptimizerConfig(lr=0.01, iters=30)], ids=["adam"])
     @pytest.mark.parametrize("skip", [False, True])
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_batched_training_matches_per_coil(self, opt, skip, dilation, depth):
-        nets, ts = coil_case(depth=depth, dilation=dilation, skip=skip)
+    def test_batched_training_matches_per_coil(self, skip, samples, depth):
+        opt = OptimizerConfig(lr=0.01, iters=30)
+        nets, ts = coil_case(depth=depth, samples=samples, skip=skip)
         trained, histories = train(nets, ts, opt)
         assert len(trained) == 3 and histories.shape == (3, 30)
         for c, net in enumerate(nets):
-            alone, history = train(net, TrainingSet(ts.sources, ts.targets[c]), opt)
+            (alone,), (history,) = train([net], TrainingSet(ts.sources, ts.targets[c:c + 1]), opt)
             assert history.shape == (30,)
             assert max_relative(histories[c], history) <= 1e-10
             assert history[-1] < history[0]
@@ -453,13 +483,13 @@ class TestCoilBatching:
                 assert max_relative(trained[c].skip_weight, alone.skip_weight) <= 1e-10
 
     @pytest.mark.parametrize("skip", [False, True])
-    @pytest.mark.parametrize("dilation", [1, 2])
-    def test_batched_forward_matches_per_coil(self, skip, dilation):
-        nets, ts = coil_case(depth=3, dilation=dilation, skip=skip, seed=1)
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_batched_forward_matches_per_coil(self, skip, samples):
+        nets, ts = coil_case(depth=3, samples=samples, skip=skip, seed=1)
         out = forward(nets, ts.sources)
-        assert out.shape == (3,) + ts.targets.shape[1:]
+        assert out.shape == ts.targets.shape
         for c, net in enumerate(nets):
-            assert max_relative(out[c], forward(net, ts.sources)) <= 1e-12
+            assert max_relative(out[c], run(net, ts.sources)) <= 1e-12
 
     def test_divergence_names_the_first_diverged_coil(self):
         nets, ts = coil_case(seed=2)
@@ -483,24 +513,35 @@ class TestCoilBatching:
         with pytest.raises(ValueError, match="targets shape"):
             train(nets[:2], ts, OptimizerConfig(iters=1))
 
+    def test_takes_only_a_non_empty_list_of_networks(self):
+        nets, ts = coil_case(coils=1)
+        with pytest.raises(TypeError):
+            train(nets[0], ts, OptimizerConfig(iters=1))
+        with pytest.raises(TypeError):
+            forward(nets[0], ts.sources)
+        with pytest.raises(ValueError, match="at least one network"):
+            forward([], ts.sources)
+        with pytest.raises(ValueError, match=r"targets \[coils, batch"):
+            TrainingSet(ts.sources, ts.targets[0])
+
 
 class TestCoilAxis:
     """One call on a stack of coils equals one call per coil."""
 
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("depth", [2, 3, 5])
-    def test_layer_and_grads_match_one_coil_calls(self, depth, dilation):
+    def test_layer_and_grads_match_one_coil_calls(self, depth, n):
         nw = network_module
-        arch = replace(default_arch("rraki", 2, 3, depth), dilation=dilation)
-        rng = np.random.default_rng(depth + 10 * dilation)
-        coils, n, hh, ww = 3, 2, 3 + 2 * dilation, 9
+        arch = default_arch("rraki", 2, 3, depth)
+        rng = np.random.default_rng(depth + 10 * n)
+        coils, hh, ww = 3, 5, 9
         for li in range(1, depth):
             spec, in_ch = arch.layers[li], arch.layers[li - 1].out_channels
             h = rng.standard_normal((coils, in_ch, n, hh, ww))
             taps = spec.ky_taps * spec.kx_width
             w = rng.standard_normal((coils, taps * spec.out_channels, in_ch))
             out = nw._layer(arch, li, w, h)
-            oh, ow = hh - (spec.ky_taps - 1) * dilation, ww - (spec.kx_width - 1)
+            oh, ow = hh - (spec.ky_taps - 1), ww - (spec.kx_width - 1)
             assert out.shape == (coils, spec.out_channels, n, oh, ow)
             d = rng.standard_normal(out.shape)
             grad_w, grad_h = nw._layer_grads(arch, li, w, h, d)
@@ -552,10 +593,10 @@ class TestCoilGroups:
         return results, sizes
 
     @pytest.mark.parametrize("skip", [False, True])
-    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 2])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_group_size_does_not_change_the_result(self, monkeypatch, depth, dilation, skip):
-        nets, ts = coil_case(coils=3, depth=depth, dilation=dilation, skip=skip, seed=4)
+    def test_group_size_does_not_change_the_result(self, monkeypatch, depth, samples, skip):
+        nets, ts = coil_case(coils=3, depth=depth, samples=samples, skip=skip, seed=4)
         opt = OptimizerConfig(lr=0.01, iters=30)
         (reference, ref_out), ref_sizes = self.run_with_groups(monkeypatch, nets, ts, 1, opt)
         # one layer has no later layers, so every coil is one group
@@ -653,9 +694,9 @@ class TestPrecision:
         out32 = forward(nets, ts32.sources)
         assert out32.dtype == np.float32
         assert forward(nets, ts64.sources).dtype == np.float64
-        assert forward(nets[0], ts32.sources).dtype == np.float32
+        assert run(nets[0], ts32.sources).dtype == np.float32
         if skip:
-            assert forward(zero_main(nets[0]), ts32.sources).dtype == np.float32
+            assert run(zero_main(nets[0]), ts32.sources).dtype == np.float32
         assert max_relative(out32, forward(nets, ts64.sources)) <= 1e-5
 
     @pytest.mark.parametrize("skip", [False, True])

@@ -75,9 +75,9 @@ class TestBuildTrainingPairs:
         ts = build_training_pairs(acs, R=2, arch=arch, target_coil=0)
         # sources: lattice rows {0, 2, 4}; windows {0,2} and {2,4}; targets rows 1 and 3
         assert ts.sources.shape == (1, 2, 3, 6)
-        assert ts.targets.shape == (1, 2, 2, 4)
-        assert np.array_equal(ts.targets[0, 0], data[0, [1, 3], 1:5].real)
-        assert np.array_equal(ts.targets[0, 1], data[0, [1, 3], 1:5].imag)
+        assert ts.targets.shape == (1, 1, 2, 2, 4)
+        assert np.array_equal(ts.targets[0, 0, 0], data[0, [1, 3], 1:5].real)
+        assert np.array_equal(ts.targets[0, 0, 1], data[0, [1, 3], 1:5].imag)
 
     def test_sources_are_lattice_rows_split(self):
         rng = np.random.default_rng(1)
@@ -104,14 +104,14 @@ class TestBuildTrainingPairs:
         acs = MultiCoilKSpace(data)
         arch = NetworkArch(4, (LayerSpec(2, 3, 2, "identity"),))
         ts = build_training_pairs(acs, R=2, arch=arch, target_coil=0)
-        assert np.all(ts.targets[0, 0] == 1.5)
-        assert np.all(ts.targets[0, 1] == 0.0)
+        assert np.all(ts.targets[0, 0, 0] == 1.5)
+        assert np.all(ts.targets[0, 0, 1] == 0.0)
         # a zero-weight linear net starts at the mean of the squared targets
         zero_net = init_network(arch, 0)
         zero_net = type(zero_net)(
             arch, tuple(np.zeros_like(w) for w in zero_net.weights), None
         )
-        _, history = train(zero_net, ts, OptimizerConfig(lr=0.0, iters=1))
+        _, (history,) = train([zero_net], ts, OptimizerConfig(lr=0.0, iters=1))
         assert history[0] == pytest.approx(np.mean(ts.targets**2))
 
     def test_acs_too_small(self):
@@ -126,9 +126,23 @@ class TestBuildTrainingPairs:
         acs = MultiCoilKSpace(data)
         arch = default_arch("raki", n_coils=3, R=4)
         ts = build_training_pairs(acs, R=4, arch=arch, target_coil=2, acs_row0=8)
-        flat_targets = set(np.round(ts.targets[0, :3].ravel(), 12))
+        flat_targets = set(np.round(ts.targets[0, 0, :3].ravel(), 12))
         flat_acs = set(np.round(data[2].real.ravel(), 12))
         assert flat_targets <= flat_acs
+
+    def test_one_pass_over_a_branch_batch_equals_one_coil_at_a_time(self):
+        # the pipelines cut every branch's and coil's pairs at once, in float32
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((3, 2, 20, 12)) + 1j * rng.standard_normal((3, 2, 20, 12))
+        arch = default_arch("rraki", n_coils=2, R=4)
+        ts = pipelines._training_pairs(batch, 4, arch, 8, np.float32)
+        assert ts.sources.dtype == ts.targets.dtype == np.float32
+        assert ts.sources.shape[0] == 3 and ts.targets.shape[:2] == (2, 3)
+        for f in range(3):
+            for coil in range(2):
+                one = build_training_pairs(MultiCoilKSpace(batch[f]), 4, arch, coil, acs_row0=8)
+                assert np.array_equal(ts.sources[f], one.sources[0].astype(np.float32))
+                assert np.array_equal(ts.targets[coil, f], one.targets[0, 0].astype(np.float32))
 
 
 class TestDefaultArch:
@@ -142,7 +156,7 @@ class TestDefaultArch:
         arch = default_arch(method, n_coils=4, R=4, depth=depth)
         assert [spec.kx_width for spec in arch.layers] == widths
         assert [spec.activation for spec in arch.layers] == ["relu"] * (depth - 1) + ["identity"]
-        assert (arch.in_channels, arch.out_channels, arch.dilation) == (8, 6, 1)
+        assert (arch.in_channels, arch.out_channels) == (8, 6)
         if method in ("rraki", "mw_rraki"):
             assert arch.skip == LayerSpec(6, skip_width, 2, "identity")
         else:
