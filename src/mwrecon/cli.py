@@ -84,6 +84,10 @@ ABLATE_KEYS = (
     "depth", "reps", "master_seed", "filter", "iters", "lr",
 )
 ABLATE_LISTS = ("method", "R", "acs", "P", "L", "depth", "filter")
+# the sweep keys that only some methods read -> the recon setting each one sets
+ABLATE_SETTINGS = {"iters": "iters", "lr": "lr", "depth": "layers", "P": "filter", "L": "filter",
+                   "filter": "filter"}
+ABLATE_FLAGS = {"iters": "--iters", "lr": "--lr"}
 
 
 def _fmt(value) -> str:
@@ -143,19 +147,23 @@ def _at_least(kind, low):
     """Parse a ``kind`` value and reject values below ``low``; the config reader names file:line."""
     def convert(text):
         value = kind(text)
-        if value < low:
+        if not value >= low:  # NaN too
             raise ValueError(text)
         return value
     return convert
 
 
 def _optimizer_from(entries, args, source) -> OptimizerConfig:
-    lr = get_scalar(entries, "lr", _at_least(float, 0.0), 0.001, source)
-    iters = get_scalar(entries, "iters", _at_least(int, 1), 1000, source)
-    return OptimizerConfig(
-        lr=args.lr if args.lr is not None else lr,
-        iters=args.iters if args.iters is not None else iters,
-    )
+    """Adam settings: a flag overrides its config key, and both share one lower bound."""
+    values = {}
+    for key, kind, low, default in (("lr", float, 0.0, 0.001), ("iters", int, 1, 1000)):
+        values[key] = get_scalar(entries, key, _at_least(kind, low), default, source)
+        flag = getattr(args, key)
+        if flag is not None:
+            if not flag >= low:
+                raise ConfigError(f"flag --{key} must be >= {low}, got {flag}")
+            values[key] = flag
+    return OptimizerConfig(**values)
 
 
 def _arch_from(entries, n_coils, R, source) -> NetworkArch | None:
@@ -182,18 +190,28 @@ def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None
     return make_multiweight_config(ny, nx, exponents, eps=eps)
 
 
-def _recon_entries(args, methods) -> dict:
-    """The ``--config`` entries; a key or flag none of ``methods`` reads is an error."""
+def _reject_unread(args, entries, methods, setting_of, flags) -> None:
+    """A config key or flag that none of ``methods`` reads is an error.
+
+    ``setting_of`` maps each config key to check to the recon setting
+    (a ``METHOD_KEYS`` entry) it sets; ``flags`` maps settings to flags.
+    """
     read = {key for method in methods for key in METHOD_KEYS[method]}
     names = ", ".join(m.replace("_", "-") for m in methods)
-    entries = load_config(args.config, RECON_KEYS, RECON_LISTS) if args.config else {}
-    unread = [(lines[0][0], key) for key, lines in entries.items() if key not in read]
+    unread = [(lines[0][0], key) for key, lines in entries.items()
+              if key in setting_of and setting_of[key] not in read]
     if unread:
         lineno, key = min(unread)
         raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read by {names}")
-    for key, flag in RECON_FLAGS.items():
+    for key, flag in flags.items():
         if key not in read and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ConfigError(f"flag {flag} is not read by {names}")
+
+
+def _recon_entries(args, methods) -> dict:
+    """The ``--config`` entries; a key or flag none of ``methods`` reads is an error."""
+    entries = load_config(args.config, RECON_KEYS, RECON_LISTS) if args.config else {}
+    _reject_unread(args, entries, methods, {key: key for key in RECON_KEYS}, RECON_FLAGS)
     return entries
 
 
@@ -373,11 +391,12 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs --config FILE")
     source = str(args.config)
     entries = load_config(args.config, ABLATE_KEYS, ABLATE_LISTS)
-    full, ref_sos = _load_ablation_scene(entries, source)
-
     methods = [_normalize_method(m) for m in get_list(entries, "method", str, source)]
     if not methods:
         raise ConfigError(f"{source}: ablation config needs at least one `method = ...` line")
+    _reject_unread(args, entries, methods, ABLATE_SETTINGS, ABLATE_FLAGS)
+    full, ref_sos = _load_ablation_scene(entries, source)
+
     r_values = get_list(entries, "R", int, source) or [4]
     acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
     p_values = get_list(entries, "P", parse_filter_exponent, source) or [None]

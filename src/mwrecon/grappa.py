@@ -8,6 +8,10 @@ the source columns span ``2*bx_half + 1`` readout positions centered on the
 target column.  Kernels are calibrated from the fully sampled ACS block by
 sliding the footprint along the readout axis densely and along ky on the
 acquisition lattice, so calibration equations match inference exactly.
+
+Every (target coil, offset) pair shares one source matrix, so calibration
+is one solve of its Gram (normal-equations) system, and interpolation is
+one product of all kernels with one matrix of source patches.
 """
 
 from __future__ import annotations
@@ -97,19 +101,26 @@ def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.nd
     return anchors[(row0 + anchors) % geom.R == 0]
 
 
-def _source_matrix(data: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -> np.ndarray:
-    """Flattened source patches of ``data``, one row per (anchor, column) position.
+def _source_matrix(
+    grid: np.ndarray, anchors: np.ndarray, geom: KernelGeometry, coils_last: bool
+) -> np.ndarray:
+    """Flattened source patches of a ``[ky, kx, coil]`` grid, one row per (anchor, column).
 
-    ``anchors`` are the footprints' top rows.  Column order is coil-major,
-    then by tap, then bx tap.
+    ``anchors`` are the footprints' top rows, ascending.  Columns are
+    coil-major, then by tap, then bx tap; with ``coils_last`` they are by
+    tap, then bx tap, then coil.  Each run of anchors ``R`` rows apart is
+    one strided view of ``grid``, copied straight into the matrix.
     """
-    n_coils = data.shape[0]
-    cols = sliding_window_view(data, geom.kx_width, axis=2)  # [c, ky, x0, kx]
-    tap_rows = anchors[:, None] + np.arange(geom.by_taps) * geom.R  # [n_anchor, by]
-    patches = cols[:, tap_rows, :, :]  # [c, n_anchor, by, x0, kx]
-    patches = patches.transpose(1, 3, 0, 2, 4)  # [n_anchor, x0, c, by, kx]
-    n_pos = patches.shape[0] * patches.shape[1]
-    return patches.reshape(n_pos, geom.n_sources(n_coils))
+    taps = sliding_window_view(grid, (geom.footprint_rows, geom.kx_width), axis=(0, 1))
+    taps = taps[..., :: geom.R, :]  # [ky, x0, coil, by, bx]
+    if coils_last:
+        taps = taps.transpose(0, 1, 3, 4, 2)
+    patches = np.empty((anchors.size,) + taps.shape[1:], dtype=grid.dtype)
+    # run boundaries; unique drops the empty run of no anchors
+    bounds = np.unique(np.r_[0, np.flatnonzero(np.diff(anchors) != geom.R) + 1, anchors.size])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        patches[lo:hi] = taps[anchors[lo] : anchors[hi - 1] + 1 : geom.R]
+    return patches.reshape(-1, geom.n_sources(grid.shape[2]))
 
 
 def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
@@ -124,7 +135,7 @@ def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
             f"ACS too small for geometry: {acs.ny} rows, footprint needs "
             f"{geom.footprint_rows} rows on the acquisition lattice"
         )
-    A = _source_matrix(acs.data, anchors, geom)
+    A = _source_matrix(acs.data.transpose(1, 2, 0), anchors, geom, coils_last=False)
     rows = anchors + geom.gap_index * geom.R + np.arange(1, geom.R)[:, None]  # [m, n_anchor]
     targets = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half]  # [c, m, n_anchor, x0]
     B = np.ascontiguousarray(targets.reshape(acs.n_coils * (geom.R - 1), -1).T)
@@ -139,8 +150,12 @@ def calibrate(
 ) -> GrappaKernel:
     """Fit kernels for every (target coil, offset) pair from the ACS block.
 
-    ``ridge`` adds Tikhonov damping; with ``ridge == 0`` a rank-deficient
-    system raises ``numpy.linalg.LinAlgError``.
+    All pairs share one source matrix ``A``, so one solve of
+    ``(AᴴA + ridge·I) W = AᴴB`` fits them all.  ``ridge`` adds Tikhonov
+    damping.  With ``ridge == 0`` a rank-deficient system raises
+    ``numpy.linalg.LinAlgError``; the rank counts the eigenvalues of
+    ``AᴴA`` above ``n·eps·λ_max`` for ``n`` unknowns, which calls a system
+    singular from about ``cond(A) = 1/sqrt(n·eps)`` on.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -152,15 +167,18 @@ def calibrate(
             f"{n_unknowns} unknowns)",
             stacklevel=2,
         )
+    AH = A.conj().T
+    G = AH @ A
     if ridge == 0.0:
-        W, _, rank, _ = np.linalg.lstsq(A, B, rcond=None)
+        eig = np.linalg.eigvalsh(G)  # ascending
+        rank = int(np.count_nonzero(eig > n_unknowns * np.finfo(float).eps * eig[-1]))
         if rank < n_unknowns:
             raise np.linalg.LinAlgError(
                 f"singular calibration system (rank {rank} < {n_unknowns}); use ridge > 0"
             )
     else:
-        G = A.conj().T @ A + ridge * np.eye(n_unknowns)
-        W = np.linalg.solve(G, A.conj().T @ B)
+        G[np.diag_indices(n_unknowns)] += ridge
+    W = np.linalg.solve(G, AH @ B)
     weights = W.T.reshape(acs.n_coils, geom.R - 1, acs.n_coils, geom.by_taps, geom.kx_width)
     return GrappaKernel(geometry=geom, n_coils=acs.n_coils, weights=weights)
 
@@ -183,21 +201,20 @@ def interpolate(
         )
     if undersampled.ny != pattern.ny:
         raise ValueError(f"grid has {undersampled.ny} rows but pattern expects {pattern.ny}")
-    nx = undersampled.nx
+    n_coils, ny, nx = undersampled.data.shape
     pad_top = geom.gap_index * geom.R
-    pad_bottom = (geom.by_taps - 1 - geom.gap_index) * geom.R
-    padded = np.pad(
-        undersampled.data,
-        ((0, 0), (pad_top, pad_bottom), (geom.bx_half, geom.bx_half)),
-    )
+    padded = np.zeros((ny + geom.footprint_rows - 1, nx + 2 * geom.bx_half, n_coils), dtype=complex)
+    inner = padded[pad_top : pad_top + ny, geom.bx_half : geom.bx_half + nx]
+    inner[...] = undersampled.data.transpose(1, 2, 0)  # coil innermost
     missing = pattern.missing_rows
     offsets = missing % geom.R
     # every offset m of an acquired line g reads the same footprint, which
     # starts at padded row g; one patch matrix serves all R - 1 offsets
     governing, which = np.unique(missing - offsets, return_inverse=True)
-    w = kernel.weights.reshape(kernel.n_coils * (geom.R - 1), -1)
-    vals = _source_matrix(padded, governing, geom) @ w.T  # patch matrix dropped before `out`
-    vals = vals.reshape(governing.size, nx, kernel.n_coils, geom.R - 1)
+    # weight columns in the patch matrix's (by, bx, coil) order
+    w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (geom.R - 1), -1)
+    vals = w @ _source_matrix(padded, governing, geom, coils_last=True).T  # patches dropped before `out`
+    vals = vals.reshape(n_coils, geom.R - 1, governing.size, nx)
     out = undersampled.data.copy()
-    out[:, missing, :] = vals[which, :, :, offsets - 1].transpose(2, 0, 1)
+    out[:, missing, :] = vals[:, offsets - 1, which, :]
     return MultiCoilKSpace(out)

@@ -146,12 +146,10 @@ def sos_combine(images: CoilImage) -> np.ndarray:
 def save_kspace(path, kspace: MultiCoilKSpace) -> None:
     """Write an .mwks file (header + interleaved float32 re/im pairs)."""
     header = _HEADER.pack(MWKS_MAGIC, MWKS_VERSION, kspace.n_coils, kspace.ny, kspace.nx)
-    payload = np.empty(kspace.data.shape + (2,), dtype="<f4")
-    payload[..., 0] = kspace.data.real
-    payload[..., 1] = kspace.data.imag
+    payload = kspace.data.view(np.float64).astype("<f4")  # re, im, re, im, ...
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def load_kspace(path) -> MultiCoilKSpace:
@@ -171,8 +169,8 @@ def load_kspace(path) -> MultiCoilKSpace:
     got = len(raw) - _HEADER.size
     if got != expected:
         raise KSpaceFormatError(f"{path}: payload has {got} bytes, header implies {expected}")
-    pairs = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n_coils, ny, nx, 2)
-    return MultiCoilKSpace(pairs[..., 0].astype(np.float64) + 1j * pairs[..., 1].astype(np.float64))
+    pairs = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    return MultiCoilKSpace(pairs.view(np.complex128).reshape(n_coils, ny, nx))
 
 
 def save_pattern(path, pattern: SamplingPattern) -> None:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .filters import WeightFilter, all_pass_filter, make_filter, FilterParams, remove_filter
 from .grappa import KernelGeometry, calibrate, interpolate
-from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs, ifft2c, sos_combine
+from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs
 from .network import (
     LayerSpec,
     NetworkArch,
@@ -249,8 +249,15 @@ def build_mw_batch(kspace: MultiCoilKSpace, mw: MultiWeightConfig) -> np.ndarray
 
 
 def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
-    """Per-coil inverse FFT followed by root-sum-of-squares combination."""
-    return sos_combine(ifft2c(kspace))
+    """Per-coil centered inverse FFT followed by root-sum-of-squares combination.
+
+    Equal to ``sos_combine(ifft2c(kspace))`` up to rounding, with no shift
+    of the coil stack: shifting k-space only changes each pixel's phase,
+    and shifting the image moves every coil's pixels alike, so the one
+    shift is of the real combined image.
+    """
+    coils = np.fft.ifft2(kspace.data, axes=(-2, -1), norm="ortho")
+    return np.fft.fftshift(np.sqrt(np.sum(coils.real**2 + coils.imag**2, axis=0)))
 
 
 def _require_consistent(measured: MultiCoilKSpace, pattern: SamplingPattern) -> None:

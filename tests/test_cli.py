@@ -491,3 +491,56 @@ def test_ablate_rejects_out_of_range_optimizer_values(tmp_path, capsys, line):
     key = line.split(" = ")[0]
     assert f"{config}:6: bad value for key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--iters", "0"), ("--lr", "-1"), ("--lr", "nan")],
+                         ids=["zero_iters", "negative_lr", "nan_lr"])
+def test_recon_and_compare_name_an_out_of_range_optimizer_flag(scan, capsys, flag, value):
+    tmp_path, full, under = scan
+    recon = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+             flag, value, "--out", str(tmp_path / "r.mwks")]
+    compare = ["--quiet", "compare", "--input", str(full), "--methods", "raki", "--R", "4", "--acs", "16",
+               flag, value, "--report", str(tmp_path / "c.csv")]
+    for argv in (recon, compare):
+        assert main(argv) == 2
+        assert f"flag {flag} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists() and not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--iters", "0"), ("--lr", "-1")], ids=["zero_iters", "negative_lr"])
+def test_ablate_names_an_out_of_range_optimizer_flag(tmp_path, capsys, flag, value):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1, 2\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out), flag, value]) == 2
+    assert f"flag {flag} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, line, key, readers", [
+    ("grappa", "iters = 7", "iters", "grappa"),
+    ("grappa", "lr = 0.5", "lr", "grappa"),
+    ("grappa", "depth = 1", "depth", "grappa"),
+    ("grappa, raki", "P = 0.5", "P", "grappa, raki"),
+    ("raki, rraki", "L = 1", "L", "raki, rraki"),
+    ("grappa, rraki", "filter = P:0.5", "filter", "grappa, rraki"),
+], ids=["grappa_iters", "grappa_lr", "grappa_depth", "no_mw_P", "no_mw_L", "no_mw_filter"])
+def test_ablate_rejects_a_key_no_swept_method_reads(tmp_path, capsys, methods, line, key, readers):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nacs = 16\nR = 2, 4\nmethod = {methods}\n{line}\n",
+                      encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:6: key '{key}' is not read by {readers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_rejects_an_optimizer_flag_no_swept_method_reads(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nR = 2, 4\nmethod = grappa\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out), "--iters", "2"]) == 2
+    assert "flag --iters is not read by grappa" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--quiet", "--seed", "4", "ablate", "--config", str(config), "--out", str(out)]) == 0
+    assert [r["method"] for r in read_rows(out)] == ["grappa", "grappa"]

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mwrecon.grappa import GrappaKernel, KernelGeometry, _calibration_system, calibrate, interpolate
+from mwrecon.grappa import (
+    GrappaKernel,
+    KernelGeometry,
+    _calibration_system,
+    _source_matrix,
+    calibrate,
+    interpolate,
+)
 from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
 from oracles import grappa_apply_loops, normal_equations_solve, planted_full_grid as _planted
 
@@ -71,6 +78,23 @@ class TestCalibrationSystem:
                     manual.append(acs_data[c, tap, x])
         assert np.array_equal(A[0], np.array(manual))
         assert b[0] == acs_data[1, 1, 1]
+
+    def test_source_matrix_gathers_irregular_anchors(self):
+        # runs R rows apart, broken by a wider gap, a narrower one and a lone anchor
+        rng = np.random.default_rng(20)
+        grid = rng.standard_normal((30, 9, 3)) + 1j * rng.standard_normal((30, 9, 3))
+        geom = KernelGeometry(R=3, bx_half=1, by_taps=2)
+        anchors = np.array([0, 3, 6, 10, 13, 14, 22])
+        x0 = 9 - 2 * geom.bx_half
+        for coils_last in (False, True):
+            A = _source_matrix(grid, anchors, geom, coils_last)
+            assert A.shape == (anchors.size * x0, 3 * 2 * 3)
+            for i, a in enumerate(anchors):
+                for x in range(x0):
+                    patch = grid[[a, a + geom.R], x : x + geom.kx_width]  # [by, bx, coil]
+                    order = (0, 1, 2) if coils_last else (2, 0, 1)
+                    assert np.array_equal(A[i * x0 + x], patch.transpose(order).reshape(-1))
+        assert _source_matrix(grid, anchors[:0], geom, True).shape == (0, 18)
 
     def test_row0_shifts_lattice(self):
         rng = np.random.default_rng(3)
@@ -145,6 +169,43 @@ class TestCalibrate:
         expected = normal_equations_solve(A, b, ridge=0.5)
         got = kernel.weights[1, 1].reshape(-1)
         assert np.max(np.abs(got - expected)) < 1e-8
+
+
+class TestGramSolve:
+    """One solve of the Gram system serves every ridge; ridge 0 checks the rank first."""
+
+    def test_ridge_zero_matches_lstsq(self):
+        rng = np.random.default_rng(30)
+        acs = MultiCoilKSpace(rng.standard_normal((6, 14, 24)) + 1j * rng.standard_normal((6, 14, 24)))
+        geom = KernelGeometry(R=3, bx_half=1, by_taps=2)
+        kernel = calibrate(acs, geom, ridge=0.0)
+        A, B = _calibration_system(acs, geom, row0=0)
+        W = np.linalg.lstsq(A, B, rcond=None)[0]
+        expected = W.T.reshape(kernel.weights.shape)
+        assert np.max(np.abs(kernel.weights - expected)) < 1e-8 * np.max(np.abs(expected))
+
+    def test_fewer_sources_than_coils_is_singular_without_ridge(self):
+        # 5 coils that mix 3 sources: the 5*2*3 = 30 columns span 3*2*3 = 18
+        rng = np.random.default_rng(31)
+        sources = rng.standard_normal((3, 12, 20)) + 1j * rng.standard_normal((3, 12, 20))
+        mix = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        acs = MultiCoilKSpace(np.einsum("cs,syx->cyx", mix, sources))
+        geom = KernelGeometry(R=2)
+        with pytest.raises(np.linalg.LinAlgError, match=r"rank 18 < 30"):
+            calibrate(acs, geom, ridge=0.0)
+        kernel = calibrate(acs, geom, ridge=1e-6)
+        assert np.isfinite(kernel.weights).all()
+
+    def test_ridge_is_the_gram_diagonal(self):
+        rng = np.random.default_rng(32)
+        acs = MultiCoilKSpace(rng.standard_normal((4, 11, 31)) + 1j * rng.standard_normal((4, 11, 31)))
+        geom = KernelGeometry(R=2, bx_half=2, by_taps=3)
+        ridge = 0.25
+        A, B = _calibration_system(acs, geom, row0=0)
+        G = A.conj().T @ A + ridge * np.eye(A.shape[1])
+        W = np.linalg.solve(G, A.conj().T @ B)
+        kernel = calibrate(acs, geom, ridge=ridge)
+        assert np.array_equal(kernel.weights, W.T.reshape(kernel.weights.shape))
 
 
 class TestInterpolate:

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -258,6 +259,16 @@ class TestFileFormat:
         assert int.from_bytes(raw[16:20], "little") == 5
         assert len(raw) == 20 + 2 * 3 * 5 * 8
 
+    def test_payload_bytes(self, tmp_path):
+        # interleaved little-endian float32 (re, im), coil-major then ky then kx
+        data = np.array([[[1.5 - 2j, 0.1 + 3j]], [[-0.0 + 1e-40j, 2.0**-30 - 7j]]])
+        path = tmp_path / "grid.mwks"
+        save_kspace(path, MultiCoilKSpace(data))
+        payload = b"".join(
+            struct.pack("<ff", z.real, z.imag) for z in data.reshape(-1)
+        )
+        assert path.read_bytes()[20:] == payload
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mwks"
         path.write_bytes(b"NOPE" + bytes(16))
@@ -275,8 +286,6 @@ class TestFileFormat:
             load_kspace(path)
 
     def test_dimension_overflow(self, tmp_path):
-        import struct
-
         path = tmp_path / "huge.mwks"
         path.write_bytes(struct.pack("<4sIIII", b"MWKS", 1, 2**31, 2**31, 2**31))
         with pytest.raises(KSpaceFormatError, match="dimensions"):

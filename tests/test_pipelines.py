@@ -209,6 +209,13 @@ class TestReconstructImage:
         ref = sos_combine(ifft2c(full))
         assert np.max(np.abs(reconstruct_image(full) - ref)) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(3, 16, 12), (3, 15, 9), (2, 7, 10)], ids=["even", "odd", "odd_ky"])
+    def test_equals_sos_of_centered_ifft(self, shape):
+        rng = np.random.default_rng(11)
+        ks = MultiCoilKSpace(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        expected = sos_combine(ifft2c(ks))
+        assert np.max(np.abs(reconstruct_image(ks) - expected)) < 1e-12 * np.max(expected)
+
     def test_matches_composed_oracles(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((4, 16, 16)) + 1j * rng.standard_normal((4, 16, 16))
