@@ -6,7 +6,7 @@ their multi-weight variants (MW-RAKI, MW-rRAKI) that train on a bank of
 high-pass weighted copies of the measurement.
 """
 
-from .filters import FilterParams, WeightFilter, all_pass_filter, make_filter, remove_filter
+from .filters import FilterParams, WeightFilter, all_pass_filter, deweight, make_filter, remove_filter
 from .grappa import GrappaKernel, KernelGeometry, calibrate, interpolate
 from .kspace import (
     CoilImage,
@@ -42,7 +42,6 @@ from .pipelines import (
     MultiWeightConfig,
     ReconConfig,
     ReconResult,
-    build_mw_batch,
     build_training_pairs,
     default_arch,
     grappa_reconstruct,

@@ -79,24 +79,35 @@ def make_filter(params: FilterParams, ny: int, nx: int) -> WeightFilter:
     return WeightFilter(params, h)
 
 
-def remove_filter(kspace: MultiCoilKSpace, f: WeightFilter, eps: float | None = None):
-    """Divide out the weighting where it is safely invertible.
+def deweight(values: np.ndarray, f: WeightFilter, rows=slice(None), eps: float | None = None):
+    """Divide ``values`` [..., rows, nx], weighted on grid ``rows``, by the weighting.
 
-    Entries with ``h < eps`` are zeroed and flagged invalid instead of being
-    amplified; ``eps`` defaults to ``1e-6 * h.max()``.  Returns the
-    de-weighted k-space and a boolean [ny, nx] validity mask.
+    Only entries with ``h >= eps`` are divided; the rest are zeroed and
+    flagged invalid instead of being amplified.  ``eps`` defaults to
+    ``1e-6 * h.max()`` over the whole filter, whichever rows are asked for.
+    Returns the de-weighted values and a boolean [rows, nx] validity mask;
+    the all-pass filter returns ``values`` itself, fully valid.
+    """
+    if eps is None:
+        eps = 1e-6 * float(f.h.max())
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    h = f.h[rows]
+    if f.is_all_pass:
+        return values, np.ones(h.shape, dtype=bool)
+    valid = h >= eps
+    return np.where(valid, values / np.where(valid, h, 1.0), 0.0), valid
+
+
+def remove_filter(kspace: MultiCoilKSpace, f: WeightFilter, eps: float | None = None):
+    """Divide out the weighting where it is safely invertible (see :func:`deweight`).
+
+    Returns the de-weighted k-space and a boolean [ny, nx] validity mask.
     """
     if (kspace.ny, kspace.nx) != (f.ny, f.nx):
         raise ValueError(
             f"grid is {kspace.ny}x{kspace.nx} but filter is {f.ny}x{f.nx}"
         )
-    if eps is None:
-        eps = 1e-6 * float(f.h.max())
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if f.is_all_pass:
-        # the identity branch is always fully valid
-        return kspace, np.ones((f.ny, f.nx), dtype=bool)
-    valid = f.h >= eps
-    out = np.where(valid, kspace.data / np.where(valid, f.h, 1.0), 0.0)
+    out, valid = deweight(kspace.data, f, eps=eps)
+    out.flags.writeable = False
     return MultiCoilKSpace(out), valid

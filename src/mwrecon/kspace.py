@@ -40,7 +40,18 @@ class MultiCoilKSpace:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, copy=True, order="C")
+        arr = self.data
+        # a frozen complex128 array that owns its memory is taken over as is
+        # (its maker froze it to hand it over); any other input is copied
+        fresh = (
+            type(arr) is np.ndarray
+            and arr.dtype == np.complex128
+            and arr.flags.c_contiguous
+            and not arr.flags.writeable
+            and arr.base is None
+        )
+        if not fresh:
+            arr = np.array(arr, dtype=np.complex128, copy=True, order="C")
         if arr.ndim != 3:
             raise ValueError(f"coil array must be a [coil, ky, kx] array, got shape {arr.shape}")
         if min(arr.shape) < 1:
@@ -169,8 +180,10 @@ def load_kspace(path) -> MultiCoilKSpace:
     got = len(raw) - _HEADER.size
     if got != expected:
         raise KSpaceFormatError(f"{path}: payload has {got} bytes, header implies {expected}")
-    pairs = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    return MultiCoilKSpace(pairs.view(np.complex128).reshape(n_coils, ny, nx))
+    data = np.empty((n_coils, ny, nx), dtype=np.complex128)
+    data.view(np.float64).reshape(-1)[:] = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    data.flags.writeable = False
+    return MultiCoilKSpace(data)
 
 
 def save_pattern(path, pattern: SamplingPattern) -> None:

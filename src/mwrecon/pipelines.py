@@ -2,12 +2,12 @@
 
 Scan-specific methods train one network per (virtual) coil on training pairs
 cut from the ACS block, slide it over the acquired-line lattice of the full
-grid, write the predicted missing rows, and finally overwrite every
-acquired row with the measured data (data consistency).  Every coil's
-network reads the same sources, so one builder cuts the sources of every
-weighting branch and the targets of every coil and branch from the ACS
-block in one pass, and all coils train and infer together as one list of
-networks (see :mod:`mwrecon.network`).
+grid, and fill the missing rows with its predictions; the acquired rows
+keep the measured data (data consistency).  Every coil's network reads the
+same sources, so one builder cuts the sources of every weighting branch and
+the targets of every coil and branch from the ACS block in one pass, and
+all coils train and infer together as one list of networks (see
+:mod:`mwrecon.network`).
 
 Multi-weight variants run the same flow on a batch of weighted copies of
 the measurement (one per weighting matrix, plus the untouched original).
@@ -23,30 +23,40 @@ a compacted array, on which those taps are adjacent rows, so every network
 runs with unit ky spacing; this computes exactly the sums an ``R``-dilated
 convolution evaluated at lattice offsets would.
 
-Virtual coils: the networks run on a projection of the coils.  The
-scale-normalised ACS block is factored by an SVD, and all k-space is
-projected onto its ``nv`` leading left singular vectors (array compression,
-Buehrer et al., MRM 2007; Huang et al., MRI 2008).  One network per virtual
-coil trains and infers on that projection, so the first layer reads
-``2*nv`` channels instead of ``2*C``; the combined estimate is mapped back
-to the physical coils, and data consistency is applied there, so the
-result keeps the input's coil count and its acquired rows.  ``nv`` is
-derived, not chosen: the fewest components that hold
-``1 - VIRTUAL_COIL_TOL`` of the ACS energy, raised to at least ``R``
-(unfolding R-fold aliasing needs R coils) and capped at ``C``.  When that
-would keep more than ``VIRTUAL_COIL_MAX_SHARE`` of the coils, the networks
-run on the physical coils unrotated: on the tuning scenes the rotation
-alone (all coils kept) cost MW-rRAKI 0.4-0.8 dB at R = 5-6, more than
-dropping a few weak components gains.
+Rows: each stage touches only the rows it uses.  The acquired rows (the
+only nonzero ones) are normalised and projected onto the virtual coils;
+the branch batch is weighted on the ACS rows for training and on the
+lattice rows for inference; de-weighting, the branch combine and the map
+back to the physical coils run on the missing rows only, which are then
+written into one copy of the measurement.  Coil products are taken one ky
+row at a time, so every value equals what the same stages would give on
+the whole grid.
+
+Virtual coils: the networks run on a projection of the coils onto the
+``nv`` leading left singular vectors of the scale-normalised ACS block
+``A`` (array compression, Buehrer et al., MRM 2007; Huang et al., MRI
+2008).  They are computed as the leading eigenvectors of the C x C Gram
+matrix ``A Aᴴ``, whose eigenvalues are the squared singular values.  One
+network per virtual coil trains and infers on that projection, so the
+first layer reads ``2*nv`` channels instead of ``2*C``; the combined
+estimate is mapped back to the physical coils, so the result keeps the
+input's coil count and its acquired rows.  ``nv`` is derived, not chosen:
+the fewest components that hold ``1 - VIRTUAL_COIL_TOL`` of the ACS
+energy, raised to at least ``R`` (unfolding R-fold aliasing needs R coils)
+and capped at ``C``.  When that would keep more than
+``VIRTUAL_COIL_MAX_SHARE`` of the coils, the networks run on the physical
+coils unrotated: on the tuning scenes the rotation alone (all coils kept)
+cost MW-rRAKI 0.4-0.8 dB at R = 5-6, more than dropping a few weak
+components gains.
 
 Precision: only the networks' inputs are float32.  The training sources
 and targets and the inference input are cast to float32 after the data is
 divided by its normalisation scale and projected onto the virtual coils,
 so the networks train and infer in float32 (see :mod:`mwrecon.network`).
 Everything else is complex128: the projections, the branch batch, the
-estimates written into it (a float32 value converts exactly),
-de-weighting, the branch combine and data consistency, so the acquired
-rows of the result are the measured samples bit for bit.
+estimates (a float32 value converts exactly), de-weighting, the branch
+combine and the map back, so the acquired rows of the result are the
+measured samples bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .filters import WeightFilter, all_pass_filter, make_filter, FilterParams, remove_filter
+from .filters import FilterParams, WeightFilter, all_pass_filter, deweight, make_filter
 from .grappa import KernelGeometry, calibrate, interpolate
 from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs
 from .network import (
@@ -100,6 +110,12 @@ class MultiWeightConfig:
         object.__setattr__(self, "filters", filters)
         if self.eps is not None and self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+
+    def require_grid(self, ny: int, nx: int) -> None:
+        """Raise unless the bank's filters are sized for an ``ny`` x ``nx`` grid."""
+        f = self.filters[0]
+        if (f.ny, f.nx) != (ny, nx):
+            raise ValueError(f"grid is {ny}x{nx} but filters are {f.ny}x{f.nx}")
 
 
 def make_multiweight_config(
@@ -238,14 +254,13 @@ def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, d
     return TrainingSet(sources=sources, targets=targets)
 
 
-def build_mw_batch(kspace: MultiCoilKSpace, mw: MultiWeightConfig) -> np.ndarray:
-    """Stack weighted copies along a leading batch axis; entry 0 is the original."""
-    if (mw.filters[0].ny, mw.filters[0].nx) != (kspace.ny, kspace.nx):
-        raise ValueError(
-            f"grid is {kspace.ny}x{kspace.nx} but filters are "
-            f"{mw.filters[0].ny}x{mw.filters[0].nx}"
-        )
-    return np.stack([kspace.data * f.h for f in mw.filters])
+def _weighted(values: np.ndarray, mw: MultiWeightConfig, rows: np.ndarray) -> np.ndarray:
+    """Weighted copies [n_f, ...] of ``values`` [..., rows, nx] that lie on grid ``rows``.
+
+    Entry ``i`` is weighted by ``mw.filters[i]``; entry 0, the all-pass
+    branch, is ``values`` bit for bit.
+    """
+    return np.stack([values * f.h[rows] for f in mw.filters])
 
 
 def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
@@ -279,19 +294,23 @@ def _require_consistent(measured: MultiCoilKSpace, pattern: SamplingPattern) -> 
 def _virtual_coil_basis(acs: np.ndarray, R: int) -> np.ndarray:
     """The ``nv`` leading left singular vectors [C, nv] of an ACS block [C, rows, nx].
 
-    ``nv = min(C, max(R, n))``, where ``n`` is the fewest components whose
-    squared singular values hold at least ``1 - VIRTUAL_COIL_TOL`` of the
-    block's energy.  Above ``VIRTUAL_COIL_MAX_SHARE * C`` the basis is the
-    identity: the physical coils, unrotated.
+    They are the leading eigenvectors of the C x C Gram matrix ``A Aᴴ`` of
+    the block ``A``, whose eigenvalues, clipped at 0, are the components'
+    energies (the squared singular values).  ``nv = min(C, max(R, n))``,
+    where ``n`` is the fewest components that hold at least
+    ``1 - VIRTUAL_COIL_TOL`` of the block's energy.  Above
+    ``VIRTUAL_COIL_MAX_SHARE * C`` the basis is the identity: the physical
+    coils, unrotated.
     """
     n_coils = acs.shape[0]
-    u, s, _ = np.linalg.svd(acs.reshape(n_coils, -1), full_matrices=False)
-    energy = np.cumsum(s**2)
+    a = acs.reshape(n_coils, -1)
+    w, v = np.linalg.eigh(a @ a.conj().T)  # ascending
+    energy = np.cumsum(np.maximum(w[::-1], 0.0))
     n_kept = int(np.searchsorted(energy, (1 - VIRTUAL_COIL_TOL) * energy[-1])) + 1
     nv = min(n_coils, max(R, n_kept))
     if nv > VIRTUAL_COIL_MAX_SHARE * n_coils:
         return np.eye(n_coils)
-    return u[:, :nv]
+    return v[:, ::-1][:, :nv]
 
 
 def _scan_specific_reconstruct(
@@ -301,15 +320,20 @@ def _scan_specific_reconstruct(
     _require_consistent(measured, pattern)
     R = pattern.R
     n_coils, ny, nx = measured.n_coils, measured.ny, measured.nx
+    mw.require_grid(ny, nx)
 
-    scale = float(np.max(np.abs(measured.data)))
-    if scale == 0:
-        raise ValueError("measured k-space is identically zero")
-    normalised = measured.data / scale
-    acs_sl = slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)
-    basis = _virtual_coil_basis(normalised[:, acs_sl], R)  # [n_coils, nv]
+    # the networks read only acquired rows, the ACS block and the lattice;
+    # _require_consistent has shown that every other row is zero
+    acquired = np.flatnonzero(pattern.mask)
+    normalised = measured.data[:, acquired]
+    scale = float(np.max(np.abs(normalised)))
+    normalised /= scale
+    acs_rows = np.arange(pattern.acs_start, pattern.acs_start + pattern.acs_count)
+    acs_at = np.searchsorted(acquired, acs_rows)
+    basis = _virtual_coil_basis(normalised[:, acs_at], R)  # [n_coils, nv]
     nv = basis.shape[1]
-    virt = (basis.conj().T @ normalised.reshape(n_coils, -1)).reshape(nv, ny, nx)
+    # one product per row: a row's values do not depend on which rows are taken
+    virt = np.matmul(basis.conj().T, normalised.transpose(1, 0, 2)).transpose(1, 0, 2)
     if cfg.arch is None:
         arch = default_arch(cfg.method, nv, R)
     elif cfg.arch.in_channels != 2 * n_coils:
@@ -318,41 +342,42 @@ def _scan_specific_reconstruct(
         )
     else:
         arch = replace(cfg.arch, in_channels=2 * nv)
-    batch = build_mw_batch(MultiCoilKSpace(virt), mw)  # [n_f, nv, ny, nx]
 
     # float32: the networks compute in their input's precision
-    ts = _training_pairs(batch[:, :, acs_sl, :], R, arch, pattern.acs_start, np.float32)
+    acs = _weighted(virt[:, acs_at], mw, acs_rows)  # [n_f, nv, acs_count, nx]
+    ts = _training_pairs(acs, R, arch, pattern.acs_start, np.float32)
     nets0 = [init_network(arch, cfg.seed + coil) for coil in range(nv)]
     nets, histories = train(nets0, ts, cfg.optimizer)
 
     # inference: slide over the acquired-line lattice of the full grid; output
     # row o of a network predicts original rows o*R + m
     lat = np.arange(0, ny, R)
-    compact = batch[:, :, lat, :]  # [n_f, nv, n_lat, nx]
+    compact = _weighted(virt[:, np.searchsorted(acquired, lat)], mw, lat)  # [n_f, nv, n_lat, nx]
     x = np.concatenate([compact.real, compact.imag], axis=1, dtype=np.float32)
     gap = arch.target_row_gap
     taps = arch.ky_taps_excess
     tx = arch.target_col_offset
     x = np.pad(x, ((0, 0), (0, 0), (gap, taps - gap), (tx, arch.rf_cols - 1 - tx)))
-    out = forward(nets, x).transpose(1, 0, 2, 3, 4)  # [n_f, nv, out, n_lat, nx]
-    for m in range(1, R):  # estimates overwrite the missing rows of each branch
-        rows = lat + m
-        keep = rows < ny
-        batch[:, :, rows[keep], :] = out[:, :, m - 1, keep] + 1j * out[:, :, (R - 1) + m - 1, keep]
+    out = forward(nets, x)  # [nv, n_f, 2*(R-1), n_lat, nx]
 
-    # de-weight each branch and average the valid ones per location
-    acc = np.zeros((nv, ny, nx), dtype=np.complex128)
-    count = np.zeros((ny, nx))
-    for est, f in zip(batch, mw.filters):
-        deweighted, valid = remove_filter(MultiCoilKSpace(est), f, mw.eps)
-        acc += deweighted.data * valid
+    # only the missing rows keep an estimate: row r is offset r % R below
+    # lattice row r // R; de-weight each branch there and average the valid ones
+    missing = pattern.missing_rows
+    m, o = missing % R - 1, missing // R
+    acc = np.zeros((nv, missing.size, nx), dtype=np.complex128)
+    count = np.zeros((missing.size, nx))
+    for b, f in enumerate(mw.filters):
+        est = out[:, b, m, o] + 1j * out[:, b, (R - 1) + m, o]
+        deweighted, valid = deweight(est, f, missing, mw.eps)
+        acc += deweighted
         count += valid
     combined = acc / count  # all-pass branch keeps count >= 1 everywhere
 
-    # back to the physical coils, where the acquired rows are restored
-    final = (basis @ combined.reshape(nv, -1)).reshape(n_coils, ny, nx) * scale
-    final[:, pattern.mask, :] = measured.data[:, pattern.mask, :]
-    result_kspace = MultiCoilKSpace(final)
+    # back to the physical coils, into a copy of the measurement
+    filled = measured.data.copy()
+    filled[:, missing] = np.matmul(basis, combined.transpose(1, 0, 2)).transpose(1, 0, 2) * scale
+    filled.flags.writeable = False
+    result_kspace = MultiCoilKSpace(filled)
     return ReconResult(result_kspace, reconstruct_image(result_kspace), tuple(histories))
 
 

@@ -241,3 +241,76 @@ def shepp_logan_membership(ny, nx, ellipses):
                     total += value
             img[yi, xi] = max(total, 0.0)
     return img
+
+
+def virtual_coil_basis_svd(acs, R, tol, max_share):
+    """Leading left singular vectors [C, nv] of an ACS block [C, rows, nx], by the SVD.
+
+    ``nv = min(C, max(R, n))`` for the fewest ``n`` components holding
+    ``1 - tol`` of the squared singular values; the identity when ``nv``
+    exceeds ``max_share * C``.
+    """
+    n_coils = acs.shape[0]
+    u, s, _ = np.linalg.svd(acs.reshape(n_coils, -1), full_matrices=False)
+    energy = np.cumsum(s**2)
+    n_kept = int(np.searchsorted(energy, (1 - tol) * energy[-1])) + 1
+    nv = min(n_coils, max(R, n_kept))
+    if nv > max_share * n_coils:
+        return np.eye(n_coils)
+    return u[:, :nv]
+
+
+def scan_specific_full_grid(measured, pattern, filters, eps, basis, arch, seed, opt):
+    """Scan-specific k-space with every host stage run on the full grid.
+
+    Normalise the whole grid, project it onto ``basis`` [C, nv], stack one
+    weighted copy per filter, train one network per virtual coil on the ACS
+    rows of that batch, infer on the lattice, write every estimate into its
+    branch, de-weight each whole branch (``eps`` defaults to 1e-6 of the
+    filter's maximum), average the valid branches, map back to the coils and
+    restore the acquired rows.  The networks (``mwrecon.network``) and the
+    training-pair cutter are the package's own: this checks only the host
+    path around them.  Coil products are taken one ky row at a time, so a
+    row's values do not depend on which other rows are computed.
+    """
+    from mwrecon.network import forward, init_network, train
+    from mwrecon.pipelines import _training_pairs
+
+    data = measured.data
+    n_coils, ny, nx = data.shape
+    R = pattern.R
+    nv = basis.shape[1]
+    scale = np.max(np.abs(data))
+    virt = np.matmul(basis.conj().T, (data / scale).transpose(1, 0, 2)).transpose(1, 0, 2)
+    batch = np.stack([virt * f.h for f in filters])  # [n_f, nv, ny, nx]
+
+    acs = slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)
+    ts = _training_pairs(batch[:, :, acs], R, arch, pattern.acs_start, np.float32)
+    nets, _ = train([init_network(arch, seed + coil) for coil in range(nv)], ts, opt)
+
+    lat = np.arange(0, ny, R)
+    x = np.concatenate([batch[:, :, lat].real, batch[:, :, lat].imag], axis=1, dtype=np.float32)
+    gap, taps, tx = arch.target_row_gap, arch.ky_taps_excess, arch.target_col_offset
+    x = np.pad(x, ((0, 0), (0, 0), (gap, taps - gap), (tx, arch.rf_cols - 1 - tx)))
+    out = forward(nets, x)  # [nv, n_f, 2*(R-1), n_lat, nx]
+    for o, g in enumerate(lat):
+        for m in range(1, R):
+            if g + m < ny:
+                est = out[:, :, m - 1, o] + 1j * out[:, :, (R - 1) + m - 1, o]
+                batch[:, :, g + m] = est.transpose(1, 0, 2)
+
+    acc = np.zeros((nv, ny, nx), dtype=complex)
+    count = np.zeros((ny, nx))
+    for est, f in zip(batch, filters):
+        if f.is_all_pass:
+            acc += est
+            count += 1
+            continue
+        floor = 1e-6 * f.h.max() if eps is None else eps
+        valid = f.h >= floor
+        acc += np.where(valid, est / np.where(valid, f.h, 1.0), 0.0)
+        count += valid
+    combined = acc / count
+    final = np.matmul(basis, combined.transpose(1, 0, 2)).transpose(1, 0, 2) * scale
+    final[:, pattern.mask] = data[:, pattern.mask]
+    return final

@@ -3,12 +3,14 @@ import pytest
 
 from mwrecon.filters import (
     FilterParams,
+    WeightFilter,
     all_pass_filter,
+    deweight,
     make_filter,
     remove_filter,
 )
 from mwrecon.kspace import MultiCoilKSpace
-from mwrecon.pipelines import MultiWeightConfig, build_mw_batch
+from mwrecon.pipelines import MultiWeightConfig, _weighted
 from oracles import filter_gain
 
 
@@ -83,11 +85,11 @@ class TestMakeFilter:
 
 def weighted(ks, f):
     """``ks`` weighted by the high-pass filter ``f``, as the pipelines' branch batch holds it."""
-    return build_mw_batch(ks, MultiWeightConfig((all_pass_filter(ks.ny, ks.nx), f)))[1]
+    return _weighted(ks.data, MultiWeightConfig((all_pass_filter(ks.ny, ks.nx), f)), np.arange(ks.ny))[1]
 
 
 class TestApplyFilter:
-    """Weighting a measurement, which :func:`build_mw_batch` does for every branch."""
+    """Weighting a measurement, which the pipelines do for every branch."""
 
     def test_center_zeroed(self):
         rng = np.random.default_rng(1)
@@ -108,8 +110,8 @@ class TestApplyFilter:
 
     def test_dimension_mismatch(self):
         ks = MultiCoilKSpace(np.zeros((1, 8, 8), dtype=complex))
-        with pytest.raises(ValueError, match="grid"):
-            build_mw_batch(ks, MultiWeightConfig((all_pass_filter(4, 4),)))
+        with pytest.raises(ValueError, match="grid is 8x8 but filters are 4x4"):
+            MultiWeightConfig((all_pass_filter(4, 4),)).require_grid(ks.ny, ks.nx)
 
 
 class TestRemoveFilter:
@@ -160,3 +162,26 @@ class TestRemoveFilter:
         recovered, valid = remove_filter(MultiCoilKSpace(ks.data * f.h), f)
         err = np.abs(recovered.data - ks.data)[:, valid]
         assert np.max(err / np.abs(ks.data)[:, valid]) < 1e-10
+
+
+class TestDeweight:
+    def test_rows_de_weight_as_on_the_whole_grid(self):
+        # the filter's maximum lies outside the rows asked for, and the
+        # default eps still scales with it
+        rng = np.random.default_rng(7)
+        h = make_filter(FilterParams(P=0.4), 16, 16).h.copy()
+        h[0] = 1e6 * np.median(h)
+        f = WeightFilter(FilterParams(P=0.4), h)
+        ks = MultiCoilKSpace(random_kspace(rng, 2, 16, 16).data * h)
+        rows = np.arange(4, 12)
+        full, full_valid = remove_filter(ks, f)
+        part, valid = deweight(ks.data[:, rows], f, rows)
+        assert full_valid[rows].any() and not full_valid[rows].all()
+        assert np.array_equal(valid, full_valid[rows])
+        assert np.array_equal(part, full.data[:, rows])
+
+    def test_all_pass_returns_the_values(self):
+        values = np.ones((2, 3, 8), dtype=complex)
+        out, valid = deweight(values, all_pass_filter(8, 8), np.array([1, 2, 5]))
+        assert out is values
+        assert valid.shape == (3, 8) and valid.all()

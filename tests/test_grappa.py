@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mwrecon import grappa
 from mwrecon.grappa import (
     GrappaKernel,
     KernelGeometry,
@@ -298,6 +299,31 @@ class TestInterpolate:
             measured.data, weights, R, bx_half, by_taps, list(np.flatnonzero(~pattern.mask))
         )
         assert np.max(np.abs(out.data - expected)) < 1e-12
+
+    @pytest.mark.parametrize("R", [2, 3, 4])
+    def test_row_blocks_fill_what_one_block_fills(self, R, monkeypatch):
+        rng = np.random.default_rng(16 + R)
+        geom = KernelGeometry(R=R)
+        ny, nx = 12 * R + 1, 16
+        # the ACS block splits the governing lines into two runs
+        pattern = make_uniform_pattern(ny=ny, R=R, acs_count=2 * R + 1)
+        measured = apply_pattern(
+            MultiCoilKSpace(rng.standard_normal((3, ny, nx)) + 1j * rng.standard_normal((3, ny, nx))),
+            pattern,
+        )
+        shape = (3, R - 1, 3, geom.by_taps, geom.kx_width)
+        kernel = GrappaKernel(geom, 3, 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        row_bytes = nx * geom.n_sources(3) * 16
+        monkeypatch.setattr(grappa, "_PATCH_BLOCK_BYTES", 10**12)
+        one_block = interpolate(kernel, measured, pattern)
+        # blocks of 3 governing lines: block edges fall inside both runs
+        monkeypatch.setattr(grappa, "_PATCH_BLOCK_BYTES", 3 * row_bytes)
+        blocked = interpolate(kernel, measured, pattern)
+        assert np.array_equal(blocked.data, one_block.data)
+        expected = grappa_apply_loops(
+            measured.data, kernel.weights, R, geom.bx_half, geom.by_taps, list(pattern.missing_rows)
+        )
+        assert np.max(np.abs(blocked.data - expected)) < 1e-12
 
     def test_r_mismatch(self):
         kernel = GrappaKernel(KernelGeometry(R=2), 1, np.zeros((1, 1, 1, 2, 3), dtype=complex))

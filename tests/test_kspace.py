@@ -53,6 +53,33 @@ class TestTypes:
         src[0, 0, 0] = 9.0
         assert ks.data[0, 0, 0] == 1.0
 
+    def test_frozen_owned_array_is_taken_over(self):
+        src = np.ones((1, 4, 4), dtype=complex)
+        src.flags.writeable = False
+        ks = MultiCoilKSpace(src)
+        assert np.shares_memory(ks.data, src)
+
+    def test_writeable_array_is_copied(self):
+        src = np.ones((1, 4, 4), dtype=complex)
+        ks = MultiCoilKSpace(src)
+        assert not np.shares_memory(ks.data, src)
+        assert src.flags.writeable
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        src = np.ones((1, 4, 4), dtype=complex)
+        view = src[:]
+        view.flags.writeable = False
+        ks = MultiCoilKSpace(view)
+        src[0, 0, 0] = 9.0
+        assert not np.shares_memory(ks.data, src)
+        assert ks.data[0, 0, 0] == 1.0
+
+    def test_frozen_array_is_still_checked(self):
+        src = np.full((1, 2, 2), np.nan, dtype=complex)
+        src.flags.writeable = False
+        with pytest.raises(ValueError, match="non-finite"):
+            MultiCoilKSpace(src)
+
     def test_coil_image_is_the_same_container(self):
         assert CoilImage is MultiCoilKSpace
         with pytest.raises(ValueError, match="coil array"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mwrecon.filters import FilterParams, all_pass_filter, make_filter
+from mwrecon.filters import FilterParams, WeightFilter, all_pass_filter, make_filter
 from mwrecon.grappa import KernelGeometry
 from mwrecon.kspace import MultiCoilKSpace, apply_pattern, ifft2c, make_uniform_pattern, sos_combine
 from mwrecon.network import (
@@ -17,7 +17,6 @@ from mwrecon import pipelines
 from mwrecon.pipelines import (
     MultiWeightConfig,
     ReconConfig,
-    build_mw_batch,
     build_training_pairs,
     default_arch,
     grappa_reconstruct,
@@ -27,7 +26,14 @@ from mwrecon.pipelines import (
     reconstruct,
     reconstruct_image,
 )
-from oracles import dft2c_direct, idft2c_direct, planted_full_grid, sos_loop
+from oracles import (
+    dft2c_direct,
+    idft2c_direct,
+    planted_full_grid,
+    scan_specific_full_grid,
+    sos_loop,
+    virtual_coil_basis_svd,
+)
 
 
 def phantom_scene(ny=48, nx=48, coils=4, R=4, acs=16, snr=None, seed=0):
@@ -171,19 +177,21 @@ class TestDefaultArch:
             default_arch("rraki", 4, 4, depth=4)
 
 
-class TestBuildMwBatch:
+class TestWeightedRows:
+    """The weighted branch copies of the rows each pipeline stage reads."""
+
     def test_degenerate_single_entry(self):
         rng = np.random.default_rng(4)
         ks = MultiCoilKSpace(rng.standard_normal((2, 8, 8)) + 0j)
         mw = MultiWeightConfig(filters=(all_pass_filter(8, 8),))
-        batch = build_mw_batch(ks, mw)
+        batch = pipelines._weighted(ks.data, mw, np.arange(8))
         assert batch.shape == (1, 2, 8, 8)
         assert np.array_equal(batch[0], ks.data)
 
     def test_default_bank_entry0_bit_equal(self):
         rng = np.random.default_rng(5)
         ks = MultiCoilKSpace(rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16)))
-        batch = build_mw_batch(ks, make_multiweight_config(16, 16))
+        batch = pipelines._weighted(ks.data, make_multiweight_config(16, 16), np.arange(16))
         assert batch.shape[0] == 3
         assert np.array_equal(batch[0], ks.data)
 
@@ -191,10 +199,11 @@ class TestBuildMwBatch:
         rng = np.random.default_rng(6)
         ks = MultiCoilKSpace(rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8)))
         mw = make_multiweight_config(8, 8, exponents=(0.4, 0.2))
-        batch = build_mw_batch(ks, mw)
-        assert batch.shape == (3, 3, 8, 8)
-        for entry, f in zip(batch, mw.filters):
-            assert np.max(np.abs(entry - ks.data * f.h)) < 1e-14
+        for rows in (np.arange(8), np.array([0, 3, 4, 7])):
+            batch = pipelines._weighted(ks.data[:, rows], mw, rows)
+            assert batch.shape == (3, 3, rows.size, 8)
+            for entry, f in zip(batch, mw.filters):
+                assert np.max(np.abs(entry - (ks.data * f.h)[:, rows])) < 1e-14
 
 
 class TestReconstructImage:
@@ -445,6 +454,99 @@ class TestVirtualCoils:
         cfg = ReconConfig(method="raki", pattern=pattern, arch=arch, optimizer=fast_opt(1))
         with pytest.raises(ValueError, match="arch expects .* input channels, data provides 16"):
             reconstruct(measured, cfg)
+
+
+def mixed_sources(rng, coils, sources, ny, nx):
+    """Noise-free k-space of ``coils`` coils that mix ``sources`` random sources."""
+    mix = rng.standard_normal((coils, sources)) + 1j * rng.standard_normal((coils, sources))
+    src = rng.standard_normal((sources, ny, nx)) + 1j * rng.standard_normal((sources, ny, nx))
+    return np.einsum("cs,syx->cyx", mix, src)
+
+
+def full_grid_oracle(measured, pattern, mw, method, seed, opt):
+    basis = virtual_coil_basis(measured, pattern)
+    arch = default_arch(method, basis.shape[1], pattern.R)
+    return scan_specific_full_grid(measured, pattern, mw.filters, mw.eps, basis, arch, seed, opt)
+
+
+class TestRowRestrictedHostPath:
+    """The pipeline works on only the rows each stage reads, as if on the full grid."""
+
+    @pytest.mark.parametrize(
+        "R, acs, on_lattice",
+        [(2, 11, True), (2, 12, False), (3, 11, True), (3, 13, False), (5, 15, True), (5, 17, False)],
+    )
+    def test_equals_the_full_grid_oracle(self, R, acs, on_lattice):
+        rng = np.random.default_rng(30 + R)
+        ny, nx = 35, 17  # odd sizes; for R = 2 and 3 the lattice does not divide ny
+        pattern = make_uniform_pattern(ny, R, acs)
+        assert (pattern.acs_start % R == 0) == on_lattice
+        measured = apply_pattern(MultiCoilKSpace(mixed_sources(rng, 8, 3, ny, nx)), pattern)
+        nv = virtual_coil_count(measured, pattern)
+        assert nv == max(R, 3) < 8  # a true rotation, not the identity
+        mw = make_multiweight_config(ny, nx)
+        cfg = ReconConfig(method="mw_rraki", pattern=pattern, seed=4, optimizer=fast_opt(2))
+        got = reconstruct(measured, cfg).kspace.data
+        expected = full_grid_oracle(measured, pattern, mw, "mw_rraki", 4, fast_opt(2))
+        assert np.array_equal(got, expected)
+
+    def test_default_eps_is_scaled_to_the_whole_filter(self):
+        # a filter whose maximum lies on an acquired row: 1e-6 of it is far
+        # above 1e-6 of its maximum over the missing rows
+        rng = np.random.default_rng(36)
+        ny, nx = 35, 17
+        pattern = make_uniform_pattern(ny, 3, 11)
+        measured = apply_pattern(MultiCoilKSpace(mixed_sources(rng, 6, 3, ny, nx)), pattern)
+        h = make_filter(FilterParams(P=0.4), ny, nx).h.copy()
+        h[0] = 1e6 * np.median(h)
+        f = WeightFilter(FilterParams(P=0.4), h)
+        missing_h = h[pattern.missing_rows]
+        whole, missing_only = 1e-6 * h.max(), 1e-6 * missing_h.max()
+        assert np.any((missing_h >= missing_only) & (missing_h < whole))
+        mw = MultiWeightConfig(filters=(all_pass_filter(ny, nx), f))
+        cfg = ReconConfig(method="mw_raki", pattern=pattern, seed=2, optimizer=fast_opt(2), multiweight=mw)
+        got = reconstruct(measured, cfg).kspace.data
+        assert np.array_equal(got, full_grid_oracle(measured, pattern, mw, "mw_raki", 2, fast_opt(2)))
+
+
+class TestGramBasis:
+    """The virtual-coil basis from the C x C Gram matrix spans what the SVD's does."""
+
+    @staticmethod
+    def check(acs, R):
+        got = pipelines._virtual_coil_basis(acs, R)
+        expected = virtual_coil_basis_svd(
+            acs, R, pipelines.VIRTUAL_COIL_TOL, pipelines.VIRTUAL_COIL_MAX_SHARE
+        )
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got @ got.conj().T - expected @ expected.conj().T)) < 1e-10
+        return got.shape[1]
+
+    @pytest.mark.parametrize("R", [2, 4])
+    def test_random_full_rank_block(self, R):
+        rng = np.random.default_rng(40 + R)
+        acs = rng.standard_normal((8, 16, 24)) + 1j * rng.standard_normal((8, 16, 24))
+        assert self.check(acs, R) == 8
+
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_random_block_with_decaying_energies(self, R):
+        rng = np.random.default_rng(42 + R)
+        coils = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        gains = np.array([1.0, 0.6, 0.3, 0.1, 1e-3, 1e-4, 1e-5, 1e-6])
+        acs = np.einsum("cs,s,syx->cyx", coils, gains, rng.standard_normal((8, 16, 24)))
+        assert self.check(acs, R) == 4
+
+    @pytest.mark.parametrize("sources", [2, 3])
+    def test_rank_deficient_block(self, sources):
+        rng = np.random.default_rng(44 + sources)
+        acs = mixed_sources(rng, 8, sources, 16, 24)
+        assert self.check(acs, 2) == sources
+
+    @pytest.mark.parametrize("coils, R", [(8, 2), (8, 3), (8, 4)])
+    def test_noise_free_phantom_scene(self, coils, R):
+        _, measured, pattern = phantom_scene(coils=coils, R=R, acs=18, snr=None, seed=18)
+        acs = measured.data[:, pattern.acs_start : pattern.acs_start + pattern.acs_count]
+        self.check(acs / np.max(np.abs(measured.data)), R)
 
 
 class TestMultiWeightSemantics:
