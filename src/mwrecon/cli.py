@@ -262,12 +262,17 @@ def _metrics_row(method, pattern, seed, result, ref_sos, wall_ms):
 def cmd_recon(args) -> int:
     method = _normalize_method(args.method)
     measured = load_kspace(args.input)
+    ref = load_kspace(args.ref) if args.ref else None
+    if ref is not None and (ref.ny, ref.nx) != (measured.ny, measured.nx):
+        raise ConfigError(
+            f"--ref grid is {ref.ny}x{ref.nx} but --input grid is {measured.ny}x{measured.nx}"
+        )
     if args.pattern:
         pattern = load_pattern(args.pattern)
     else:
         pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
     cfg = _build_recon_config(args, _recon_entries(args, [method]), measured, method, pattern)
-    ref_sos = reconstruct_image(load_kspace(args.ref)) if args.ref else None
+    ref_sos = reconstruct_image(ref) if ref is not None else None
     t0 = time.perf_counter()
     result = reconstruct(measured, cfg)
     wall_ms = 1e3 * (time.perf_counter() - t0)

@@ -11,7 +11,12 @@ acquisition lattice, so calibration equations match inference exactly.
 
 Every (target coil, offset) pair shares one source matrix, so calibration
 is one solve of its Gram (normal-equations) system, and interpolation is
-one product of all kernels with each block of the source patches.
+one product of all kernels with each block of the source patches.  The
+fill builds each block's patch matrix channels-first, ``[(by, bx, coil),
+lines * nx]``, straight from the coil-first grid: one take of each ky tap's
+rows into a small zero-edged buffer, then one slice per kx tap.  No
+padded or coil-innermost copy of the whole grid is made, so a block's
+work stays in cache.
 """
 
 from __future__ import annotations
@@ -109,26 +114,17 @@ def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.nd
     return anchors[(row0 + anchors) % geom.R == 0]
 
 
-def _source_matrix(
-    grid: np.ndarray, anchors: np.ndarray, geom: KernelGeometry, coils_last: bool
-) -> np.ndarray:
+def _source_matrix(grid: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -> np.ndarray:
     """Flattened source patches of a ``[ky, kx, coil]`` grid, one row per (anchor, column).
 
-    ``anchors`` are the footprints' top rows, ascending.  Columns are
-    coil-major, then by tap, then bx tap; with ``coils_last`` they are by
-    tap, then bx tap, then coil.  Each run of anchors ``R`` rows apart is
-    one strided view of ``grid``, copied straight into the matrix.
+    ``anchors`` are the footprints' top rows: one ascending run ``R`` rows
+    apart, as calibration places them.  Columns are coil-major, then by
+    tap, then bx tap.  The run is one strided view of ``grid``, copied
+    once into the matrix.
     """
     taps = sliding_window_view(grid, (geom.footprint_rows, geom.kx_width), axis=(0, 1))
-    taps = taps[..., :: geom.R, :]  # [ky, x0, coil, by, bx]
-    if coils_last:
-        taps = taps.transpose(0, 1, 3, 4, 2)
-    patches = np.empty((anchors.size,) + taps.shape[1:], dtype=grid.dtype)
-    # run boundaries; unique drops the empty run of no anchors
-    bounds = np.unique(np.r_[0, np.flatnonzero(np.diff(anchors) != geom.R) + 1, anchors.size])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        patches[lo:hi] = taps[anchors[lo] : anchors[hi - 1] + 1 : geom.R]
-    return patches.reshape(-1, geom.n_sources(grid.shape[2]))
+    taps = taps[anchors[0] :: geom.R, :, :, :: geom.R][: anchors.size]  # [anchor, x0, coil, by, bx]
+    return taps.reshape(-1, geom.n_sources(grid.shape[2]))
 
 
 def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
@@ -143,7 +139,7 @@ def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
             f"ACS too small for geometry: {acs.ny} rows, footprint needs "
             f"{geom.footprint_rows} rows on the acquisition lattice"
         )
-    A = _source_matrix(acs.data.transpose(1, 2, 0), anchors, geom, coils_last=False)
+    A = _source_matrix(acs.data.transpose(1, 2, 0), anchors, geom)
     rows = anchors + geom.gap_index * geom.R + np.arange(1, geom.R)[:, None]  # [m, n_anchor]
     targets = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half]  # [c, m, n_anchor, x0]
     B = np.ascontiguousarray(targets.reshape(acs.n_coils * (geom.R - 1), -1).T)
@@ -209,24 +205,31 @@ def interpolate(
         )
     if undersampled.ny != pattern.ny:
         raise ValueError(f"grid has {undersampled.ny} rows but pattern expects {pattern.ny}")
-    n_coils, ny, nx = undersampled.data.shape
-    pad_top = geom.gap_index * geom.R
-    padded = np.zeros((ny + geom.footprint_rows - 1, nx + 2 * geom.bx_half, n_coils), dtype=complex)
-    inner = padded[pad_top : pad_top + ny, geom.bx_half : geom.bx_half + nx]
-    inner[...] = undersampled.data.transpose(1, 2, 0)  # coil innermost
+    data = undersampled.data
+    n_coils, ny, nx = data.shape
     missing = pattern.missing_rows
     offsets = missing % geom.R
-    # every offset m of an acquired line g reads the same footprint, which
-    # starts at padded row g; one patch matrix serves all R - 1 offsets
+    # every offset m of an acquired line g reads the same footprint, whose
+    # tap k reads grid row g + (k - gap_index) * R; one patch matrix serves
+    # all R - 1 offsets
     governing, which = np.unique(missing - offsets, return_inverse=True)
     # weight columns in the patch matrix's (by, bx, coil) order
     w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (geom.R - 1), -1)
-    block = max(1, _PATCH_BLOCK_BYTES // (nx * w.shape[1] * padded.itemsize))
-    out = undersampled.data.copy()
+    block = max(1, _PATCH_BLOCK_BYTES // (nx * w.shape[1] * data.itemsize))
+    out = data.copy()
     for lo in range(0, governing.size, block):
         hi = min(lo + block, governing.size)
         a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
-        vals = w @ _source_matrix(padded, governing[lo:hi], geom, coils_last=True).T
+        patches = np.empty((geom.by_taps, geom.kx_width, n_coils, hi - lo, nx), dtype=complex)
+        for tap in range(geom.by_taps):
+            src = governing[lo:hi] + (tap - geom.gap_index) * geom.R
+            inside = (src >= 0) & (src < ny)
+            # this tap's rows, zero beyond the grid: [coil, line, nx + 2 bx_half]
+            rows = np.zeros((n_coils, hi - lo, nx + 2 * geom.bx_half), dtype=complex)
+            rows[:, inside, geom.bx_half : geom.bx_half + nx] = data[:, src[inside]]
+            for x in range(geom.kx_width):
+                patches[tap, x] = rows[:, :, x : x + nx]
+        vals = w @ patches.reshape(w.shape[1], -1)
         vals = vals.reshape(n_coils, geom.R - 1, hi - lo, nx)
         out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
     out.flags.writeable = False

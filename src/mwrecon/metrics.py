@@ -17,7 +17,10 @@ holds the Gaussian taps at the reflected indices of ``i - 5 .. i + 5``
 (taps that reflect onto the same pixel add).  A moment map ``m`` is then
 ``S_rows @ m @ S_cols.T``: the 2-D window's weighted sum, regrouped, so
 the result differs from it only by rounding (~1e-16), and no padded copy
-or patch array is built.
+or patch array is built.  Reflection keeps every tap of row ``i`` within
+``i - 5 .. i + 5``, so each operator is a band: a block of output rows
+``i0:i1`` is multiplied by ``S[i0:i1, i0 - 5:i1 + 5]`` only (clipped at
+the edges), which skips the zeros a full ``[n, n]`` product would add.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
+_SSIM_BAND_ROWS = 32  # output rows per banded product
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,18 @@ def _window_operator(n: int) -> np.ndarray:
     return op
 
 
+def _apply_band(op: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """``op @ maps`` over the maps' second-to-last axis, for a banded window operator ``op``."""
+    n = op.shape[0]
+    half = _SSIM_WINDOW // 2
+    out = np.empty(maps.shape[:-2] + (n, maps.shape[-1]))
+    for i0 in range(0, n, _SSIM_BAND_ROWS):
+        i1 = min(i0 + _SSIM_BAND_ROWS, n)
+        lo, hi = max(0, i0 - half), min(n, i1 + half)
+        np.matmul(op[i0:i1, lo:hi], maps[..., lo:hi, :], out=out[..., i0:i1, :])
+    return out
+
+
 def ssim(recon: np.ndarray, ref: np.ndarray) -> float:
     """Mean local structural similarity."""
     recon, ref = _check_pair(recon, ref)
@@ -92,7 +108,8 @@ def ssim(recon: np.ndarray, ref: np.ndarray) -> float:
     c2 = (_SSIM_K2 * drange) ** 2
     maps = np.stack([recon, ref, recon * recon, ref * ref, recon * ref])
     rows, cols = (_window_operator(n) for n in recon.shape)
-    mu_x, mu_y, xx, yy, xy = rows @ maps @ cols.T
+    along_rows = _apply_band(rows, maps)
+    mu_x, mu_y, xx, yy, xy = _apply_band(cols, along_rows.swapaxes(1, 2)).swapaxes(1, 2)
     var_x = xx - mu_x**2
     var_y = yy - mu_y**2
     cov = xy - mu_x * mu_y

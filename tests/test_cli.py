@@ -544,3 +544,15 @@ def test_ablate_rejects_an_optimizer_flag_no_swept_method_reads(tmp_path, capsys
     assert not out.exists()
     assert main(["--quiet", "--seed", "4", "ablate", "--config", str(config), "--out", str(out)]) == 0
     assert [r["method"] for r in read_rows(out)] == ["grappa", "grappa"]
+
+
+def test_recon_rejects_a_ref_on_another_grid_before_any_work(scan, capsys):
+    tmp_path, _, under = scan
+    ref48 = tmp_path / "ref48.mwks"
+    assert main(["--quiet", "phantom", "--size", "48", "--coils", "4", "--out", str(ref48)]) == 0
+    out, report = tmp_path / "r.mwks", tmp_path / "r.csv"
+    argv = ["--quiet", "recon", "--method", "grappa", "--input", str(under), "--R", "4", "--acs", "16",
+            "--ref", str(ref48), "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    assert "--ref grid is 48x48 but --input grid is 32x32" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()

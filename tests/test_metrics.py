@@ -89,10 +89,14 @@ class TestSsim:
         assert ssim(-ref, ref) < 0.0
 
     @pytest.mark.parametrize(
-        "shape", [(32, 32), (11, 11), (13, 29), (40, 17)], ids=lambda s: f"{s[0]}x{s[1]}"
+        "shape",
+        [(32, 32), (11, 11), (13, 29), (40, 17), (37, 70), (64, 33)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
     )
     def test_matches_loop_oracle(self, shape):
-        # non-square shapes exercise distinct row and column window operators
+        # non-square shapes exercise distinct row and column window operators;
+        # 11 is below one band block of rows, and 37 and 70 end a block within
+        # 5 rows of the edge, where the band is clipped
         rng = np.random.default_rng(7)
         a, b = rng.random(shape), rng.random(shape)
         assert ssim(a, b) == pytest.approx(ssim_loop(a, b), abs=1e-12)

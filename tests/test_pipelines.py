@@ -232,6 +232,16 @@ class TestReconstructImage:
         expected = sos_loop(images)
         assert np.max(np.abs(reconstruct_image(MultiCoilKSpace(data)) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("coils, n", [(5, 64), (3, 256)])
+    def test_one_coil_at_a_time_equals_one_stack_transform(self, coils, n):
+        # the coil-axis sum adds the coils in order, so the per-coil
+        # accumulator gives the same bits; another order would not
+        rng = np.random.default_rng(coils)
+        data = rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
+        images = np.fft.ifft2(data, axes=(-2, -1), norm="ortho")
+        expected = np.fft.fftshift(np.sqrt(np.sum(images.real**2 + images.imag**2, axis=0)))
+        assert np.array_equal(reconstruct_image(MultiCoilKSpace(data)), expected)
+
 
 class TestGrappaPipeline:
     def test_planted_kernel_recovery(self):
