@@ -6,23 +6,20 @@ their multi-weight variants (MW-RAKI, MW-rRAKI) that train on a bank of
 high-pass weighted copies of the measurement.
 """
 
-from .filters import FilterParams, WeightFilter, all_pass_filter, deweight, make_filter, remove_filter
+from .filters import WeightFilter, deweight, remove_filter
 from .grappa import GrappaKernel, KernelGeometry, calibrate, interpolate
 from .kspace import (
-    CoilImage,
     KSpaceFormatError,
     MultiCoilKSpace,
     SamplingPattern,
     apply_pattern,
     extract_acs,
     fft2c,
-    ifft2c,
     load_kspace,
     load_pattern,
     make_uniform_pattern,
     save_kspace,
     save_pattern,
-    sos_combine,
 )
 from .metrics import MetricReport, evaluate, psnr, rmse, ssim
 from .network import (

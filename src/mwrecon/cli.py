@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import itertools
+import math
 import sys
 import time
 
@@ -28,6 +29,7 @@ from .config import (
     parse_filter_exponent,
     parse_grappa_kernel,
     parse_layer_spec,
+    parse_positive,
 )
 from .grappa import KernelGeometry
 from .kspace import (
@@ -42,11 +44,11 @@ from .metrics import evaluate
 from .network import NetworkArch, OptimizerConfig
 from .phantom import make_coil_maps, shepp_logan, simulate_kspace
 from .pipelines import (
+    DEFAULT_FILTER_EXPONENTS,
     METHODS,
     MultiWeightConfig,
     ReconConfig,
     default_arch,
-    make_multiweight_config,
     reconstruct,
     reconstruct_image,
 )
@@ -144,25 +146,32 @@ def cmd_undersample(args) -> int:
 
 
 def _at_least(kind, low):
-    """Parse a ``kind`` value and reject values below ``low``; the config reader names file:line."""
+    """Parse a finite ``kind`` value >= ``low``; the config reader names file:line."""
     def convert(text):
         value = kind(text)
-        if not value >= low:  # NaN too
-            raise ValueError(text)
+        if not low <= value < math.inf:  # NaN too
+            raise ValueError(f"must be >= {low} and finite, got {value}")
         return value
     return convert
+
+
+def _flag(args, name, convert, default=None):
+    """Flag ``--name`` through ``convert``, else ``default``; a rejected value names the flag."""
+    value = getattr(args, name.replace("-", "_"))
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigError(f"flag --{name} {exc}") from exc
 
 
 def _optimizer_from(entries, args, source) -> OptimizerConfig:
     """Adam settings: a flag overrides its config key, and both share one lower bound."""
     values = {}
     for key, kind, low, default in (("lr", float, 0.0, 0.001), ("iters", int, 1, 1000)):
-        values[key] = get_scalar(entries, key, _at_least(kind, low), default, source)
-        flag = getattr(args, key)
-        if flag is not None:
-            if not flag >= low:
-                raise ConfigError(f"flag --{key} must be >= {low}, got {flag}")
-            values[key] = flag
+        convert = _at_least(kind, low)
+        values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, default, source))
     return OptimizerConfig(**values)
 
 
@@ -174,20 +183,16 @@ def _arch_from(entries, n_coils, R, source) -> NetworkArch | None:
     return build_arch(layer_values, 2 * n_coils, 2 * (R - 1), skip_value)
 
 
-def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig | None:
-    if args.filters is not None:
-        # `--filters ""` selects the bare all-pass bank (L = 0)
-        exponents = [parse_filter_exponent(p) for p in args.filters.split(",") if p.strip()]
-    elif "filter" in entries:
+def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig:
+    exponents = DEFAULT_FILTER_EXPONENTS
+    if "filter" in entries:
         exponents = get_list(entries, "filter", parse_filter_exponent, source)
-    else:
-        exponents = None
-    eps = args.filter_eps if args.filter_eps is not None else get_scalar(
-        entries, "filter_eps", float, None, source
+    # `--filters ""` selects the bare all-pass bank (L = 0)
+    exponents = _flag(
+        args, "filters", lambda text: [parse_filter_exponent(p) for p in text.split(",") if p.strip()], exponents
     )
-    if exponents is None:
-        return None if eps is None else make_multiweight_config(ny, nx, eps=eps)
-    return make_multiweight_config(ny, nx, exponents, eps=eps)
+    eps = get_scalar(entries, "filter_eps", parse_positive, None, source)
+    return MultiWeightConfig(ny, nx, exponents, _flag(args, "filter-eps", parse_positive, eps))
 
 
 def _reject_unread(args, entries, methods, setting_of, flags) -> None:
@@ -216,26 +221,25 @@ def _recon_entries(args, methods) -> dict:
 
 
 def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
+    """The run's settings; a value they reject is a ConfigError, raised before any work."""
     source = str(args.config) if args.config else "<cli>"
-    optimizer = _optimizer_from(entries, args, source)
-    arch = _arch_from(entries, measured.n_coils, pattern.R, source)
-    multiweight = None
-    if method in ("mw_raki", "mw_rraki"):
-        multiweight = _multiweight_from(entries, args, measured.ny, measured.nx, source)
-    geometry = None
-    if args.grappa_kernel:
-        bx, by = parse_grappa_kernel(args.grappa_kernel)
-        geometry = KernelGeometry(R=pattern.R, bx_half=bx, by_taps=by)
-    return ReconConfig(
-        method=method,
-        pattern=pattern,
-        seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0, source),
-        arch=arch,
-        optimizer=optimizer,
-        multiweight=multiweight,
-        grappa_geometry=geometry,
-        ridge=args.ridge if args.ridge is not None else 0.0,
-    )
+    mw = method in ("mw_raki", "mw_rraki")
+    try:
+        return ReconConfig(
+            method=method,
+            pattern=pattern,
+            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0, source),
+            arch=_arch_from(entries, measured.n_coils, pattern.R, source),
+            optimizer=_optimizer_from(entries, args, source),
+            multiweight=_multiweight_from(entries, args, measured.ny, measured.nx, source) if mw else None,
+            grappa_geometry=_flag(args, "grappa-kernel",
+                                  lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec))),
+            ridge=_flag(args, "ridge", _at_least(float, 0.0), 0.0),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _train_iters(result) -> int:
@@ -355,13 +359,13 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     # P and L are blank without a filter bank; with neither, pipelines picks the bank
     multiweight = None
     if p_value is not None:
-        multiweight = make_multiweight_config(full.ny, full.nx, (p_value,))
+        multiweight = MultiWeightConfig(full.ny, full.nx, (p_value,))
     elif n_filters is not None:
         if n_filters > len(base_exponents):
             raise ConfigError(
                 f"L={n_filters} exceeds the configured filter list ({len(base_exponents)})"
             )
-        multiweight = make_multiweight_config(full.ny, full.nx, base_exponents[:n_filters])
+        multiweight = MultiWeightConfig(full.ny, full.nx, base_exponents[:n_filters])
     cfg = ReconConfig(
         method=method,
         pattern=pattern,

@@ -9,6 +9,8 @@ default.  Parse errors carry the offending key and line number.
 
 from __future__ import annotations
 
+import math
+
 from .network import LayerSpec, NetworkArch
 
 
@@ -77,15 +79,18 @@ def get_list(entries: dict, key: str, convert, source: str = "<config>") -> list
     return out
 
 
+def parse_positive(text) -> float:
+    """A finite float > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN too
+        raise ValueError(f"must be > 0 and finite, got {value}")
+    return value
+
+
 def parse_filter_exponent(spec: str) -> float:
     """`P:0.6` -> 0.6 (a bare number is accepted too)."""
     spec = spec.strip()
-    if spec.upper().startswith("P:"):
-        spec = spec[2:]
-    value = float(spec)
-    if value <= 0:
-        raise ValueError(f"filter exponent must be positive, got {value}")
-    return value
+    return parse_positive(spec[2:] if spec.upper().startswith("P:") else spec)
 
 
 def parse_layer_spec(spec: str):
@@ -129,7 +134,7 @@ def parse_grappa_kernel(spec: str):
         elif part.startswith("by:"):
             by = int(part[3:])
         else:
-            raise ValueError(f"bad kernel spec component {part!r}")
+            raise ValueError(f"has a bad component {part!r}")
     if bx is None or by is None:
-        raise ValueError(f"kernel spec {spec!r} needs both bx: and by:")
+        raise ValueError(f"needs both bx: and by:, got {spec!r}")
     return bx, by

@@ -1,15 +1,18 @@
 """Radial high-pass weighting matrices applied elementwise in k-space.
 
-The gain at a k-space location is ``M * r**(2*P) / D0`` where ``r`` is the
-radius from the grid center in normalized frequency units (each axis spans
-[-0.5, 0.5) in cycles/sample), so the same parameters behave consistently
-across grid sizes.  The all-pass case (``h == 1`` everywhere) is the
-identity branch every multi-weight bank must contain.
+A filter is its exponent ``P``: the gain at a k-space location is
+``r**(2*P)``, where ``r`` is the radius from the grid center in normalized
+frequency units (each axis spans [-0.5, 0.5) in cycles/sample), so the same
+exponent behaves consistently across grid sizes.  ``P = 0`` is the
+all-pass branch (``h == 1`` everywhere, the center included), the identity
+every multi-weight bank holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,66 +20,30 @@ from .kspace import MultiCoilKSpace
 
 
 @dataclass(frozen=True)
-class FilterParams:
-    """Parameters of one weighting matrix: gain M, normalizer D0, exponent P."""
-
-    M: float = 1.0
-    D0: float = 1.0
-    P: float = 0.5
-    all_pass: bool = False
-
-    def __post_init__(self):
-        if self.all_pass:
-            return
-        for name in ("M", "D0", "P"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
 class WeightFilter:
-    """A realized weighting matrix over an ny x nx grid."""
+    """The weighting matrix of exponent ``P`` over an ny x nx grid."""
 
-    params: FilterParams
-    h: np.ndarray
+    P: float
+    ny: int
+    nx: int
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=np.float64, copy=True)
-        if h.ndim != 2:
-            raise ValueError(f"h must be 2-D, got shape {h.shape}")
-        if (h < 0).any() or not np.isfinite(h).all():
-            raise ValueError("h must be finite and nonnegative")
+        if not self.P >= 0:  # NaN too
+            raise ValueError(f"filter exponent must be >= 0, got {self.P}")
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Read-only [ny, nx] gain ``(r**2)**P`` about ``(ny//2, nx//2)``: exactly 0
+        at the center for any P > 0, and exactly 1 everywhere for P = 0."""
+        v = (np.arange(self.ny) - self.ny // 2) / self.ny
+        u = (np.arange(self.nx) - self.nx // 2) / self.nx
+        h = (v[:, None] ** 2 + u[None, :] ** 2) ** self.P
         h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-
-    @property
-    def ny(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def nx(self) -> int:
-        return self.h.shape[1]
+        return h
 
     @property
     def is_all_pass(self) -> bool:
-        return self.params.all_pass
-
-
-def all_pass_filter(ny: int, nx: int) -> WeightFilter:
-    """The identity weighting (h == 1 everywhere)."""
-    return WeightFilter(FilterParams(all_pass=True), np.ones((ny, nx)))
-
-
-def make_filter(params: FilterParams, ny: int, nx: int) -> WeightFilter:
-    """Evaluate the radial gain on an ny x nx grid centered at (ny//2, nx//2)."""
-    if params.all_pass:
-        return WeightFilter(params, np.ones((ny, nx)))
-    v = (np.arange(ny) - ny // 2) / ny
-    u = (np.arange(nx) - nx // 2) / nx
-    r2 = v[:, None] ** 2 + u[None, :] ** 2
-    # r**(2P) computed as (r^2)**P: exact 0 at the center for any P > 0.
-    h = params.M * r2**params.P / params.D0
-    return WeightFilter(params, h)
+        return self.P == 0
 
 
 def deweight(values: np.ndarray, f: WeightFilter, rows=slice(None), eps: float | None = None):
@@ -90,8 +57,8 @@ def deweight(values: np.ndarray, f: WeightFilter, rows=slice(None), eps: float |
     """
     if eps is None:
         eps = 1e-6 * float(f.h.max())
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # NaN too
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     h = f.h[rows]
     if f.is_all_pass:
         return values, np.ones(h.shape, dtype=bool)

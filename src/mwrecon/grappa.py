@@ -21,6 +21,7 @@ work stays in cache.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -161,8 +162,8 @@ def calibrate(
     ``AᴴA`` above ``n·eps·λ_max`` for ``n`` unknowns, which calls a system
     singular from about ``cond(A) = 1/sqrt(n·eps)`` on.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < math.inf:  # NaN too
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     A, B = _calibration_system(acs, geom, row0)
     n_unknowns = A.shape[1]
     if A.shape[0] < n_unknowns:

@@ -5,13 +5,12 @@ Conventions used throughout the package:
 * arrays are indexed ``[coil, ky, kx]``; ``ky`` is the phase-encode axis
   (the only undersampled one), ``kx`` is the fully sampled readout axis,
 * Fourier transforms are centered (DC at ``(ny // 2, nx // 2)``) and
-  orthonormal, so ``ifft2c(fft2c(x)) == x`` and Parseval holds,
+  orthonormal, so Parseval holds,
 * a sampling pattern is three numbers, ``(ny, R, acs_count)``; the ACS
   block's first row and the row mask are derived from them,
 * one frozen container, :class:`MultiCoilKSpace`, holds a coil array in
-  either domain; ``CoilImage`` is a second name for it that marks
-  image-domain arguments.  Containers are immutable after construction;
-  every operation returns a new object and is safe to call concurrently.
+  either domain.  Containers are immutable after construction; every
+  operation returns a new object and is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class MultiCoilKSpace:
             raise ValueError(f"coil array must be a [coil, ky, kx] array, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValueError(f"coil array dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arr.view(np.float64)).all():  # re and im as one real array
             raise ValueError("coil array contains non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -72,9 +71,6 @@ class MultiCoilKSpace:
     @property
     def nx(self) -> int:
         return self.data.shape[2]
-
-
-CoilImage = MultiCoilKSpace
 
 
 @dataclass(frozen=True)
@@ -118,18 +114,11 @@ def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     return SamplingPattern(ny, R, acs_count)
 
 
-def fft2c(image: CoilImage) -> MultiCoilKSpace:
+def fft2c(image: MultiCoilKSpace) -> MultiCoilKSpace:
     """Centered orthonormal 2-D FFT of each coil image."""
     d = np.fft.ifftshift(image.data, axes=(-2, -1))
     d = np.fft.fft2(d, axes=(-2, -1), norm="ortho")
     return MultiCoilKSpace(np.fft.fftshift(d, axes=(-2, -1)))
-
-
-def ifft2c(kspace: MultiCoilKSpace) -> CoilImage:
-    """Centered orthonormal 2-D inverse FFT of each coil's k-space."""
-    d = np.fft.ifftshift(kspace.data, axes=(-2, -1))
-    d = np.fft.ifft2(d, axes=(-2, -1), norm="ortho")
-    return CoilImage(np.fft.fftshift(d, axes=(-2, -1)))
 
 
 def apply_pattern(full: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilKSpace:
@@ -147,11 +136,6 @@ def extract_acs(kspace: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilK
         raise ValueError(f"grid has {kspace.ny} rows but pattern expects {pattern.ny}")
     block = kspace.data[:, pattern.acs_start : pattern.acs_start + pattern.acs_count, :]
     return MultiCoilKSpace(block)
-
-
-def sos_combine(images: CoilImage) -> np.ndarray:
-    """Root-sum-of-squares coil combination; returns a real [ny, nx] image."""
-    return np.sqrt(np.sum(np.abs(images.data) ** 2, axis=0))
 
 
 def save_kspace(path, kspace: MultiCoilKSpace) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspace import CoilImage, MultiCoilKSpace, fft2c
+from .kspace import MultiCoilKSpace, fft2c
 
 # ellipse table: intensity, half-axes a, b, center x0, y0, angle (degrees)
 _ELLIPSES = (
@@ -101,8 +101,7 @@ def simulate_kspace(
     image = np.asarray(image)
     if image.shape != maps.maps.shape[1:]:
         raise ValueError(f"image shape {image.shape} does not match maps {maps.maps.shape[1:]}")
-    coil_images = CoilImage(image[None, :, :] * maps.maps)
-    clean = fft2c(coil_images)
+    clean = fft2c(MultiCoilKSpace(image[None, :, :] * maps.maps))
     if snr_db is None:
         return clean
     signal_norm = np.linalg.norm(clean.data)

@@ -10,12 +10,12 @@ all coils train and infer together as one list of networks (see
 :mod:`mwrecon.network`).
 
 Multi-weight variants run the same flow on a batch of weighted copies of
-the measurement (one per weighting matrix, plus the untouched original).
-The batch shares one network per coil; at inference each weighted estimate
-is divided by its weighting matrix where that is safely invertible, and
-the final value of each missing sample is the mean over the valid branches
-(the all-pass branch is always valid).  RAKI and rRAKI are the one-branch
-case: their bank holds only the all-pass filter.
+the measurement, one per filter of the bank: the all-pass branch (P = 0,
+the original) and one gain ``r**(2P)`` per exponent P > 0.  The batch
+shares one network per coil; at inference each weighted estimate is
+divided by its weighting matrix where that is safely invertible, and the
+final value of each missing sample is the mean over the valid branches
+(the all-pass branch is always valid).  RAKI and rRAKI have no exponents.
 
 Networks ride the acquired-line lattice: as in the paper, adjacent ky taps
 are ``R`` rows apart on the full grid.  The lattice rows are extracted into
@@ -61,11 +61,13 @@ measured samples bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .filters import FilterParams, WeightFilter, all_pass_filter, deweight, make_filter
+from .filters import WeightFilter, deweight
 from .grappa import KernelGeometry, calibrate, interpolate
 from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs
 from .network import (
@@ -90,44 +92,36 @@ VIRTUAL_COIL_MAX_SHARE = 2 / 3
 
 @dataclass(frozen=True)
 class MultiWeightConfig:
-    """An ordered weighting bank: the all-pass identity plus L high-pass filters."""
+    """The ny x nx weighting bank: the all-pass branch, then one filter per exponent in order.
 
-    filters: tuple[WeightFilter, ...]
+    ``eps`` is the de-weighting floor; see :func:`mwrecon.filters.deweight`.
+    """
+
+    ny: int
+    nx: int
+    exponents: tuple[float, ...] = DEFAULT_FILTER_EXPONENTS
     eps: float | None = None
 
     def __post_init__(self):
-        filters = tuple(self.filters)
-        if not filters:
-            raise ValueError("multi-weight bank needs at least the all-pass filter")
-        n_all_pass = sum(f.is_all_pass for f in filters)
-        if n_all_pass != 1:
-            raise ValueError(f"multi-weight bank needs exactly one all-pass filter, got {n_all_pass}")
-        dims = {(f.ny, f.nx) for f in filters}
-        if len(dims) != 1:
-            raise ValueError(f"filters disagree on grid dims: {sorted(dims)}")
-        # canonical order: all-pass first
-        filters = tuple(sorted(filters, key=lambda f: not f.is_all_pass))
-        object.__setattr__(self, "filters", filters)
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        object.__setattr__(self, "exponents", tuple(self.exponents))
+        if not all(0 < p < math.inf for p in self.exponents):  # NaN too
+            raise ValueError(f"filter exponents must be finite and > 0, got {self.exponents}")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+
+    @cached_property
+    def filters(self) -> tuple[WeightFilter, ...]:
+        return tuple(WeightFilter(p, self.ny, self.nx) for p in (0, *self.exponents))
 
     def require_grid(self, ny: int, nx: int) -> None:
         """Raise unless the bank's filters are sized for an ``ny`` x ``nx`` grid."""
-        f = self.filters[0]
-        if (f.ny, f.nx) != (ny, nx):
-            raise ValueError(f"grid is {ny}x{nx} but filters are {f.ny}x{f.nx}")
+        if (self.ny, self.nx) != (ny, nx):
+            raise ValueError(f"grid is {ny}x{nx} but filters are {self.ny}x{self.nx}")
 
 
-def make_multiweight_config(
-    ny: int,
-    nx: int,
-    exponents=DEFAULT_FILTER_EXPONENTS,
-    eps: float | None = None,
-) -> MultiWeightConfig:
-    """Bank with one high-pass filter per exponent (M = D0 = 1) plus the all-pass branch."""
-    filters = [all_pass_filter(ny, nx)]
-    filters += [make_filter(FilterParams(P=p), ny, nx) for p in exponents]
-    return MultiWeightConfig(filters=tuple(filters), eps=eps)
+def make_multiweight_config(ny, nx, exponents=DEFAULT_FILTER_EXPONENTS, eps=None) -> MultiWeightConfig:
+    """``MultiWeightConfig(ny, nx, exponents, eps)``, under the name the benchmark calls."""
+    return MultiWeightConfig(ny, nx, exponents, eps)
 
 
 @dataclass(frozen=True)
@@ -144,8 +138,8 @@ class ReconConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < math.inf:  # NaN too
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.multiweight is not None and self.method not in ("mw_raki", "mw_rraki"):
             raise ValueError(f"multiweight config does not apply to method {self.method!r}")
 
@@ -264,16 +258,15 @@ def _weighted(values: np.ndarray, mw: MultiWeightConfig, rows: np.ndarray) -> np
 
 
 def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
-    """Per-coil centered inverse FFT followed by root-sum-of-squares combination.
+    """Root-sum-of-squares of the per-coil centered inverse FFTs.
 
-    Equal to ``sos_combine(ifft2c(kspace))`` up to rounding, with no shift
-    of the coil stack: shifting k-space only changes each pixel's phase,
-    and shifting the image moves every coil's pixels alike, so the one
-    shift is of the real combined image.  Coils are transformed one at a
-    time and their ``re² + im²`` added into one accumulator in coil order,
-    which is the order a sum over the stack's coil axis adds them in, so
-    the image is bit-identical to that of one transform of the whole
-    stack while each coil's image stays in cache.
+    The coil stack is not shifted: shifting k-space only changes each
+    pixel's phase, and shifting the image moves every coil's pixels alike,
+    so the one shift is of the real combined image.  Coils are transformed
+    one at a time and their ``re² + im²`` added into one accumulator in
+    coil order, which is the order a sum over the stack's coil axis adds
+    them in, so the image is bit-identical to that of one transform of the
+    whole stack while each coil's image stays in cache.
     """
     sos = np.zeros(kspace.data.shape[1:])
     for coil in kspace.data:
@@ -392,17 +385,14 @@ def raki_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult
     """Scan-specific reconstruction without weighting (methods raki / rraki)."""
     if cfg.method not in ("raki", "rraki"):
         raise ValueError(f"raki_reconstruct got method {cfg.method!r}")
-    mw = MultiWeightConfig(filters=(all_pass_filter(measured.ny, measured.nx),))
-    return _scan_specific_reconstruct(measured, cfg, mw)
+    return _scan_specific_reconstruct(measured, cfg, MultiWeightConfig(measured.ny, measured.nx, ()))
 
 
 def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
     """Multi-weight scan-specific reconstruction (methods mw_raki / mw_rraki)."""
     if cfg.method not in ("mw_raki", "mw_rraki"):
         raise ValueError(f"mw_reconstruct got method {cfg.method!r}")
-    mw = cfg.multiweight
-    if mw is None:
-        mw = make_multiweight_config(measured.ny, measured.nx)
+    mw = cfg.multiweight or MultiWeightConfig(measured.ny, measured.nx)
     return _scan_specific_reconstruct(measured, cfg, mw)
 
 

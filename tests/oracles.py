@@ -2,10 +2,29 @@
 
 Everything here is written as directly as possible from the defining
 formulas (nested loops, direct summation) and must stay independent of the
-package code paths it checks.
+package code paths it checks.  The coil-image helpers at the top
+(``ifft2c``, ``sos_combine``) are plain numpy compositions that only tests
+call.
 """
 
 import numpy as np
+
+from mwrecon.kspace import MultiCoilKSpace
+
+# the container under a name that marks image-domain arguments
+CoilImage = MultiCoilKSpace
+
+
+def ifft2c(kspace):
+    """Centered orthonormal 2-D inverse FFT of each coil's k-space."""
+    d = np.fft.ifftshift(kspace.data, axes=(-2, -1))
+    d = np.fft.ifft2(d, axes=(-2, -1), norm="ortho")
+    return CoilImage(np.fft.fftshift(d, axes=(-2, -1)))
+
+
+def sos_combine(images):
+    """Root-sum-of-squares coil combination; returns a real [ny, nx] image."""
+    return np.sqrt(np.sum(np.abs(images.data) ** 2, axis=0))
 
 
 def dft2c_direct(x):
@@ -64,12 +83,12 @@ def uniform_mask_enumerated(ny, R, acs_count):
     return mask
 
 
-def filter_gain(M, D0, P, ny, nx, ky, kx):
-    """Scalar evaluation of the radial high-pass gain at one grid location."""
+def filter_gain(P, ny, nx, ky, kx):
+    """Scalar evaluation of the radial gain ``r**(2P)`` at one grid location."""
     v = (ky - ny // 2) / ny
     u = (kx - nx // 2) / nx
     r = np.sqrt(u * u + v * v)
-    return M * r ** (2.0 * P) / D0
+    return r ** (2.0 * P)
 
 
 def conv_naive(x, w, dilation):

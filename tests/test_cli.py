@@ -298,7 +298,7 @@ def test_recon_config_keys_reach_the_recon_config(scan, monkeypatch):
     out = LayerSpec(6, 3, 2, "identity")  # 2·(R−1) channels at R = 4
     assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2, "relu"), out), skip=out)
     assert cfg.multiweight.filters[0].is_all_pass
-    assert [f.params.P for f in cfg.multiweight.filters[1:]] == [0.5]
+    assert [f.P for f in cfg.multiweight.filters[1:]] == [0.5]
     assert cfg.multiweight.eps == 1e-4
     cfg = run("mw-rraki", "--iters", "1", "--config", str(config), "--filters", "")
     assert len(cfg.multiweight.filters) == 1 and cfg.multiweight.filters[0].is_all_pass
@@ -321,8 +321,45 @@ def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
 
     assert run("raki", "--iters", "1", "--config", str(config)) == 2
     assert f"{config}:1: bad value for key 'layers': '16@3'" in capsys.readouterr().err
-    assert run("grappa", "--grappa-kernel", "bx:1") != 0
-    assert "'bx:1'" in capsys.readouterr().err
+    assert run("grappa", "--grappa-kernel", "bx:1") == 2
+    assert "flag --grappa-kernel needs both bx: and by:, got 'bx:1'" in capsys.readouterr().err
+    assert not (tmp_path / "r.mwks").exists()
+
+
+@pytest.mark.parametrize("method, flags, message", [
+    ("mw-raki", ["--filter-eps", "nan"], "flag --filter-eps must be > 0 and finite, got nan"),
+    ("mw-raki", ["--filter-eps", "-1"], "flag --filter-eps must be > 0 and finite, got -1.0"),
+    ("mw-rraki", ["--filters", "0"], "flag --filters must be > 0 and finite, got 0.0"),
+    ("mw-rraki", ["--filters", "0.6,nan"], "flag --filters must be > 0 and finite, got nan"),
+    ("grappa", ["--ridge", "inf"], "flag --ridge must be >= 0.0 and finite, got inf"),
+    ("grappa", ["--ridge", "nan"], "flag --ridge must be >= 0.0 and finite, got nan"),
+    ("grappa", ["--grappa-kernel", "bx:1"], "flag --grappa-kernel needs both bx: and by:, got 'bx:1'"),
+    ("grappa", ["--grappa-kernel", "bx:-1,by:2"], "flag --grappa-kernel bx_half must be >= 0, got -1"),
+], ids=["nan_eps", "negative_eps", "zero_exponent", "nan_exponent", "inf_ridge", "nan_ridge",
+        "half_kernel", "negative_kernel"])
+def test_recon_rejects_a_bad_bank_or_grappa_flag_before_any_work(scan, capsys, method, flags, message):
+    tmp_path, _, under = scan
+    out = tmp_path / "r.mwks"
+    argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
+            *flags, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["filter_eps = nan", "filter_eps = 0", "filter_eps = inf", "filter = P:nan"],
+                         ids=["nan_eps", "zero_eps", "inf_eps", "nan_exponent"])
+def test_recon_names_the_line_of_a_bad_bank_key(scan, capsys, line):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(f"iters = 1\n{line}\n", encoding="utf-8")
+    out = tmp_path / "r.mwks"
+    argv = ["--quiet", "recon", "--method", "mw-raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    key = line.split(" = ")[0]
+    assert f"{config}:2: bad value for key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_curves_hold_the_coil_mean_loss_per_cell_and_iteration(tmp_path, monkeypatch):

@@ -117,6 +117,12 @@ class TestCalibrate:
         kernel = calibrate(acs, KernelGeometry(R=2), ridge=1e-3)
         assert np.all(kernel.weights == 0)
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_rejects_a_negative_or_non_finite_ridge(self, ridge):
+        acs = MultiCoilKSpace(np.zeros((2, 8, 8), dtype=complex))
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            calibrate(acs, KernelGeometry(R=2), ridge=ridge)
+
     def test_zero_acs_without_ridge_is_singular(self):
         acs = MultiCoilKSpace(np.zeros((2, 8, 8), dtype=complex))
         with pytest.raises(np.linalg.LinAlgError):

@@ -5,21 +5,26 @@ import numpy as np
 import pytest
 
 from mwrecon.kspace import (
-    CoilImage,
     KSpaceFormatError,
     MultiCoilKSpace,
     apply_pattern,
     extract_acs,
     fft2c,
-    ifft2c,
     load_kspace,
     load_pattern,
     make_uniform_pattern,
     save_kspace,
     save_pattern,
-    sos_combine,
 )
-from oracles import dft2c_direct, idft2c_direct, sos_loop, uniform_mask_enumerated
+from oracles import (
+    CoilImage,
+    dft2c_direct,
+    idft2c_direct,
+    ifft2c,
+    sos_combine,
+    sos_loop,
+    uniform_mask_enumerated,
+)
 
 
 def random_kspace(rng, n_coils, ny, nx):
@@ -36,6 +41,14 @@ class TestTypes:
         bad = np.zeros((1, 4, 4), dtype=complex)
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
+            MultiCoilKSpace(bad)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+                                       complex(0, -np.inf)], ids=["nan_re", "nan_im", "inf_re", "-inf_im"])
+    def test_rejects_non_finite_in_either_part(self, value):
+        bad = np.zeros((2, 3, 5), dtype=complex)
+        bad[1, 2, 4] = value
+        with pytest.raises(ValueError, match="non-finite"):
             MultiCoilKSpace(bad)
 
     def test_rejects_wrong_rank(self):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mwrecon.kspace import CoilImage, MultiCoilKSpace, ifft2c, sos_combine
 from mwrecon.phantom import _ELLIPSES, CoilMaps, make_coil_maps, shepp_logan, simulate_kspace
-from oracles import shepp_logan_membership
+from oracles import CoilImage, ifft2c, shepp_logan_membership, sos_combine
 
 
 class TestSheppLogan:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mwrecon.filters import FilterParams, WeightFilter, all_pass_filter, make_filter
+from mwrecon.filters import WeightFilter
 from mwrecon.grappa import KernelGeometry
-from mwrecon.kspace import MultiCoilKSpace, apply_pattern, ifft2c, make_uniform_pattern, sos_combine
+from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
 from mwrecon.network import (
     LayerSpec,
     NetworkArch,
@@ -29,8 +29,10 @@ from mwrecon.pipelines import (
 from oracles import (
     dft2c_direct,
     idft2c_direct,
+    ifft2c,
     planted_full_grid,
     scan_specific_full_grid,
+    sos_combine,
     sos_loop,
     virtual_coil_basis_svd,
 )
@@ -49,26 +51,28 @@ def fast_opt(iters=150):
 
 
 class TestMultiWeightConfig:
-    def test_requires_all_pass(self):
-        f = make_filter(FilterParams(P=0.4), 8, 8)
-        with pytest.raises(ValueError, match="all-pass"):
-            MultiWeightConfig(filters=(f,))
+    """A bank is its grid and exponent list: the all-pass branch, then one filter per exponent."""
 
-    def test_all_pass_moved_first(self):
-        f = make_filter(FilterParams(P=0.4), 8, 8)
-        mw = MultiWeightConfig(filters=(f, all_pass_filter(8, 8)))
-        assert mw.filters[0].is_all_pass
-        assert len(mw.filters) - 1 == 1
+    def test_requires_all_pass(self):
+        # every bank holds exactly one all-pass filter, first; with no
+        # exponents it is the one-branch bank of raki and rraki
+        for exponents in ((), (0.4,), (0.6, 0.2)):
+            mw = MultiWeightConfig(8, 8, exponents)
+            assert [f.is_all_pass for f in mw.filters] == [True] + [False] * len(exponents)
+        assert MultiWeightConfig(8, 8, ()).filters == (WeightFilter(0, 8, 8),)
+
+    def test_keeps_the_given_exponent_order(self):
+        mw = MultiWeightConfig(12, 10, [0.2, 0.6, 0.4])
+        assert mw.exponents == (0.2, 0.6, 0.4)
+        assert [f.P for f in mw.filters] == [0, 0.2, 0.6, 0.4]
+        assert {(f.ny, f.nx) for f in mw.filters} == {(12, 10)}
 
     def test_factory_default_bank(self):
         mw = make_multiweight_config(16, 16)
+        assert mw == MultiWeightConfig(16, 16)
         assert len(mw.filters) - 1 == 2
         assert mw.filters[0].is_all_pass
-        assert [f.params.P for f in mw.filters[1:]] == [0.6, 0.2]
-
-    def test_dims_must_agree(self):
-        with pytest.raises(ValueError, match="dims"):
-            MultiWeightConfig(filters=(all_pass_filter(8, 8), make_filter(FilterParams(P=0.4), 4, 4)))
+        assert [f.P for f in mw.filters[1:]] == [0.6, 0.2]
 
 
 class TestBuildTrainingPairs:
@@ -183,7 +187,7 @@ class TestWeightedRows:
     def test_degenerate_single_entry(self):
         rng = np.random.default_rng(4)
         ks = MultiCoilKSpace(rng.standard_normal((2, 8, 8)) + 0j)
-        mw = MultiWeightConfig(filters=(all_pass_filter(8, 8),))
+        mw = MultiWeightConfig(8, 8, ())
         batch = pipelines._weighted(ks.data, mw, np.arange(8))
         assert batch.shape == (1, 2, 8, 8)
         assert np.array_equal(batch[0], ks.data)
@@ -501,19 +505,19 @@ class TestRowRestrictedHostPath:
         assert np.array_equal(got, expected)
 
     def test_default_eps_is_scaled_to_the_whole_filter(self):
-        # a filter whose maximum lies on an acquired row: 1e-6 of it is far
-        # above 1e-6 of its maximum over the missing rows
+        # at P = 4 on 40 x 16 the filter's maximum lies on row 0, which is
+        # acquired, and some missing-row samples lie between 1e-6 of the
+        # missing rows' maximum and 1e-6 of the whole filter's: an eps taken
+        # over the missing rows only would keep them
         rng = np.random.default_rng(36)
-        ny, nx = 35, 17
+        ny, nx = 40, 16
         pattern = make_uniform_pattern(ny, 3, 11)
         measured = apply_pattern(MultiCoilKSpace(mixed_sources(rng, 6, 3, ny, nx)), pattern)
-        h = make_filter(FilterParams(P=0.4), ny, nx).h.copy()
-        h[0] = 1e6 * np.median(h)
-        f = WeightFilter(FilterParams(P=0.4), h)
+        mw = MultiWeightConfig(ny, nx, (4,))
+        h = mw.filters[1].h
         missing_h = h[pattern.missing_rows]
         whole, missing_only = 1e-6 * h.max(), 1e-6 * missing_h.max()
         assert np.any((missing_h >= missing_only) & (missing_h < whole))
-        mw = MultiWeightConfig(filters=(all_pass_filter(ny, nx), f))
         cfg = ReconConfig(method="mw_raki", pattern=pattern, seed=2, optimizer=fast_opt(2), multiweight=mw)
         got = reconstruct(measured, cfg).kspace.data
         assert np.array_equal(got, full_grid_oracle(measured, pattern, mw, "mw_raki", 2, fast_opt(2)))
@@ -563,7 +567,7 @@ class TestMultiWeightSemantics:
     def test_degenerate_bank_matches_raki_bit_exact(self):
         _, measured, pattern = phantom_scene(snr=20, seed=12)
         arch = default_arch("mw_raki", n_coils=4, R=4)
-        mw = MultiWeightConfig(filters=(all_pass_filter(48, 48),))
+        mw = MultiWeightConfig(48, 48, ())
         cfg_mw = ReconConfig(
             method="mw_raki", pattern=pattern, seed=7, arch=arch, optimizer=fast_opt(80), multiweight=mw
         )
@@ -578,22 +582,21 @@ class TestMultiWeightSemantics:
         # with a huge eps the high-pass branch never contributes, so values
         # where it was already invalid must be identical in both runs
         _, measured, pattern = phantom_scene(snr=20, seed=13)
-        f = make_filter(FilterParams(P=0.4), 48, 48)
-        base = (all_pass_filter(48, 48), f)
+        f = WeightFilter(0.4, 48, 48)
         eps = 0.5 * float(f.h.max())
         cfg_a = ReconConfig(
             method="mw_raki",
             pattern=pattern,
             seed=3,
             optimizer=fast_opt(40),
-            multiweight=MultiWeightConfig(filters=base, eps=eps),
+            multiweight=MultiWeightConfig(48, 48, (0.4,), eps),
         )
         cfg_b = ReconConfig(
             method="mw_raki",
             pattern=pattern,
             seed=3,
             optimizer=fast_opt(40),
-            multiweight=MultiWeightConfig(filters=base, eps=10.0 * float(f.h.max())),
+            multiweight=MultiWeightConfig(48, 48, (0.4,), 10.0 * float(f.h.max())),
         )
         a = mw_reconstruct(measured, cfg_a)
         b = mw_reconstruct(measured, cfg_b)
@@ -646,11 +649,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown method"):
             ReconConfig(method="sense", pattern=pattern)
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    def test_rejects_a_negative_or_non_finite_ridge(self, ridge):
+        pattern = make_uniform_pattern(16, 2, 4)
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            ReconConfig(method="grappa", pattern=pattern, ridge=ridge)
+
     def test_multiweight_rejected_for_plain_raki(self):
         pattern = make_uniform_pattern(16, 2, 4)
         with pytest.raises(ValueError, match="multiweight"):
             ReconConfig(
                 method="raki",
                 pattern=pattern,
-                multiweight=MultiWeightConfig(filters=(all_pass_filter(16, 8),)),
+                multiweight=MultiWeightConfig(16, 8, ()),
             )
