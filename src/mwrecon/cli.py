@@ -31,6 +31,7 @@ from .config import (
     parse_layer_spec,
     parse_positive,
 )
+from .filters import WeightFilter
 from .grappa import KernelGeometry
 from .kspace import (
     apply_pattern,
@@ -183,14 +184,18 @@ def _arch_from(entries, n_coils, R, source) -> NetworkArch | None:
     return build_arch(layer_values, 2 * n_coils, 2 * (R - 1), skip_value)
 
 
+def _exponent_on(ny, nx):
+    """A filter exponent parser that rejects an exponent whose gain underflows on an ny x nx grid."""
+    return lambda text: WeightFilter(parse_filter_exponent(text), ny, nx).P
+
+
 def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig:
+    exponent = _exponent_on(ny, nx)
     exponents = DEFAULT_FILTER_EXPONENTS
     if "filter" in entries:
-        exponents = get_list(entries, "filter", parse_filter_exponent, source)
+        exponents = get_list(entries, "filter", exponent, source)
     # `--filters ""` selects the bare all-pass bank (L = 0)
-    exponents = _flag(
-        args, "filters", lambda text: [parse_filter_exponent(p) for p in text.split(",") if p.strip()], exponents
-    )
+    exponents = _flag(args, "filters", lambda text: [exponent(p) for p in text.split(",") if p.strip()], exponents)
     eps = get_scalar(entries, "filter_eps", parse_positive, None, source)
     return MultiWeightConfig(ny, nx, exponents, _flag(args, "filter-eps", parse_positive, eps))
 
@@ -408,7 +413,8 @@ def cmd_ablate(args) -> int:
 
     r_values = get_list(entries, "R", int, source) or [4]
     acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
-    p_values = get_list(entries, "P", parse_filter_exponent, source) or [None]
+    exponent = _exponent_on(full.ny, full.nx)
+    p_values = get_list(entries, "P", exponent, source) or [None]
     l_values = get_list(entries, "L", _at_least(int, 0), source) or [None]
     depth_values = get_list(entries, "depth", int, source) or [None]
     reps = get_scalar(entries, "reps", _at_least(int, 1), 1, source)
@@ -419,7 +425,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"{source}: ablation needs at least one axis with two or more values")
 
     master = args.seed if args.seed is not None else get_scalar(entries, "master_seed", int, 0, source)
-    base_exponents = tuple(get_list(entries, "filter", parse_filter_exponent, source)) or DEFAULT_ABLATION_EXPONENTS
+    base_exponents = tuple(get_list(entries, "filter", exponent, source)) or DEFAULT_ABLATION_EXPONENTS
     optimizer = _optimizer_from(entries, args, source)
 
     # an axis a method ignores is blanked before seeding, so each distinct

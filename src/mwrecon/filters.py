@@ -30,6 +30,10 @@ class WeightFilter:
     def __post_init__(self):
         if not self.P >= 0:  # NaN too
             raise ValueError(f"filter exponent must be >= 0, got {self.P}")
+        peak = ((self.ny // 2 / self.ny) ** 2 + (self.nx // 2 / self.nx) ** 2) ** self.P  # h at a corner
+        if self.P > 0 and not np.float32(peak) >= np.finfo(np.float32).tiny:  # the networks read float32
+            raise ValueError(f"filter exponent {self.P} underflows: its largest gain on the {self.ny}x{self.nx} "
+                             f"grid, {peak:.3g}, is below float32's normal range")
 
     @cached_property
     def h(self) -> np.ndarray:

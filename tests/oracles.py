@@ -284,13 +284,15 @@ def scan_specific_full_grid(measured, pattern, filters, eps, basis, arch, seed, 
 
     Normalise the whole grid, project it onto ``basis`` [C, nv], stack one
     weighted copy per filter, train one network per virtual coil on the ACS
-    rows of that batch, infer on the lattice, write every estimate into its
-    branch, de-weight each whole branch (``eps`` defaults to 1e-6 of the
-    filter's maximum), average the valid branches, map back to the coils and
-    restore the acquired rows.  The networks (``mwrecon.network``) and the
-    training-pair cutter are the package's own: this checks only the host
-    path around them.  Coil products are taken one ky row at a time, so a
-    row's values do not depend on which other rows are computed.
+    rows of that batch, infer on every lattice row in one call, write every
+    estimate into its branch, de-weight each whole branch by complex
+    division (``eps`` defaults to 1e-6 of the filter's maximum), average the
+    valid branches, map back to the coils and restore the acquired rows.
+    The networks (``mwrecon.network``) and the training-pair cutter are the
+    package's own: this checks the host path around them, and that the
+    pipeline's predictions equal the whole lattice's.  Coil products are
+    taken one ky row at a time, so a row's values do not depend on which
+    other rows are computed.
     """
     from mwrecon.network import forward, init_network, train
     from mwrecon.pipelines import _training_pairs

@@ -263,6 +263,19 @@ def test_ablate_reads_P_like_the_filter_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["P = 0.5, 300", "filter = 0.6, 2000"], ids=["P", "filter"])
+def test_ablate_rejects_an_exponent_whose_gain_underflows_before_any_cell(tmp_path, capsys, line):
+    # on the 32 x 32 scene the largest gain is 0.5**P, which float32 holds only up to P = 126
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = mw_raki\ndepth = 1, 2\n{line}\n"
+                      "iters = 1\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    key, value = line.split(" = ")
+    assert f"{config}:6: bad value for key '{key}': '{value.split(', ')[1]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def spy_on_reconstruct(monkeypatch):
     """Record every (config, result) the CLI's reconstruct call sees."""
     from mwrecon import cli
@@ -331,12 +344,14 @@ def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
     ("mw-raki", ["--filter-eps", "-1"], "flag --filter-eps must be > 0 and finite, got -1.0"),
     ("mw-rraki", ["--filters", "0"], "flag --filters must be > 0 and finite, got 0.0"),
     ("mw-rraki", ["--filters", "0.6,nan"], "flag --filters must be > 0 and finite, got nan"),
+    ("mw-raki", ["--filters", "200"], "flag --filters filter exponent 200.0 underflows"),
+    ("mw-rraki", ["--filters", "0.6,2000"], "flag --filters filter exponent 2000.0 underflows"),
     ("grappa", ["--ridge", "inf"], "flag --ridge must be >= 0.0 and finite, got inf"),
     ("grappa", ["--ridge", "nan"], "flag --ridge must be >= 0.0 and finite, got nan"),
     ("grappa", ["--grappa-kernel", "bx:1"], "flag --grappa-kernel needs both bx: and by:, got 'bx:1'"),
     ("grappa", ["--grappa-kernel", "bx:-1,by:2"], "flag --grappa-kernel bx_half must be >= 0, got -1"),
-], ids=["nan_eps", "negative_eps", "zero_exponent", "nan_exponent", "inf_ridge", "nan_ridge",
-        "half_kernel", "negative_kernel"])
+], ids=["nan_eps", "negative_eps", "zero_exponent", "nan_exponent", "float32_underflow", "float64_underflow",
+        "inf_ridge", "nan_ridge", "half_kernel", "negative_kernel"])
 def test_recon_rejects_a_bad_bank_or_grappa_flag_before_any_work(scan, capsys, method, flags, message):
     tmp_path, _, under = scan
     out = tmp_path / "r.mwks"
@@ -347,8 +362,9 @@ def test_recon_rejects_a_bad_bank_or_grappa_flag_before_any_work(scan, capsys, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["filter_eps = nan", "filter_eps = 0", "filter_eps = inf", "filter = P:nan"],
-                         ids=["nan_eps", "zero_eps", "inf_eps", "nan_exponent"])
+@pytest.mark.parametrize("line", ["filter_eps = nan", "filter_eps = 0", "filter_eps = inf", "filter = P:nan",
+                                  "filter = P:2000"],
+                         ids=["nan_eps", "zero_eps", "inf_eps", "nan_exponent", "underflowing_exponent"])
 def test_recon_names_the_line_of_a_bad_bank_key(scan, capsys, line):
     tmp_path, _, under = scan
     config = tmp_path / "recon.cfg"

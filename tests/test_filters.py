@@ -27,6 +27,16 @@ class TestParams:
         with pytest.raises(ValueError, match="must be finite and > 0"):
             MultiWeightConfig(8, 8, **bad)
 
+    @pytest.mark.parametrize("p", [127.0, 200.0, 2000.0])
+    def test_bank_rejects_an_exponent_whose_gain_underflows_in_float32(self, p):
+        # the largest gain on an even grid is (0.5**2 + 0.5**2)**P = 0.5**P, and
+        # float32's smallest normal number is 2**-126; the networks read float32
+        assert MultiWeightConfig(32, 32, (0.6, 126.0)).filters[2].h.max() == 2.0**-126
+        with pytest.raises(ValueError, match=rf"filter exponent {p} underflows: .* 32x32 grid"):
+            WeightFilter(p, 32, 32)
+        with pytest.raises(ValueError, match=rf"filter exponent {p} underflows: .* 32x32 grid"):
+            MultiWeightConfig(32, 32, (0.6, p))
+
     @pytest.mark.parametrize("p", [-0.5, float("nan")], ids=["negative", "nan"])
     def test_filter_rejects_a_negative_or_nan_exponent(self, p):
         with pytest.raises(ValueError, match="must be >= 0"):

@@ -15,6 +15,7 @@ from mwrecon.network import (
 from mwrecon.phantom import CoilMaps, make_coil_maps, shepp_logan, simulate_kspace
 from mwrecon import pipelines
 from mwrecon.pipelines import (
+    DEFAULT_FILTER_EXPONENTS,
     MultiWeightConfig,
     ReconConfig,
     build_training_pairs,
@@ -332,7 +333,8 @@ class TestScanSpecificPipeline:
         cfg = ReconConfig(method=method, pattern=pattern, seed=5, optimizer=fast_opt(5))
         result = reconstruct(measured, cfg)
         f32 = np.dtype(np.float32)
-        assert seen == [("train", f32, f32), ("forward", f32)]
+        # one inference call per run of kept lattice rows: above and below the ACS block
+        assert seen == [("train", f32, f32), ("forward", f32), ("forward", f32)]
         assert result.kspace.data.dtype == np.complex128
         assert np.array_equal(result.kspace.data[:, pattern.mask], measured.data[:, pattern.mask])
 
@@ -477,31 +479,54 @@ def mixed_sources(rng, coils, sources, ny, nx):
     return np.einsum("cs,syx->cyx", mix, src)
 
 
-def full_grid_oracle(measured, pattern, mw, method, seed, opt):
+def full_grid_oracle(measured, pattern, mw, method, seed, opt, depth=None):
     basis = virtual_coil_basis(measured, pattern)
-    arch = default_arch(method, basis.shape[1], pattern.R)
+    arch = default_arch(method, basis.shape[1], pattern.R, depth)
     return scan_specific_full_grid(measured, pattern, mw.filters, mw.eps, basis, arch, seed, opt)
 
 
-class TestRowRestrictedHostPath:
-    """The pipeline works on only the rows each stage reads, as if on the full grid."""
+def default_bank(method, ny, nx):
+    return MultiWeightConfig(ny, nx, () if method in ("raki", "rraki") else DEFAULT_FILTER_EXPONENTS)
 
-    @pytest.mark.parametrize(
-        "R, acs, on_lattice",
-        [(2, 11, True), (2, 12, False), (3, 11, True), (3, 13, False), (5, 15, True), (5, 17, False)],
-    )
-    def test_equals_the_full_grid_oracle(self, R, acs, on_lattice):
-        rng = np.random.default_rng(30 + R)
-        ny, nx = 35, 17  # odd sizes; for R = 2 and 3 the lattice does not divide ny
-        pattern = make_uniform_pattern(ny, R, acs)
+
+def host_path_scene(R, acs):
+    rng = np.random.default_rng(30 + R)
+    pattern = make_uniform_pattern(35, R, acs)  # odd sizes; for R = 2 and 3 the lattice does not divide ny
+    return apply_pattern(MultiCoilKSpace(mixed_sources(rng, 8, 3, 35, 17)), pattern), pattern
+
+
+# per R, an ACS block off the lattice on the 35 x 17 grid, tall enough for every depth
+OFF_LATTICE_ACS = {2: 12, 3: 13, 4: 15, 5: 17, 6: 17}
+SCAN_METHODS = ("raki", "rraki", "mw_raki", "mw_rraki")
+HOST_PATH_CASES = (
+    [pytest.param("mw_rraki", None, R, acs, on_lattice, id=f"{R}-{acs}-{on_lattice}")
+     for R, acs, on_lattice in [(2, 11, True), (2, 12, False), (3, 11, True), (3, 13, False), (5, 15, True),
+                                (5, 17, False)]]
+    + [pytest.param(method, None, R, OFF_LATTICE_ACS[R], False, id=f"{method}-R{R}")
+       for method in SCAN_METHODS for R in OFF_LATTICE_ACS]
+    + [pytest.param(method, depth, 4, OFF_LATTICE_ACS[4], False, id=f"{method}-depth{depth}")
+       for method in SCAN_METHODS for depth in (1, 2, 3, 5)]
+)
+
+
+class TestRowRestrictedHostPath:
+    """The pipeline works on only the rows each stage reads, as if on the full grid.
+
+    The oracle infers on every lattice row and de-weights each branch by
+    complex division; the pipeline infers on the kept lattice rows and
+    combines the branches in real arithmetic.  Both run the real networks.
+    """
+
+    @pytest.mark.parametrize("method, depth, R, acs, on_lattice", HOST_PATH_CASES)
+    def test_equals_the_full_grid_oracle(self, method, depth, R, acs, on_lattice):
+        measured, pattern = host_path_scene(R, acs)
         assert (pattern.acs_start % R == 0) == on_lattice
-        measured = apply_pattern(MultiCoilKSpace(mixed_sources(rng, 8, 3, ny, nx)), pattern)
-        nv = virtual_coil_count(measured, pattern)
-        assert nv == max(R, 3) < 8  # a true rotation, not the identity
-        mw = make_multiweight_config(ny, nx)
-        cfg = ReconConfig(method="mw_rraki", pattern=pattern, seed=4, optimizer=fast_opt(2))
+        # a true rotation, up to the share of the coils where the physical ones are kept
+        assert virtual_coil_count(measured, pattern) == (max(R, 3) if R < 6 else 8)
+        arch = None if depth is None else default_arch(method, 8, R, depth)
+        cfg = ReconConfig(method=method, pattern=pattern, seed=4, arch=arch, optimizer=fast_opt(2))
         got = reconstruct(measured, cfg).kspace.data
-        expected = full_grid_oracle(measured, pattern, mw, "mw_rraki", 4, fast_opt(2))
+        expected = full_grid_oracle(measured, pattern, default_bank(method, 35, 17), method, 4, fast_opt(2), depth)
         assert np.array_equal(got, expected)
 
     def test_default_eps_is_scaled_to_the_whole_filter(self):
@@ -521,6 +546,54 @@ class TestRowRestrictedHostPath:
         cfg = ReconConfig(method="mw_raki", pattern=pattern, seed=2, optimizer=fast_opt(2), multiweight=mw)
         got = reconstruct(measured, cfg).kspace.data
         assert np.array_equal(got, full_grid_oracle(measured, pattern, mw, "mw_raki", 2, fast_opt(2)))
+
+    def test_an_eps_that_leaves_missing_samples_invalid_equals_the_oracle(self):
+        measured, pattern = host_path_scene(3, OFF_LATTICE_ACS[3])
+        mw = MultiWeightConfig(35, 17, (0.6, 0.2), eps=0.6)
+        valid = [f.h[pattern.missing_rows] >= mw.eps for f in mw.filters[1:]]
+        # some samples are averaged over 1, some over 2 and some over 3 branches
+        assert set(np.unique(1 + valid[0] + valid[1])) == {1, 2, 3}
+        cfg = ReconConfig(method="mw_rraki", pattern=pattern, seed=6, optimizer=fast_opt(2), multiweight=mw)
+        expected = full_grid_oracle(measured, pattern, mw, "mw_rraki", 6, fast_opt(2))
+        assert np.array_equal(reconstruct(measured, cfg).kspace.data, expected)
+
+    @pytest.mark.parametrize("method", SCAN_METHODS)
+    def test_inference_skips_lattice_rows_that_predict_only_acs_rows(self, method, monkeypatch):
+        # the benchmark shape: 32 lattice rows, of which 8 predict only ACS rows
+        full = simulate_kspace(shepp_logan(128, 128), make_coil_maps(8, 128, 128, seed=1), seed=2)
+        pattern = make_uniform_pattern(128, 4, 32)
+        asked = []
+
+        def spy_forward(nets, x):
+            out = forward(nets, x)
+            asked.append(out.shape[3])
+            return out
+
+        forward = pipelines.forward
+        monkeypatch.setattr(pipelines, "forward", spy_forward)
+        reconstruct(apply_pattern(full, pattern), ReconConfig(method=method, pattern=pattern, optimizer=fast_opt(1)))
+        assert asked == [12, 12]  # one run above the ACS block, one below
+        assert sum(asked) == np.unique(pattern.missing_rows // 4).size
+
+    @pytest.mark.parametrize("R", list(OFF_LATTICE_ACS))
+    def test_inference_never_spans_more_than_the_lattice(self, R, monkeypatch):
+        # on small grids a span may take a few more rows than its run, so that
+        # the kept rows' predictions are computed as on the whole lattice; if
+        # the spans add up to the lattice, one call takes the whole lattice
+        measured, pattern = host_path_scene(R, OFF_LATTICE_ACS[R])
+        spans = []
+
+        def spy_forward(nets, x):
+            spans.append(x.shape[2] - nets[0].arch.ky_taps_excess)
+            return forward(nets, x)
+
+        forward = pipelines.forward
+        monkeypatch.setattr(pipelines, "forward", spy_forward)
+        reconstruct(measured, ReconConfig(method="mw_rraki", pattern=pattern, seed=7, optimizer=fast_opt(2)))
+        kept = np.unique(pattern.missing_rows // R)
+        n_lat = len(range(0, 35, R))
+        assert kept.size < n_lat
+        assert spans == [n_lat] or (len(spans) == 2 and kept.size <= sum(spans) < n_lat)
 
 
 class TestGramBasis:
