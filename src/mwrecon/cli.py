@@ -1,5 +1,12 @@
 """Command-line front end: phantom | undersample | recon | eval | compare | ablate.
 
+Each recon setting is declared once, in ``SETTINGS``, with its flag and the
+methods that read it; a key or flag that none of a run's methods reads is an
+error.  Every run's settings are resolved before any reconstruction: `recon`
+and `compare` build every method's config, and `ablate` parses every axis,
+first, so a value they reject exits 2 and writes nothing.  (A `depth` that a
+method's depth table lacks fails only its own ablation cells.)
+
 All tabular output is UTF-8 CSV with a header row.  Ablation sweeps are
 fully reproducible: every cell's seed is derived by hashing the master seed
 with the cell's axis values, and rows are ordered by axis tuple, so two
@@ -54,43 +61,40 @@ from .pipelines import (
     reconstruct_image,
 )
 
+AXIS_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed")
 RECON_COLUMNS = (
     "method", "R", "acs", "seed", "psnr", "ssim", "rmse", "train_iters", "virtual_coils", "wall_ms",
 )
-ABLATE_COLUMNS = (
-    "method", "R", "acs", "P", "L", "depth", "rep", "seed",
-    "psnr", "ssim", "rmse", "train_iters", "status",
-)
-CURVE_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed", "iteration", "loss")
+ABLATE_COLUMNS = AXIS_COLUMNS + ("psnr", "ssim", "rmse", "train_iters", "status")
+CURVE_COLUMNS = AXIS_COLUMNS + ("iteration", "loss")
 DEFAULT_ABLATION_EXPONENTS = (0.6, 0.2, 0.4, 0.3)
-# the recon settings each method reads: GRAPPA trains no network, and only
-# the multi-weight methods have a filter bank.  A setting is a config key, a
-# flag (RECON_FLAGS) or both; a setting none of the chosen methods reads is
-# an error either way.
-_NETWORK_KEYS = ("seed", "iters", "lr", "layers", "skip")
-METHOD_KEYS = {
-    "grappa": ("ridge", "grappa_kernel"),
-    "raki": _NETWORK_KEYS,
-    "rraki": _NETWORK_KEYS,
-    "mw_raki": _NETWORK_KEYS + ("filter", "filter_eps"),
-    "mw_rraki": _NETWORK_KEYS + ("filter", "filter_eps"),
+_NETWORKS = ("raki", "rraki", "mw_raki", "mw_rraki")
+_MULTIWEIGHT = ("mw_raki", "mw_rraki")
+# Every recon setting: its flag (None for a config key only) and the methods
+# that read it.  GRAPPA's settings are flags only; every other setting is also
+# a config key.  A key or flag that none of a run's methods reads is an error.
+SETTINGS = {
+    "seed": ("--seed", _NETWORKS),
+    "iters": ("--iters", _NETWORKS),
+    "lr": ("--lr", _NETWORKS),
+    "layers": (None, _NETWORKS),
+    "skip": (None, _NETWORKS),
+    "filter": ("--filters", _MULTIWEIGHT),
+    "filter_eps": ("--filter-eps", _MULTIWEIGHT),
+    "ridge": ("--ridge", ("grappa",)),
+    "grappa_kernel": ("--grappa-kernel", ("grappa",)),
 }
-# setting -> flag; ridge and the GRAPPA kernel have no config key
-RECON_FLAGS = {
-    "seed": "--seed", "iters": "--iters", "lr": "--lr", "filter": "--filters",
-    "filter_eps": "--filter-eps", "ridge": "--ridge", "grappa_kernel": "--grappa-kernel",
-}
-RECON_KEYS = METHOD_KEYS["mw_rraki"]
+RECON_KEYS = tuple(setting for setting, (_, readers) in SETTINGS.items() if "grappa" not in readers)
 RECON_LISTS = ("layers", "filter")
 ABLATE_KEYS = (
     "input", "size", "coils", "snr_db", "scene_seed", "method", "R", "acs", "P", "L",
     "depth", "reps", "master_seed", "filter", "iters", "lr",
 )
 ABLATE_LISTS = ("method", "R", "acs", "P", "L", "depth", "filter")
-# the sweep keys that only some methods read -> the recon setting each one sets
+# the sweep keys that only some methods read -> the setting each one sets; the
+# global --seed is the sweep's master seed, read whatever the methods
 ABLATE_SETTINGS = {"iters": "iters", "lr": "lr", "depth": "layers", "P": "filter", "L": "filter",
                    "filter": "filter"}
-ABLATE_FLAGS = {"iters": "--iters", "lr": "--lr"}
 
 
 def _fmt(value) -> str:
@@ -146,12 +150,14 @@ def cmd_undersample(args) -> int:
     return 0
 
 
-def _at_least(kind, low):
-    """Parse a finite ``kind`` value >= ``low``; the config reader names file:line."""
+def _at_least(kind, low, high=math.inf):
+    """Parse a finite ``kind`` value in [``low``, ``high``]; the config reader names file:line."""
     def convert(text):
         value = kind(text)
         if not low <= value < math.inf:  # NaN too
             raise ValueError(f"must be >= {low} and finite, got {value}")
+        if value > high:
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
     return convert
 
@@ -167,20 +173,20 @@ def _flag(args, name, convert, default=None):
         raise ConfigError(f"flag --{name} {exc}") from exc
 
 
-def _optimizer_from(entries, args, source) -> OptimizerConfig:
+def _optimizer_from(entries, args) -> OptimizerConfig:
     """Adam settings: a flag overrides its config key, and both share one lower bound."""
     values = {}
     for key, kind, low, default in (("lr", float, 0.0, 0.001), ("iters", int, 1, 1000)):
         convert = _at_least(kind, low)
-        values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, default, source))
+        values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, default))
     return OptimizerConfig(**values)
 
 
-def _arch_from(entries, n_coils, R, source) -> NetworkArch | None:
-    layer_values = get_list(entries, "layers", parse_layer_spec, source)
+def _arch_from(entries, n_coils, R) -> NetworkArch | None:
+    layer_values = get_list(entries, "layers", parse_layer_spec)
     if not layer_values:
         return None
-    skip_value = get_scalar(entries, "skip", parse_layer_spec, None, source)
+    skip_value = get_scalar(entries, "skip", parse_layer_spec)
     return build_arch(layer_values, 2 * n_coils, 2 * (R - 1), skip_value)
 
 
@@ -189,54 +195,47 @@ def _exponent_on(ny, nx):
     return lambda text: WeightFilter(parse_filter_exponent(text), ny, nx).P
 
 
-def _multiweight_from(entries, args, ny, nx, source) -> MultiWeightConfig:
+def _multiweight_from(entries, args, ny, nx) -> MultiWeightConfig:
     exponent = _exponent_on(ny, nx)
     exponents = DEFAULT_FILTER_EXPONENTS
     if "filter" in entries:
-        exponents = get_list(entries, "filter", exponent, source)
+        exponents = get_list(entries, "filter", exponent)
     # `--filters ""` selects the bare all-pass bank (L = 0)
     exponents = _flag(args, "filters", lambda text: [exponent(p) for p in text.split(",") if p.strip()], exponents)
-    eps = get_scalar(entries, "filter_eps", parse_positive, None, source)
+    eps = get_scalar(entries, "filter_eps", parse_positive)
     return MultiWeightConfig(ny, nx, exponents, _flag(args, "filter-eps", parse_positive, eps))
 
 
-def _reject_unread(args, entries, methods, setting_of, flags) -> None:
+def _reject_unread(args, entries, methods, setting_of) -> None:
     """A config key or flag that none of ``methods`` reads is an error.
 
-    ``setting_of`` maps each config key to check to the recon setting
-    (a ``METHOD_KEYS`` entry) it sets; ``flags`` maps settings to flags.
+    ``setting_of`` maps each config key to check to the ``SETTINGS`` entry
+    it sets; the flags of those settings are checked in table order.
     """
-    read = {key for method in methods for key in METHOD_KEYS[method]}
+    checked = set(setting_of.values())
+    unread = {setting: flag for setting, (flag, readers) in SETTINGS.items()
+              if setting in checked and not set(readers) & set(methods)}
     names = ", ".join(m.replace("_", "-") for m in methods)
-    unread = [(lines[0][0], key) for key, lines in entries.items()
-              if key in setting_of and setting_of[key] not in read]
-    if unread:
-        lineno, key = min(unread)
+    keys = [(lines[0][0], key) for key, lines in entries.items() if setting_of.get(key) in unread]
+    if keys:
+        lineno, key = min(keys)
         raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read by {names}")
-    for key, flag in flags.items():
-        if key not in read and getattr(args, flag[2:].replace("-", "_")) is not None:
+    for flag in unread.values():
+        if flag and getattr(args, flag[2:].replace("-", "_"), None) is not None:
             raise ConfigError(f"flag {flag} is not read by {names}")
-
-
-def _recon_entries(args, methods) -> dict:
-    """The ``--config`` entries; a key or flag none of ``methods`` reads is an error."""
-    entries = load_config(args.config, RECON_KEYS, RECON_LISTS) if args.config else {}
-    _reject_unread(args, entries, methods, {key: key for key in RECON_KEYS}, RECON_FLAGS)
-    return entries
 
 
 def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
     """The run's settings; a value they reject is a ConfigError, raised before any work."""
-    source = str(args.config) if args.config else "<cli>"
-    mw = method in ("mw_raki", "mw_rraki")
+    mw = method in _MULTIWEIGHT
     try:
         return ReconConfig(
             method=method,
             pattern=pattern,
-            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0, source),
-            arch=_arch_from(entries, measured.n_coils, pattern.R, source),
-            optimizer=_optimizer_from(entries, args, source),
-            multiweight=_multiweight_from(entries, args, measured.ny, measured.nx, source) if mw else None,
+            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0),
+            arch=_arch_from(entries, measured.n_coils, pattern.R),
+            optimizer=_optimizer_from(entries, args),
+            multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
             grappa_geometry=_flag(args, "grappa-kernel",
                                   lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec))),
             ridge=_flag(args, "ridge", _at_least(float, 0.0), 0.0),
@@ -252,20 +251,33 @@ def _train_iters(result) -> int:
     return len(result.loss_histories[0]) if result.loss_histories else 0
 
 
-def _metrics_row(method, pattern, seed, result, ref_sos, wall_ms):
-    row = {
-        "method": method.replace("_", "-"),
-        "R": pattern.R,
-        "acs": pattern.acs_count,
-        "seed": seed,
-        "train_iters": _train_iters(result),
-        "virtual_coils": len(result.loss_histories),  # one network per virtual coil
-        "wall_ms": wall_ms,
-    }
-    if ref_sos is not None:
-        report = evaluate(result.sos, ref_sos)
-        row.update(psnr=report.psnr_db, ssim=report.ssim, rmse=report.rmse_pct)
-    return row
+def _run_methods(args, measured, pattern, methods, ref):
+    """Reconstruct ``measured`` with each of ``methods``, yielding (result, report row).
+
+    Every method's settings are resolved, so a bad one is rejected, before
+    the first reconstruction.  Rows are scored against ``ref`` when given.
+    """
+    entries = load_config(args.config, RECON_KEYS, RECON_LISTS) if args.config else {}
+    _reject_unread(args, entries, methods, {setting: setting for setting in SETTINGS})
+    configs = [_build_recon_config(args, entries, measured, method, pattern) for method in methods]
+    ref_sos = reconstruct_image(ref) if ref is not None else None
+    for cfg in configs:
+        t0 = time.perf_counter()
+        result = reconstruct(measured, cfg)
+        wall_ms = 1e3 * (time.perf_counter() - t0)
+        row = {
+            "method": cfg.method.replace("_", "-"),
+            "R": pattern.R,
+            "acs": pattern.acs_count,
+            "seed": cfg.seed,
+            "train_iters": _train_iters(result),
+            "virtual_coils": len(result.loss_histories),  # one network per virtual coil
+            "wall_ms": wall_ms,
+        }
+        if ref_sos is not None:
+            report = evaluate(result.sos, ref_sos)
+            row.update(psnr=report.psnr_db, ssim=report.ssim, rmse=report.rmse_pct)
+        yield result, row
 
 
 def cmd_recon(args) -> int:
@@ -278,18 +290,15 @@ def cmd_recon(args) -> int:
         )
     if args.pattern:
         pattern = load_pattern(args.pattern)
+        if pattern.ny != measured.ny:
+            raise ConfigError(f"--pattern expects {pattern.ny} rows but --input grid has {measured.ny}")
     else:
         pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
-    cfg = _build_recon_config(args, _recon_entries(args, [method]), measured, method, pattern)
-    ref_sos = reconstruct_image(ref) if ref is not None else None
-    t0 = time.perf_counter()
-    result = reconstruct(measured, cfg)
-    wall_ms = 1e3 * (time.perf_counter() - t0)
+    ((result, row),) = _run_methods(args, measured, pattern, [method], ref if args.report else None)
     save_kspace(args.out, result.kspace)
     if args.report:
-        row = _metrics_row(method, pattern, cfg.seed, result, ref_sos, wall_ms)
         _write_csv(args.report, RECON_COLUMNS, [row])
-    _say(args, f"{method.replace('_', '-')} reconstruction written to {args.out} ({wall_ms:.0f} ms)")
+    _say(args, f"{row['method']} reconstruction written to {args.out} ({row['wall_ms']:.0f} ms)")
     return 0
 
 
@@ -306,18 +315,12 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     full = load_kspace(args.input)
     pattern = make_uniform_pattern(full.ny, args.R, args.acs)
-    measured = apply_pattern(full, pattern)
-    ref_sos = reconstruct_image(full)
     methods = [_normalize_method(name) for name in args.methods.split(",")]
-    entries = _recon_entries(args, methods)
     rows = []
-    for method in methods:
-        cfg = _build_recon_config(args, entries, measured, method, pattern)
-        t0 = time.perf_counter()
-        result = reconstruct(measured, cfg)
-        wall_ms = 1e3 * (time.perf_counter() - t0)
-        rows.append(_metrics_row(method, pattern, cfg.seed, result, ref_sos, wall_ms))
-        _say(args, f"{method}: psnr={rows[-1]['psnr']:.2f}")
+    runs = _run_methods(args, apply_pattern(full, pattern), pattern, methods, full)
+    for method, (_, row) in zip(methods, runs):
+        rows.append(row)
+        _say(args, f"{method}: psnr={row['psnr']:.2f}")
     _write_csv(args.report, RECON_COLUMNS, rows)
     return 0
 
@@ -337,16 +340,16 @@ def _load_ablation_scene(entries, source):
     A synthesized scene is scored against its noise-free image, not against
     the noisy one it is reconstructed from; a file's scene has only its own.
     """
-    input_path = get_scalar(entries, "input", str, None, source)
+    input_path = get_scalar(entries, "input", str)
     if input_path:
         full = load_kspace(input_path)
         return full, reconstruct_image(full)
-    size = get_scalar(entries, "size", int, None, source)
+    size = get_scalar(entries, "size", int)
     if size is None:
         raise ConfigError(f"{source}: ablation config needs `input = file.mwks` or `size = N`")
-    coils = get_scalar(entries, "coils", int, 8, source)
-    snr = get_scalar(entries, "snr_db", float, None, source)
-    scene_seed = get_scalar(entries, "scene_seed", int, 7, source)
+    coils = get_scalar(entries, "coils", int, 8)
+    snr = get_scalar(entries, "snr_db", float)
+    scene_seed = get_scalar(entries, "scene_seed", int, 7)
     img = shepp_logan(size, size)
     maps = make_coil_maps(coils, size, size, seed=scene_seed)
     clean = simulate_kspace(img, maps)
@@ -355,6 +358,7 @@ def _load_ablation_scene(entries, source):
 
 
 def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
+    """One cell's (metric columns, coil-mean loss per iteration)."""
     method, R, acs, p_value, n_filters, depth, rep, seed = cell
     pattern = make_uniform_pattern(full.ny, R, acs)
     measured = apply_pattern(full, pattern)
@@ -366,10 +370,6 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     if p_value is not None:
         multiweight = MultiWeightConfig(full.ny, full.nx, (p_value,))
     elif n_filters is not None:
-        if n_filters > len(base_exponents):
-            raise ConfigError(
-                f"L={n_filters} exceeds the configured filter list ({len(base_exponents)})"
-            )
         multiweight = MultiWeightConfig(full.ny, full.nx, base_exponents[:n_filters])
     cfg = ReconConfig(
         method=method,
@@ -381,86 +381,62 @@ def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
     )
     result = reconstruct(measured, cfg)
     report = evaluate(result.sos, ref_sos)
-    row = {
-        "method": method.replace("_", "-"),
-        "R": R, "acs": acs, "P": p_value, "L": n_filters, "depth": depth,
-        "rep": rep, "seed": seed,
-        "psnr": report.psnr_db, "ssim": report.ssim, "rmse": report.rmse_pct,
-        "train_iters": _train_iters(result), "status": "ok",
-    }
-    curves = []
-    if result.loss_histories:
-        mean_curve = np.mean(np.stack(result.loss_histories), axis=0)
-        for it, value in enumerate(mean_curve, start=1):
-            curves.append({
-                "method": row["method"], "R": R, "acs": acs, "P": p_value, "L": n_filters,
-                "depth": depth, "rep": rep, "seed": seed,
-                "iteration": it, "loss": float(value),
-            })
-    return row, curves
+    metrics = {"psnr": report.psnr_db, "ssim": report.ssim, "rmse": report.rmse_pct,
+               "train_iters": _train_iters(result), "status": "ok"}
+    curve = np.mean(np.stack(result.loss_histories), axis=0) if result.loss_histories else []
+    return metrics, curve
 
 
 def cmd_ablate(args) -> int:
-    if not args.config:
-        raise ConfigError("ablate needs --config FILE")
-    source = str(args.config)
-    entries = load_config(args.config, ABLATE_KEYS, ABLATE_LISTS)
-    methods = [_normalize_method(m) for m in get_list(entries, "method", str, source)]
+    source = args.config
+    entries = load_config(source, ABLATE_KEYS, ABLATE_LISTS)
+    methods = [_normalize_method(m) for m in get_list(entries, "method", str)]
     if not methods:
         raise ConfigError(f"{source}: ablation config needs at least one `method = ...` line")
-    _reject_unread(args, entries, methods, ABLATE_SETTINGS, ABLATE_FLAGS)
+    _reject_unread(args, entries, methods, ABLATE_SETTINGS)
     full, ref_sos = _load_ablation_scene(entries, source)
 
-    r_values = get_list(entries, "R", int, source) or [4]
-    acs_values = get_list(entries, "acs", int, source) or [full.ny // 4]
+    r_values = get_list(entries, "R", int) or [4]
+    acs_values = get_list(entries, "acs", int) or [full.ny // 4]
     exponent = _exponent_on(full.ny, full.nx)
-    p_values = get_list(entries, "P", exponent, source) or [None]
-    l_values = get_list(entries, "L", _at_least(int, 0), source) or [None]
-    depth_values = get_list(entries, "depth", int, source) or [None]
-    reps = get_scalar(entries, "reps", _at_least(int, 1), 1, source)
+    p_values = get_list(entries, "P", exponent) or [None]
+    base_exponents = tuple(get_list(entries, "filter", exponent)) or DEFAULT_ABLATION_EXPONENTS
+    l_values = get_list(entries, "L", _at_least(int, 0, len(base_exponents))) or [None]
+    depth_values = get_list(entries, "depth", int) or [None]
+    reps = get_scalar(entries, "reps", _at_least(int, 1), 1)
     if p_values != [None] and l_values != [None]:
         raise ConfigError(f"{source}: sweep either P or L, not both")
     axes = [methods, r_values, acs_values, p_values, l_values, depth_values, list(range(reps))]
     if all(len(axis) < 2 for axis in axes):
         raise ConfigError(f"{source}: ablation needs at least one axis with two or more values")
 
-    master = args.seed if args.seed is not None else get_scalar(entries, "master_seed", int, 0, source)
-    base_exponents = tuple(get_list(entries, "filter", exponent, source)) or DEFAULT_ABLATION_EXPONENTS
-    optimizer = _optimizer_from(entries, args, source)
+    master = args.seed if args.seed is not None else get_scalar(entries, "master_seed", int, 0)
+    optimizer = _optimizer_from(entries, args)
 
     # an axis a method ignores is blanked before seeding, so each distinct
     # reconstruction runs once: GRAPPA has no network (depth) and only the
     # multi-weight methods have a filter bank (P, L)
     cells = set()
-    for method, R, acs, p, l_count, depth, rep in itertools.product(
-        methods, r_values, acs_values, p_values, l_values, depth_values, range(reps)
-    ):
-        if method not in ("mw_raki", "mw_rraki"):
+    for method, R, acs, p, l_count, depth, rep in itertools.product(*axes):
+        if method not in _MULTIWEIGHT:
             p = l_count = None
-        if method == "grappa":
+        if method not in _NETWORKS:
             depth = None
         seed = _cell_seed(master, method, R, acs, p, l_count, depth, rep)
         cells.add((method, R, acs, p, l_count, depth, rep, seed))
     cells = sorted(cells, key=lambda c: tuple(str(v) for v in c))
 
-    def run(cell):
+    rows, curve_rows = [], []
+    for cell in cells:
+        columns = dict(zip(AXIS_COLUMNS, cell), method=cell[0].replace("_", "-"))
         try:
-            return _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer)
+            metrics, curve = _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer)
         except Exception as exc:  # cell failures must not stop the sweep
-            method, R, acs, p, l_count, depth, rep, seed = cell
-            row = {
-                "method": method.replace("_", "-"), "R": R, "acs": acs, "P": p, "L": l_count,
-                "depth": depth, "rep": rep, "seed": seed, "train_iters": optimizer.iters,
-                "status": f"error: {exc}",
-            }
-            return row, []
-
-    outcomes = [run(cell) for cell in cells]
-
-    rows = [row for row, _ in outcomes]
+            metrics, curve = {"train_iters": optimizer.iters, "status": f"error: {exc}"}, []
+        rows.append({**columns, **metrics})
+        curve_rows += [{**columns, "iteration": it, "loss": loss} for it, loss in enumerate(curve, 1)]
     _write_csv(args.out, ABLATE_COLUMNS, rows)
     if args.curves:
-        curve_rows = [c for _, curves in outcomes for c in curves]
         _write_csv(args.curves, CURVE_COLUMNS, curve_rows)
     failures = [r for r in rows if r["status"] != "ok"]
     _say(args, f"{len(rows)} cells -> {args.out} ({len(failures)} failed)")

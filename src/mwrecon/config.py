@@ -19,8 +19,8 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse to a mapping of key -> list of (line number, raw value)."""
-    entries: dict[str, list[tuple[int, str]]] = {}
+    """Parse to a mapping of key -> list of (line number, raw value, source)."""
+    entries: dict[str, list[tuple[int, str, str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -32,7 +32,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: empty key or value in {raw.strip()!r}")
-        entries.setdefault(key, []).append((lineno, value))
+        entries.setdefault(key, []).append((lineno, value, source))
     return entries
 
 
@@ -53,21 +53,21 @@ def load_config(path, keys, lists=()) -> dict:
     return entries
 
 
-def get_scalar(entries: dict, key: str, convert, default=None, source: str = "<config>"):
+def get_scalar(entries: dict, key: str, convert, default=None):
     """The value of a key given once (:func:`load_config` rejects repeats)."""
     if key not in entries:
         return default
-    lineno, value = entries[key][0]
+    lineno, value, source = entries[key][0]
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}:{lineno}: bad value for key {key!r}: {value!r}") from exc
 
 
-def get_list(entries: dict, key: str, convert, source: str = "<config>") -> list:
+def get_list(entries: dict, key: str, convert) -> list:
     """All occurrences, in file order; comma-separated values also split."""
     out = []
-    for lineno, value in entries.get(key, []):
+    for lineno, value, source in entries.get(key, []):
         for part in value.split(","):
             part = part.strip()
             if not part:

@@ -185,4 +185,4 @@ def load_pattern(path) -> SamplingPattern:
     missing = set(keys) - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return make_uniform_pattern(*(get_scalar(entries, key, int, source=str(path)) for key in keys))
+    return make_uniform_pattern(*(get_scalar(entries, key, int) for key in keys))

@@ -609,3 +609,68 @@ def test_recon_rejects_a_ref_on_another_grid_before_any_work(scan, capsys):
     assert main(argv) == 2
     assert "--ref grid is 48x48 but --input grid is 32x32" in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--filters", "200"], "flag --filters filter exponent 200.0 underflows"),
+    (["--filter-eps", "nan"], "flag --filter-eps must be > 0 and finite, got nan"),
+], ids=["underflowing_filters", "nan_filter_eps"])
+def test_compare_rejects_a_bad_setting_before_any_run(scan, capsys, monkeypatch, flags, message):
+    # raki comes first and reads neither flag, so only a check of every method up front stops it
+    tmp_path, full, _ = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    argv = ["--quiet", "compare", "--input", str(full), "--methods", "raki,mw-raki", "--R", "4",
+            "--acs", "16", "--iters", "1", *flags, "--report", str(report)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not report.exists()
+
+
+@pytest.mark.parametrize("lines, value", [
+    ("L = 1, 5\n", "5"),  # the four default exponents
+    ("filter = 0.5, 0.2\nL = 1, 3\n", "3"),
+], ids=["default_filters", "configured_filters"])
+def test_ablate_rejects_an_L_beyond_the_filters_before_any_cell(tmp_path, capsys, monkeypatch, lines, value):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nacs = 16\nmethod = mw_raki\n{lines}iters = 1\n",
+                      encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    line = 4 + lines.count("\n")
+    assert f"{config}:{line}: bad value for key 'L': '{value}'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("coils = 4\nacs = 16\nmethod = raki\ndepth = 1, 2\n",
+     "ablation config needs `input = file.mwks` or `size = N`"),
+    ("size = 32\ncoils = 4\nacs = 16\ndepth = 1, 2\n",
+     "ablation config needs at least one `method = ...` line"),
+    ("size = 32\ncoils = 4\nacs = 16\nmethod = mw_raki\nP = 0.5, 0.2\nL = 1\n",
+     "sweep either P or L, not both"),
+    ("size = 32\ncoils = 4\nacs = 16\nmethod = raki\ndepth = 1\n",
+     "ablation needs at least one axis with two or more values"),
+], ids=["no_scene", "no_method", "P_and_L", "no_axis"])
+def test_ablate_rejects_a_config_that_defines_no_sweep(tmp_path, capsys, text, message):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["grappa", "raki"])
+def test_recon_rejects_a_pattern_on_another_grid_before_any_work(scan, capsys, monkeypatch, method):
+    tmp_path, _, under = scan
+    pattern = tmp_path / "p40.pattern"
+    pattern.write_text("ny = 40\nR = 4\nacs_count = 16\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out, report = tmp_path / "r.mwks", tmp_path / "r.csv"
+    argv = ["--quiet", "recon", "--method", method, "--input", str(under), "--pattern", str(pattern),
+            "--out", str(out), "--report", str(report)]
+    assert main(argv) == 2
+    assert "--pattern expects 40 rows but --input grid has 32" in capsys.readouterr().err
+    assert calls == [] and not out.exists() and not report.exists()
