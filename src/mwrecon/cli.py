@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    at_least,
     build_arch,
     get_list,
     get_scalar,
@@ -129,37 +130,46 @@ def _normalize_method(name: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _snr_db(text) -> float:
+    """An SNR in dB; +inf means noise-free, and NaN or -inf is an error."""
+    value = float(text)
+    if not value > -math.inf:  # NaN too
+        raise ValueError(f"must be a number of dB or +inf, got {value}")
+    return value
+
+
+# phantom settings, checked before any synthesis: shepp_logan needs 16 x 16
+_GRID = at_least(int, 16)
+_COILS = at_least(int, 1)
+
+
 def cmd_phantom(args) -> int:
-    ny = args.ny or args.size
-    nx = args.nx or args.size
+    ny = _flag(args, "ny", _GRID) or _flag(args, "size", _GRID)
+    nx = _flag(args, "nx", _GRID) or _flag(args, "size", _GRID)
+    coils = _flag(args, "coils", _COILS)
+    snr = _flag(args, "snr", _snr_db)
     img = shepp_logan(ny, nx)
-    maps = make_coil_maps(args.coils, ny, nx, seed=args.seed)
-    ks = simulate_kspace(img, maps, snr_db=args.snr, seed=args.seed)
+    maps = make_coil_maps(coils, ny, nx, seed=args.seed)
+    ks = simulate_kspace(img, maps, snr_db=snr, seed=args.seed)
     save_kspace(args.out, ks)
-    _say(args, f"wrote {args.coils}-coil {ny}x{nx} phantom k-space to {args.out}")
+    _say(args, f"wrote {coils}-coil {ny}x{nx} phantom k-space to {args.out}")
     return 0
+
+
+def _pattern_from_flags(args, ny):
+    """The uniform pattern of --R and --acs on an ``ny``-row grid; a rejected value names its flag."""
+    R = _flag(args, "R", at_least(int, 2))
+    return make_uniform_pattern(ny, R, _flag(args, "acs", at_least(int, 1, ny)))
 
 
 def cmd_undersample(args) -> int:
     ks = load_kspace(args.input)
-    pattern = make_uniform_pattern(ks.ny, args.R, args.acs)
+    pattern = _pattern_from_flags(args, ks.ny)
     save_kspace(args.out, apply_pattern(ks, pattern))
     if args.pattern_out:
         save_pattern(args.pattern_out, pattern)
     _say(args, f"kept {int(pattern.mask.sum())}/{ks.ny} rows (R={args.R}, acs={args.acs})")
     return 0
-
-
-def _at_least(kind, low, high=math.inf):
-    """Parse a finite ``kind`` value in [``low``, ``high``]; the config reader names file:line."""
-    def convert(text):
-        value = kind(text)
-        if not low <= value < math.inf:  # NaN too
-            raise ValueError(f"must be >= {low} and finite, got {value}")
-        if value > high:
-            raise ValueError(f"must be <= {high}, got {value}")
-        return value
-    return convert
 
 
 def _flag(args, name, convert, default=None):
@@ -177,7 +187,7 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
     """Adam settings: a flag overrides its config key, and both share one lower bound."""
     values = {}
     for key, kind, low, default in (("lr", float, 0.0, 0.001), ("iters", int, 1, 1000)):
-        convert = _at_least(kind, low)
+        convert = at_least(kind, low)
         values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, default))
     return OptimizerConfig(**values)
 
@@ -238,7 +248,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
             multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
             grappa_geometry=_flag(args, "grappa-kernel",
                                   lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec))),
-            ridge=_flag(args, "ridge", _at_least(float, 0.0), 0.0),
+            ridge=_flag(args, "ridge", at_least(float, 0.0), 0.0),
         )
     except ConfigError:
         raise
@@ -293,7 +303,7 @@ def cmd_recon(args) -> int:
         if pattern.ny != measured.ny:
             raise ConfigError(f"--pattern expects {pattern.ny} rows but --input grid has {measured.ny}")
     else:
-        pattern = make_uniform_pattern(measured.ny, args.R, args.acs)
+        pattern = _pattern_from_flags(args, measured.ny)
     ((result, row),) = _run_methods(args, measured, pattern, [method], ref if args.report else None)
     save_kspace(args.out, result.kspace)
     if args.report:
@@ -313,9 +323,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    full = load_kspace(args.input)
-    pattern = make_uniform_pattern(full.ny, args.R, args.acs)
     methods = [_normalize_method(name) for name in args.methods.split(",")]
+    repeated = next((m for i, m in enumerate(methods) if m in methods[:i]), None)
+    if repeated:
+        raise ConfigError(f"flag --methods names {repeated.replace('_', '-')} twice")
+    full = load_kspace(args.input)
+    pattern = _pattern_from_flags(args, full.ny)
     rows = []
     runs = _run_methods(args, apply_pattern(full, pattern), pattern, methods, full)
     for method, (_, row) in zip(methods, runs):
@@ -344,11 +357,11 @@ def _load_ablation_scene(entries, source):
     if input_path:
         full = load_kspace(input_path)
         return full, reconstruct_image(full)
-    size = get_scalar(entries, "size", int)
+    size = get_scalar(entries, "size", _GRID)
     if size is None:
         raise ConfigError(f"{source}: ablation config needs `input = file.mwks` or `size = N`")
-    coils = get_scalar(entries, "coils", int, 8)
-    snr = get_scalar(entries, "snr_db", float)
+    coils = get_scalar(entries, "coils", _COILS, 8)
+    snr = get_scalar(entries, "snr_db", _snr_db)
     scene_seed = get_scalar(entries, "scene_seed", int, 7)
     img = shepp_logan(size, size)
     maps = make_coil_maps(coils, size, size, seed=scene_seed)
@@ -357,10 +370,10 @@ def _load_ablation_scene(entries, source):
     return full, reconstruct_image(clean)
 
 
-def _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer):
-    """One cell's (metric columns, coil-mean loss per iteration)."""
+def _run_ablation_cell(full, ref_sos, cell, patterns, base_exponents, optimizer):
+    """One cell's (metric columns, coil-mean loss per iteration), on its entry of ``patterns``."""
     method, R, acs, p_value, n_filters, depth, rep, seed = cell
-    pattern = make_uniform_pattern(full.ny, R, acs)
+    pattern = patterns[R, acs]
     measured = apply_pattern(full, pattern)
     arch = None
     if depth is not None:
@@ -396,14 +409,15 @@ def cmd_ablate(args) -> int:
     _reject_unread(args, entries, methods, ABLATE_SETTINGS)
     full, ref_sos = _load_ablation_scene(entries, source)
 
-    r_values = get_list(entries, "R", int) or [4]
-    acs_values = get_list(entries, "acs", int) or [full.ny // 4]
+    r_values = get_list(entries, "R", at_least(int, 2)) or [4]
+    acs_values = get_list(entries, "acs", at_least(int, 1, full.ny)) or [full.ny // 4]
+    patterns = {(R, acs): make_uniform_pattern(full.ny, R, acs) for R in r_values for acs in acs_values}
     exponent = _exponent_on(full.ny, full.nx)
     p_values = get_list(entries, "P", exponent) or [None]
     base_exponents = tuple(get_list(entries, "filter", exponent)) or DEFAULT_ABLATION_EXPONENTS
-    l_values = get_list(entries, "L", _at_least(int, 0, len(base_exponents))) or [None]
+    l_values = get_list(entries, "L", at_least(int, 0, len(base_exponents))) or [None]
     depth_values = get_list(entries, "depth", int) or [None]
-    reps = get_scalar(entries, "reps", _at_least(int, 1), 1)
+    reps = get_scalar(entries, "reps", at_least(int, 1), 1)
     if p_values != [None] and l_values != [None]:
         raise ConfigError(f"{source}: sweep either P or L, not both")
     axes = [methods, r_values, acs_values, p_values, l_values, depth_values, list(range(reps))]
@@ -430,7 +444,7 @@ def cmd_ablate(args) -> int:
     for cell in cells:
         columns = dict(zip(AXIS_COLUMNS, cell), method=cell[0].replace("_", "-"))
         try:
-            metrics, curve = _run_ablation_cell(full, ref_sos, cell, base_exponents, optimizer)
+            metrics, curve = _run_ablation_cell(full, ref_sos, cell, patterns, base_exponents, optimizer)
         except Exception as exc:  # cell failures must not stop the sweep
             metrics, curve = {"train_iters": optimizer.iters, "status": f"error: {exc}"}, []
         rows.append({**columns, **metrics})

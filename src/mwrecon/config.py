@@ -79,6 +79,18 @@ def get_list(entries: dict, key: str, convert) -> list:
     return out
 
 
+def at_least(kind, low, high=math.inf):
+    """Parse a finite ``kind`` value in [``low``, ``high``]; the config reader names file:line."""
+    def convert(text):
+        value = kind(text)
+        if not low <= value < math.inf:  # NaN too
+            raise ValueError(f"must be >= {low} and finite, got {value}")
+        if value > high:
+            raise ValueError(f"must be <= {high}, got {value}")
+        return value
+    return convert
+
+
 def parse_positive(text) -> float:
     """A finite float > 0."""
     value = float(text)

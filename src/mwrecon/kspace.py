@@ -11,6 +11,10 @@ Conventions used throughout the package:
 * one frozen container, :class:`MultiCoilKSpace`, holds a coil array in
   either domain.  Containers are immutable after construction; every
   operation returns a new object and is safe to call concurrently.
+  A producer that builds a fresh array freezes it and hands it over, so the
+  container takes it without a copy: :func:`fft2c`, :func:`apply_pattern`
+  and :func:`load_kspace` here, and ``phantom.simulate_kspace`` (whose
+  ``CoilMaps`` takes over ``make_coil_maps``'s array by the same rule).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import get_scalar, load_config
+from .config import at_least, get_scalar, load_config
 
 MWKS_MAGIC = b"MWKS"
 MWKS_VERSION = 1
@@ -32,6 +36,19 @@ class KSpaceFormatError(ValueError):
     """Raised for malformed .mwks files (bad magic, truncation, bad dims)."""
 
 
+def _take_over(arr) -> np.ndarray:
+    """``arr`` itself if it is a frozen complex128 array that owns its memory
+    (its maker froze it to hand it over), else a C-ordered complex128 copy."""
+    fresh = (
+        type(arr) is np.ndarray
+        and arr.dtype == np.complex128
+        and arr.flags.c_contiguous
+        and not arr.flags.writeable
+        and arr.base is None
+    )
+    return arr if fresh else np.array(arr, dtype=np.complex128, copy=True, order="C")
+
+
 @dataclass(frozen=True)
 class MultiCoilKSpace:
     """Complex samples for all receive coils, shape [n_coils, ny, nx], in either domain."""
@@ -39,18 +56,7 @@ class MultiCoilKSpace:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = self.data
-        # a frozen complex128 array that owns its memory is taken over as is
-        # (its maker froze it to hand it over); any other input is copied
-        fresh = (
-            type(arr) is np.ndarray
-            and arr.dtype == np.complex128
-            and arr.flags.c_contiguous
-            and not arr.flags.writeable
-            and arr.base is None
-        )
-        if not fresh:
-            arr = np.array(arr, dtype=np.complex128, copy=True, order="C")
+        arr = _take_over(self.data)
         if arr.ndim != 3:
             raise ValueError(f"coil array must be a [coil, ky, kx] array, got shape {arr.shape}")
         if min(arr.shape) < 1:
@@ -116,9 +122,17 @@ def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
 
 def fft2c(image: MultiCoilKSpace) -> MultiCoilKSpace:
     """Centered orthonormal 2-D FFT of each coil image."""
-    d = np.fft.ifftshift(image.data, axes=(-2, -1))
-    d = np.fft.fft2(d, axes=(-2, -1), norm="ortho")
-    return MultiCoilKSpace(np.fft.fftshift(d, axes=(-2, -1)))
+    out = np.empty_like(image.data)
+    for coil, k in zip(image.data, out):
+        _fft2c_into(coil, k)
+    out.flags.writeable = False
+    return MultiCoilKSpace(out)
+
+
+def _fft2c_into(image: np.ndarray, out: np.ndarray) -> None:
+    """Write one coil's centered FFT into ``out``: the temporaries are one coil's
+    size, and the values bit-identical to those of one transform of the stack."""
+    out[...] = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(image), norm="ortho"))
 
 
 def apply_pattern(full: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilKSpace:
@@ -126,7 +140,8 @@ def apply_pattern(full: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilK
     if full.ny != pattern.ny:
         raise ValueError(f"grid has {full.ny} rows but pattern expects {pattern.ny}")
     out = np.zeros_like(full.data)
-    out[:, pattern.mask, :] = full.data[:, pattern.mask, :]
+    np.copyto(out, full.data, where=pattern.mask[:, None])
+    out.flags.writeable = False
     return MultiCoilKSpace(out)
 
 
@@ -185,4 +200,6 @@ def load_pattern(path) -> SamplingPattern:
     missing = set(keys) - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    return make_uniform_pattern(*(get_scalar(entries, key, int) for key in keys))
+    ny = get_scalar(entries, "ny", at_least(int, 1))
+    R = get_scalar(entries, "R", at_least(int, 2))
+    return make_uniform_pattern(ny, R, get_scalar(entries, "acs_count", at_least(int, 1, ny)))

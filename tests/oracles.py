@@ -262,6 +262,58 @@ def shepp_logan_membership(ny, nx, ellipses):
     return img
 
 
+def shepp_logan_full_grid(ny, nx, ellipses):
+    """Every ellipse's membership test evaluated on the whole grid."""
+    y = np.linspace(1.0, -1.0, ny)[:, None]
+    x = np.linspace(-1.0, 1.0, nx)[None, :]
+    img = np.zeros((ny, nx))
+    for value, a, b, x0, y0, angle in ellipses:
+        phi = np.deg2rad(angle)
+        xr = (x - x0) * np.cos(phi) + (y - y0) * np.sin(phi)
+        yr = (y - y0) * np.cos(phi) - (x - x0) * np.sin(phi)
+        img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += value
+    return np.maximum(img, 0.0)
+
+
+def coil_maps_tensordot(n_coils, ny, nx, seed, variation=0.5):
+    """Coil maps from one ``tensordot`` of each coil's coefficients with the
+    six real polynomial planes, normalised by the mean of the stack's SoS."""
+    rng = np.random.default_rng(seed)
+    y = np.linspace(-1.0, 1.0, ny)[:, None]
+    x = np.linspace(-1.0, 1.0, nx)[None, :]
+    basis = np.stack(
+        [np.broadcast_to(t, (ny, nx)) for t in (np.ones((ny, nx)), x, y, x * x, x * y, y * y)]
+    )
+    scales = variation * np.array([0.3, 0.4, 0.4, 0.2, 0.2, 0.2])
+    maps = np.empty((n_coils, ny, nx), dtype=np.complex128)
+    for c in range(n_coils):
+        coeff = scales * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        coeff[0] += np.exp(2j * np.pi * c / n_coils)
+        maps[c] = np.tensordot(coeff, basis, axes=(0, 0))
+    sos = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
+    return maps / sos.mean()
+
+
+def fft2c_stacked(images):
+    """Centered orthonormal 2-D FFT of a [coil, y, x] stack in one call per step."""
+    d = np.fft.ifftshift(images, axes=(-2, -1))
+    d = np.fft.fft2(d, axes=(-2, -1), norm="ortho")
+    return np.fft.fftshift(d, axes=(-2, -1))
+
+
+def simulate_kspace_stacked(image, maps, snr_db=None, seed=0):
+    """Encode the whole coil-image stack at once, then add one complex noise array."""
+    clean = fft2c_stacked(image[None] * maps)
+    if snr_db is None:
+        return clean
+    signal_norm = np.linalg.norm(clean)
+    if signal_norm == 0:
+        return clean
+    rng = np.random.default_rng(seed)
+    sigma = signal_norm * 10.0 ** (-snr_db / 20.0) / np.sqrt(2.0 * clean.size)
+    return clean + sigma * (rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape))
+
+
 def virtual_coil_basis_svd(acs, R, tol, max_share):
     """Leading left singular vectors [C, nv] of an ACS block [C, rows, nx], by the SVD.
 

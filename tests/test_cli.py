@@ -674,3 +674,115 @@ def test_recon_rejects_a_pattern_on_another_grid_before_any_work(scan, capsys, m
     assert main(argv) == 2
     assert "--pattern expects 40 rows but --input grid has 32" in capsys.readouterr().err
     assert calls == [] and not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["recon", "--method", "raki", "--R", "0", "--acs", "16", "--out", "{out}"],
+     "flag --R must be >= 2 and finite, got 0"),
+    (["recon", "--method", "raki", "--R", "4", "--acs", "40", "--out", "{out}"],
+     "flag --acs must be <= 32, got 40"),
+    (["compare", "--methods", "raki", "--R", "1", "--acs", "16", "--report", "{out}"],
+     "flag --R must be >= 2 and finite, got 1"),
+    (["undersample", "--R", "4", "--acs", "0", "--out", "{out}"],
+     "flag --acs must be >= 1 and finite, got 0"),
+], ids=["recon_R", "recon_acs", "compare_R", "undersample_acs"])
+def test_a_bad_pattern_flag_is_named_before_any_work(scan, capsys, monkeypatch, command, message):
+    tmp_path, full, _ = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["--quiet", command[0], "--input", str(full), *(a.format(out=out) for a in command[1:])]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("text, line, key, value", [
+    ("ny = 32\nR = 1\nacs_count = 16\n", 2, "R", "1"),
+    ("ny = 32\nR = 4\nacs_count = 40\n", 3, "acs_count", "40"),
+], ids=["R", "acs_count"])
+def test_recon_names_the_line_of_a_bad_pattern_file_value(scan, capsys, monkeypatch, text, line, key, value):
+    tmp_path, _, under = scan
+    pattern = tmp_path / "bad.pattern"
+    pattern.write_text(text, encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "r.mwks"
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--pattern", str(pattern),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{pattern}:{line}: bad value for key '{key}': '{value}'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("line, value", [("R = 1, 4", "1"), ("acs = 16, 40", "40")], ids=["R", "acs"])
+def test_ablate_rejects_a_bad_pattern_before_any_cell(tmp_path, capsys, monkeypatch, line, value):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = 4\nmethod = grappa\n{line}\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"{config}:4: bad value for key '{key}': '{value}'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def refuse_synthesis(monkeypatch):
+    from mwrecon import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesized a scene from a rejected setting")
+
+    for name in ("shepp_logan", "make_coil_maps", "simulate_kspace"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--coils", "0"], "flag --coils must be >= 1 and finite, got 0"),
+    (["--size", "8"], "flag --size must be >= 16 and finite, got 8"),
+    (["--size", "32", "--nx", "12"], "flag --nx must be >= 16 and finite, got 12"),
+    (["--snr", "nan"], "flag --snr must be a number of dB or +inf, got nan"),
+    (["--snr=-inf"], "flag --snr must be a number of dB or +inf, got -inf"),
+], ids=["coils", "size", "nx", "nan_snr", "minus_inf_snr"])
+def test_phantom_rejects_a_bad_flag_before_any_synthesis(tmp_path, capsys, monkeypatch, flags, message):
+    refuse_synthesis(monkeypatch)
+    out = tmp_path / "p.mwks"
+    assert main(["--quiet", "phantom", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phantom_at_plus_inf_snr_is_noise_free(tmp_path):
+    clean, inf = tmp_path / "clean.mwks", tmp_path / "inf.mwks"
+    phantom = ["--quiet", "--seed", "2", "phantom", "--size", "16", "--coils", "2"]
+    assert main([*phantom, "--out", str(clean)]) == 0
+    assert main([*phantom, "--snr", "inf", "--out", str(inf)]) == 0
+    assert clean.read_bytes() == inf.read_bytes()
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("size = 8", "size", "8"),
+    ("coils = 0", "coils", "0"),
+    ("snr_db = nan", "snr_db", "nan"),
+    ("snr_db = -inf", "snr_db", "-inf"),
+], ids=["size", "coils", "nan_snr", "minus_inf_snr"])
+def test_ablate_rejects_a_bad_scene_key_before_any_synthesis(tmp_path, capsys, monkeypatch, line, key, value):
+    refuse_synthesis(monkeypatch)
+    config = tmp_path / "sweep.cfg"
+    scene = "" if key == "size" else "size = 32\n"
+    config.write_text(f"{scene}{line}\nmethod = grappa\nR = 2, 4\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    lineno = 1 + scene.count("\n")
+    assert f"{config}:{lineno}: bad value for key '{key}': '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, repeated", [("raki,raki", "raki"), ("grappa,mw-raki,MW_RAKI", "mw-raki")])
+def test_compare_rejects_a_repeated_method_before_any_run(scan, capsys, monkeypatch, methods, repeated):
+    tmp_path, full, _ = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    argv = ["--quiet", "compare", "--input", str(full), "--methods", methods, "--R", "4", "--acs", "16",
+            "--iters", "1", "--report", str(report)]
+    assert main(argv) == 2
+    assert f"flag --methods names {repeated} twice" in capsys.readouterr().err
+    assert calls == [] and not report.exists()

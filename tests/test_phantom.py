@@ -1,8 +1,23 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mwrecon.kspace import MultiCoilKSpace, apply_pattern, fft2c, make_uniform_pattern
 from mwrecon.phantom import _ELLIPSES, CoilMaps, make_coil_maps, shepp_logan, simulate_kspace
-from oracles import CoilImage, ifft2c, shepp_logan_membership, sos_combine
+from oracles import (
+    CoilImage,
+    coil_maps_tensordot,
+    fft2c_stacked,
+    ifft2c,
+    shepp_logan_full_grid,
+    shepp_logan_membership,
+    simulate_kspace_stacked,
+    sos_combine,
+)
+
+GRIDS = [(33, 33), (64, 48), (17, 20)]
 
 
 class TestSheppLogan:
@@ -117,3 +132,90 @@ class TestSimulate:
         maps = make_coil_maps(2, 16, 16, seed=0)
         with pytest.raises(ValueError, match="shape"):
             simulate_kspace(np.zeros((8, 8)), maps)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_rejects_nan_and_minus_inf_snr_before_any_transform(self, snr_db, monkeypatch):
+        from mwrecon import phantom
+
+        def no_transform(*args):
+            raise AssertionError("transformed before checking snr_db")
+
+        monkeypatch.setattr(phantom, "_fft2c_into", no_transform)
+        maps = make_coil_maps(2, 16, 16, seed=0)
+        with pytest.raises(ValueError, match="snr_db"):
+            simulate_kspace(shepp_logan(16, 16), maps, snr_db=snr_db)
+
+    def test_plus_inf_snr_is_noise_free(self):
+        img = shepp_logan(16, 16)
+        maps = make_coil_maps(2, 16, 16, seed=0)
+        assert np.array_equal(simulate_kspace(img, maps, snr_db=math.inf, seed=4).data,
+                              simulate_kspace(img, maps).data)
+
+
+@pytest.mark.parametrize("ny, nx", GRIDS)
+class TestSynthesisBytes:
+    """Each synthesis step equals, bit for bit, its whole-grid composition."""
+
+    def test_shepp_logan(self, ny, nx):
+        assert np.array_equal(shepp_logan(ny, nx), shepp_logan_full_grid(ny, nx, _ELLIPSES))
+
+    def test_coil_maps(self, ny, nx):
+        for coils, seed in ((1, 0), (4, 7), (8, 3)):
+            assert np.array_equal(make_coil_maps(coils, ny, nx, seed=seed).maps,
+                                  coil_maps_tensordot(coils, ny, nx, seed=seed))
+
+    def test_fft2c(self, ny, nx):
+        stack = shepp_logan(ny, nx)[None] * make_coil_maps(4, ny, nx, seed=7).maps
+        assert np.array_equal(fft2c(CoilImage(stack)).data, fft2c_stacked(stack))
+
+    @pytest.mark.parametrize("snr_db, seed", [(None, 0), (40.0, 11), (10.0, 2**31 - 5)])
+    def test_simulate_kspace(self, ny, nx, snr_db, seed):
+        img = shepp_logan(ny, nx)
+        maps = make_coil_maps(4, ny, nx, seed=7)
+        got = simulate_kspace(img, maps, snr_db=snr_db, seed=seed).data
+        assert np.array_equal(got, simulate_kspace_stacked(img, maps.maps, snr_db, seed))
+
+
+def traced_peak(fn):
+    """(result, peak bytes numpy allocated during ``fn()``)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestSynthesisMemory:
+    """Peak allocation of each step on an 8-coil 128 x 128 scene, relative to its output.
+
+    A whole-grid temporary (a coil-image stack, a shifted copy, a noise
+    array, a copy made by a container) adds at least one output's size.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        img = shepp_logan(128, 128)
+        maps = make_coil_maps(8, 128, 128, seed=7)
+        return img, maps, MultiCoilKSpace(img[None] * maps.maps), simulate_kspace(img, maps)
+
+    @pytest.mark.parametrize("step, bound", [
+        ("fft2c", 2.0),
+        ("simulate_clean", 2.0),
+        ("simulate_noisy", 2.0),
+        ("apply_pattern", 2.0),
+        ("make_coil_maps", 2.5),  # its complex polynomial planes are 6/8 of the output
+    ])
+    def test_peak_is_bounded_by_the_output(self, scene, step, bound):
+        img, maps, stack, clean = scene
+        pattern = make_uniform_pattern(128, 4, 32)
+        run = {
+            "fft2c": lambda: fft2c(stack).data,
+            "simulate_clean": lambda: simulate_kspace(img, maps).data,
+            "simulate_noisy": lambda: simulate_kspace(img, maps, snr_db=40.0, seed=5).data,
+            "apply_pattern": lambda: apply_pattern(clean, pattern).data,
+            "make_coil_maps": lambda: make_coil_maps(8, 128, 128, seed=7).maps,
+        }[step]
+        out, peak = traced_peak(run)
+        assert peak <= bound * out.nbytes, f"{step}: peak {peak / out.nbytes:.2f}x its output"
