@@ -141,6 +141,7 @@ def _snr_db(text) -> float:
 # phantom settings, checked before any synthesis: shepp_logan needs 16 x 16
 _GRID = at_least(int, 16)
 _COILS = at_least(int, 1)
+_SEED = at_least(int, 0)  # numpy's generators take no negative seed
 
 
 def cmd_phantom(args) -> int:
@@ -149,8 +150,9 @@ def cmd_phantom(args) -> int:
     coils = _flag(args, "coils", _COILS)
     snr = _flag(args, "snr", _snr_db)
     img = shepp_logan(ny, nx)
-    maps = make_coil_maps(coils, ny, nx, seed=args.seed)
-    ks = simulate_kspace(img, maps, snr_db=snr, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    maps = make_coil_maps(coils, ny, nx, seed=seed)
+    ks = simulate_kspace(img, maps, snr_db=snr, seed=seed)
     save_kspace(args.out, ks)
     _say(args, f"wrote {coils}-coil {ny}x{nx} phantom k-space to {args.out}")
     return 0
@@ -242,7 +244,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
         return ReconConfig(
             method=method,
             pattern=pattern,
-            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", int, 0),
+            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", _SEED, 0),
             arch=_arch_from(entries, measured.n_coils, pattern.R),
             optimizer=_optimizer_from(entries, args),
             multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
@@ -362,7 +364,7 @@ def _load_ablation_scene(entries, source):
         raise ConfigError(f"{source}: ablation config needs `input = file.mwks` or `size = N`")
     coils = get_scalar(entries, "coils", _COILS, 8)
     snr = get_scalar(entries, "snr_db", _snr_db)
-    scene_seed = get_scalar(entries, "scene_seed", int, 7)
+    scene_seed = get_scalar(entries, "scene_seed", _SEED, 7)
     img = shepp_logan(size, size)
     maps = make_coil_maps(coils, size, size, seed=scene_seed)
     clean = simulate_kspace(img, maps)
@@ -407,6 +409,8 @@ def cmd_ablate(args) -> int:
     if not methods:
         raise ConfigError(f"{source}: ablation config needs at least one `method = ...` line")
     _reject_unread(args, entries, methods, ABLATE_SETTINGS)
+    master = args.seed if args.seed is not None else get_scalar(entries, "master_seed", _SEED, 0)
+    optimizer = _optimizer_from(entries, args)
     full, ref_sos = _load_ablation_scene(entries, source)
 
     r_values = get_list(entries, "R", at_least(int, 2)) or [4]
@@ -423,9 +427,6 @@ def cmd_ablate(args) -> int:
     axes = [methods, r_values, acs_values, p_values, l_values, depth_values, list(range(reps))]
     if all(len(axis) < 2 for axis in axes):
         raise ConfigError(f"{source}: ablation needs at least one axis with two or more values")
-
-    master = args.seed if args.seed is not None else get_scalar(entries, "master_seed", int, 0)
-    optimizer = _optimizer_from(entries, args)
 
     # an axis a method ignores is blanked before seeding, so each distinct
     # reconstruction runs once: GRAPPA has no network (depth) and only the
@@ -542,6 +543,7 @@ def main(argv=None) -> int:
     if args.command == "recon" and (args.pattern is None) == (args.acs is None):
         parser.error("recon takes either --pattern FILE or both --R and --acs")
     try:
+        args.seed = _flag(args, "seed", _SEED)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

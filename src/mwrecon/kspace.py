@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,24 +164,34 @@ def save_kspace(path, kspace: MultiCoilKSpace) -> None:
 
 
 def load_kspace(path) -> MultiCoilKSpace:
-    """Read an .mwks file written by :func:`save_kspace`."""
+    """Read an .mwks file written by :func:`save_kspace`.
+
+    The header is checked against the file size before the coil array is
+    allocated; the payload is then read one coil at a time into a reused
+    float32 buffer and widened into that coil's slot, so a read holds the
+    array plus one coil's payload, never a copy of the whole file.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise KSpaceFormatError(f"{path}: file shorter than header")
-    magic, version, n_coils, ny, nx = _HEADER.unpack_from(raw)
-    if magic != MWKS_MAGIC:
-        raise KSpaceFormatError(f"{path}: bad magic bytes {magic!r}")
-    if version != MWKS_VERSION:
-        raise KSpaceFormatError(f"{path}: unsupported format version {version}")
-    if min(n_coils, ny, nx) == 0 or n_coils * ny * nx > 2**40:
-        raise KSpaceFormatError(f"{path}: bad dimensions {n_coils}x{ny}x{nx}")
-    expected = n_coils * ny * nx * 8
-    got = len(raw) - _HEADER.size
-    if got != expected:
-        raise KSpaceFormatError(f"{path}: payload has {got} bytes, header implies {expected}")
-    data = np.empty((n_coils, ny, nx), dtype=np.complex128)
-    data.view(np.float64).reshape(-1)[:] = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise KSpaceFormatError(f"{path}: file shorter than header")
+        magic, version, n_coils, ny, nx = _HEADER.unpack(header)
+        if magic != MWKS_MAGIC:
+            raise KSpaceFormatError(f"{path}: bad magic bytes {magic!r}")
+        if version != MWKS_VERSION:
+            raise KSpaceFormatError(f"{path}: unsupported format version {version}")
+        if min(n_coils, ny, nx) == 0 or n_coils * ny * nx > 2**40:
+            raise KSpaceFormatError(f"{path}: bad dimensions {n_coils}x{ny}x{nx}")
+        expected = n_coils * ny * nx * 8
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got != expected:
+            raise KSpaceFormatError(f"{path}: payload has {got} bytes, header implies {expected}")
+        data = np.empty((n_coils, ny, nx), dtype=np.complex128)
+        payload = np.empty(2 * ny * nx, dtype="<f4")  # one coil: re, im, re, im, ...
+        for coil in data.view(np.float64).reshape(n_coils, -1):
+            if fh.readinto(payload) != payload.nbytes:
+                raise KSpaceFormatError(f"{path}: payload ended early, header implies {expected} bytes")
+            coil[:] = payload
     data.flags.writeable = False
     return MultiCoilKSpace(data)
 

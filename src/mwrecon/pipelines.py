@@ -143,6 +143,8 @@ class ReconConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.ridge < math.inf:  # NaN too
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.multiweight is not None and self.method not in ("mw_raki", "mw_rraki"):

@@ -786,3 +786,55 @@ def test_compare_rejects_a_repeated_method_before_any_run(scan, capsys, monkeypa
     assert main(argv) == 2
     assert f"flag --methods names {repeated} twice" in capsys.readouterr().err
     assert calls == [] and not report.exists()
+
+
+def test_phantom_without_seed_uses_seed_0(tmp_path):
+    phantom = ["--quiet", "phantom", "--size", "16", "--coils", "2", "--snr", "20", "--out"]
+    first, second, zero = tmp_path / "a.mwks", tmp_path / "b.mwks", tmp_path / "zero.mwks"
+    assert main([*phantom, str(first)]) == 0
+    assert main([*phantom, str(second)]) == 0
+    assert main(["--seed", "0", *phantom, str(zero)]) == 0
+    assert first.read_bytes() == second.read_bytes() == zero.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["phantom", "recon", "ablate"])
+def test_a_negative_seed_flag_is_named_before_any_work(scan, capsys, monkeypatch, command):
+    tmp_path, full, under = scan
+    refuse_synthesis(monkeypatch)
+    calls = spy_on_reconstruct(monkeypatch)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"input = {full}\nacs = 16\nmethod = grappa\nR = 2, 4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "phantom": ["phantom", "--size", "16", "--out", str(out)],
+        "recon": ["recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+                  "--iters", "1", "--out", str(out)],
+        "ablate": ["ablate", "--config", str(config), "--out", str(out)],
+    }[command]
+    assert main(["--quiet", "--seed", "-2", *argv]) == 2
+    assert "flag --seed must be >= 0 and finite, got -2" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_recon_names_the_line_of_a_negative_seed_key(scan, capsys, monkeypatch):
+    tmp_path, _, under = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    config = tmp_path / "recon.cfg"
+    config.write_text("iters = 1\nseed = -1\n", encoding="utf-8")
+    out = tmp_path / "r.mwks"
+    argv = ["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+            "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{config}:2: bad value for key 'seed': '-1'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["scene_seed", "master_seed"])
+def test_ablate_names_the_line_of_a_negative_seed_key(tmp_path, capsys, monkeypatch, key):
+    refuse_synthesis(monkeypatch)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\nmethod = grappa\nR = 2, 4\n{key} = -1\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:4: bad value for key '{key}': '-1'" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,24 +313,52 @@ class TestFileFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mwks"
         path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(KSpaceFormatError, match="magic"):
+        with pytest.raises(KSpaceFormatError, match=re.escape(f"{path}: bad magic")):
             load_kspace(path)
 
-    def test_truncated_payload(self, tmp_path):
-        ks = MultiCoilKSpace(np.zeros((1, 4, 4), dtype=complex))
+    @pytest.mark.parametrize("raw, problem", [
+        (b"MWKS" + bytes(8), "file shorter than header"),
+        (struct.pack("<4sIIII", b"MWKS", 2, 1, 4, 4) + bytes(128), "unsupported format version 2"),
+        (struct.pack("<4sIIII", b"MWKS", 1, 0, 4, 4), "bad dimensions 0x4x4"),
+    ], ids=["short_header", "version", "zero_coils"])
+    def test_bad_header_names_the_file(self, tmp_path, raw, problem):
+        path = tmp_path / "bad.mwks"
+        path.write_bytes(raw)
+        with pytest.raises(KSpaceFormatError, match=re.escape(f"{path}: {problem}")):
+            load_kspace(path)
+
+    @pytest.mark.parametrize("header_coils, payload_bytes", [
+        (2, 128),  # claims 2 coils, payload holds 1
+        (1, 0),
+        (1, 124),
+        (1, 132),
+    ], ids=["two_coils_claimed", "header_only", "one_float_short", "one_float_long"])
+    def test_payload_length_must_match_the_header(self, tmp_path, header_coils, payload_bytes):
         path = tmp_path / "grid.mwks"
-        save_kspace(path, ks)
-        raw = bytearray(path.read_bytes())
-        raw[8:12] = (2).to_bytes(4, "little")  # claim 2 coils, payload holds 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(KSpaceFormatError, match="payload"):
+        path.write_bytes(struct.pack("<4sIIII", b"MWKS", 1, header_coils, 4, 4) + bytes(payload_bytes))
+        implied = header_coils * 4 * 4 * 8
+        message = f"{path}: payload has {payload_bytes} bytes, header implies {implied}"
+        with pytest.raises(KSpaceFormatError, match=re.escape(message)):
             load_kspace(path)
 
     def test_dimension_overflow(self, tmp_path):
         path = tmp_path / "huge.mwks"
         path.write_bytes(struct.pack("<4sIIII", b"MWKS", 1, 2**31, 2**31, 2**31))
-        with pytest.raises(KSpaceFormatError, match="dimensions"):
+        with pytest.raises(KSpaceFormatError, match=re.escape(f"{path}: bad dimensions")):
             load_kspace(path)
+
+    def test_load_holds_the_array_and_one_coil(self, tmp_path):
+        # a whole-file copy beside the array would add half the array's size
+        rng = np.random.default_rng(13)
+        path = tmp_path / "grid.mwks"
+        save_kspace(path, random_kspace(rng, 16, 64, 64))
+        tracemalloc.start()
+        try:
+            ks = load_kspace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ks.data.nbytes
 
     def test_pattern_roundtrip(self, tmp_path):
         p = make_uniform_pattern(ny=256, R=6, acs_count=40)

@@ -76,6 +76,13 @@ class TestMultiWeightConfig:
         assert [f.P for f in mw.filters[1:]] == [0.6, 0.2]
 
 
+def test_recon_config_rejects_a_negative_seed():
+    pattern = make_uniform_pattern(32, 4, 8)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ReconConfig(method="raki", pattern=pattern, seed=-1)
+    assert ReconConfig(method="raki", pattern=pattern, seed=0).seed == 0
+
+
 class TestBuildTrainingPairs:
     def test_r2_five_rows_targets_odd_rows(self):
         # single 2-tap linear layer, R=2: windows anchor on even rows
