@@ -40,7 +40,7 @@ from .config import (
     parse_positive,
 )
 from .filters import WeightFilter
-from .grappa import KernelGeometry
+from .grappa import KernelGeometry, check_footprint
 from .kspace import (
     apply_pattern,
     load_kspace,
@@ -237,6 +237,13 @@ def _reject_unread(args, entries, methods, setting_of) -> None:
             raise ConfigError(f"flag {flag} is not read by {names}")
 
 
+def _grappa_geometry(spec, measured, pattern) -> KernelGeometry:
+    """``--grappa-kernel``'s footprint, rejected unless it fits the scan's readout and ACS block."""
+    geom = KernelGeometry(pattern.R, *parse_grappa_kernel(spec))
+    check_footprint(geom, measured.nx, pattern.acs_count, pattern.acs_start)
+    return geom
+
+
 def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
     """The run's settings; a value they reject is a ConfigError, raised before any work."""
     mw = method in _MULTIWEIGHT
@@ -248,8 +255,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
             arch=_arch_from(entries, measured.n_coils, pattern.R),
             optimizer=_optimizer_from(entries, args),
             multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
-            grappa_geometry=_flag(args, "grappa-kernel",
-                                  lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec))),
+            grappa_geometry=_flag(args, "grappa-kernel", lambda spec: _grappa_geometry(spec, measured, pattern)),
             ridge=_flag(args, "ridge", at_least(float, 0.0), 0.0),
         )
     except ConfigError:

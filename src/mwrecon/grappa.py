@@ -5,18 +5,16 @@ samples across all coils.  For a target row ``t`` with offset
 ``m = t % R`` from its governing acquired line ``g = t - m``, the source
 rows are ``g + k*R`` for ``by_taps`` values of ``k`` centered on ``g``, and
 the source columns span ``2*bx_half + 1`` readout positions centered on the
-target column.  Kernels are calibrated from the fully sampled ACS block by
-sliding the footprint along the readout axis densely and along ky on the
-acquisition lattice, so calibration equations match inference exactly.
+target column.
 
-Every (target coil, offset) pair shares one source matrix, so calibration
-is one solve of its Gram (normal-equations) system, and interpolation is
-one product of all kernels with each block of the source patches.  The
-fill builds each block's patch matrix channels-first, ``[(by, bx, coil),
-lines * nx]``, straight from the coil-first grid: one take of each ky tap's
-rows into a small zero-edged buffer, then one slice per kx tap.  No
-padded or coil-innermost copy of the whole grid is made, so a block's
-work stays in cache.
+On the acquisition lattice (every R-th row) that footprint is a plain
+``by_taps x (2*bx_half + 1)`` window, so both steps build their patches with
+the networks' ``_im2col``, in the (by, bx, coil) order of a network's first
+layer.  Calibration takes the patches of the ACS block's lattice rows, so its
+equations match the fill's exactly; every (target coil, offset) pair shares
+them, so it is one solve of their Gram system.  The fill walks each run of
+consecutive governing lines in blocks; each block is one zero-edged slab of
+lattice rows, and one product of all kernels with its patches fills it.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kspace import MultiCoilKSpace, SamplingPattern
+from .network import _im2col
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,8 @@ class GrappaKernel:
     weights: np.ndarray
 
     def __post_init__(self):
-        expected = (
-            self.n_coils,
-            self.geometry.R - 1,
-            self.n_coils,
-            self.geometry.by_taps,
-            self.geometry.kx_width,
-        )
+        g = self.geometry
+        expected = (self.n_coils, g.R - 1, self.n_coils, g.by_taps, g.kx_width)
         w = np.array(self.weights, dtype=np.complex128, copy=True)
         if w.shape != expected:
             raise ValueError(f"weights shape {w.shape} does not match geometry {expected}")
@@ -94,11 +87,12 @@ class GrappaKernel:
         object.__setattr__(self, "weights", w)
 
 
-# interpolate builds and multiplies its patch matrix one block of governing
-# rows at a time, each block's matrix within _PATCH_BLOCK_BYTES, so a fill's
-# peak memory does not grow with the grid.  On a 256 x 256, 16-coil scan,
-# blocks of 2-4 MiB ran 1.3-1.6x faster than one matrix of every row, and
-# filled bit-identical rows.
+# interpolate builds and multiplies the _im2col patches of one block of
+# governing lines at a time, each block's patch matrix within
+# _PATCH_BLOCK_BYTES, so a fill's peak memory does not grow with the grid;
+# the block's zero-edged slab of lattice rows is smaller still.  On a
+# 256 x 256, 16-coil scan, blocks of 2-4 MiB ran 1.2-1.6x faster than one
+# matrix of every row, and filled bit-identical rows.
 _PATCH_BLOCK_BYTES = 2 << 20
 
 
@@ -109,50 +103,26 @@ def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.nd
     on the stride-R lattice of the full grid so that calibration sees the
     same relative positions the interpolation step will.
     """
-    anchors = np.arange(acs_rows - geom.footprint_rows + 1)
-    if anchors.size == 0:
-        return anchors
+    anchors = np.arange(max(0, acs_rows - geom.footprint_rows + 1))
     return anchors[(row0 + anchors) % geom.R == 0]
 
 
-def _source_matrix(grid: np.ndarray, anchors: np.ndarray, geom: KernelGeometry) -> np.ndarray:
-    """Flattened source patches of a ``[ky, kx, coil]`` grid, one row per (anchor, column).
+def check_footprint(geom: KernelGeometry, nx: int, acs_rows: int, row0: int = 0) -> None:
+    """Raise ``ValueError`` unless ``calibrate`` can place ``geom`` on the scan.
 
-    ``anchors`` are the footprints' top rows: one ascending run ``R`` rows
-    apart, as calibration places them.  Columns are coil-major, then by
-    tap, then bx tap.  The run is one strided view of ``grid``, copied
-    once into the matrix.
+    The kernel must be no wider than the ``nx``-column readout, and at
+    least one footprint must anchor on the acquisition lattice inside the
+    ``acs_rows`` ACS rows that start at grid row ``row0``.
     """
-    taps = sliding_window_view(grid, (geom.footprint_rows, geom.kx_width), axis=(0, 1))
-    taps = taps[anchors[0] :: geom.R, :, :, :: geom.R][: anchors.size]  # [anchor, x0, coil, by, bx]
-    return taps.reshape(-1, geom.n_sources(grid.shape[2]))
-
-
-def _calibration_system(acs: MultiCoilKSpace, geom: KernelGeometry, row0: int):
-    """Shared source matrix ``A`` and the stacked targets of every (coil, offset) pair.
-
-    Column ``i * (R - 1) + m - 1`` of the targets holds coil ``i``'s ACS
-    values ``m`` rows below each patch's governing acquired line.
-    """
-    anchors = _window_anchor_rows(acs.ny, geom, row0)
-    if anchors.size == 0:
+    if geom.kx_width > nx or _window_anchor_rows(acs_rows, geom, row0).size == 0:
         raise ValueError(
-            f"ACS too small for geometry: {acs.ny} rows, footprint needs "
-            f"{geom.footprint_rows} rows on the acquisition lattice"
+            f"footprint of {geom.kx_width} columns x {geom.footprint_rows} rows does not fit "
+            f"the scan: {nx} columns, {acs_rows} ACS rows from row {row0} on the R={geom.R} lattice"
         )
-    A = _source_matrix(acs.data.transpose(1, 2, 0), anchors, geom)
-    rows = anchors + geom.gap_index * geom.R + np.arange(1, geom.R)[:, None]  # [m, n_anchor]
-    targets = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half]  # [c, m, n_anchor, x0]
-    B = np.ascontiguousarray(targets.reshape(acs.n_coils * (geom.R - 1), -1).T)
-    return A, B
 
 
-def calibrate(
-    acs: MultiCoilKSpace,
-    geom: KernelGeometry,
-    ridge: float = 0.0,
-    row0: int = 0,
-) -> GrappaKernel:
+def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
+              row0: int = 0) -> GrappaKernel:
     """Fit kernels for every (target coil, offset) pair from the ACS block.
 
     All pairs share one source matrix ``A``, so one solve of
@@ -164,35 +134,36 @@ def calibrate(
     """
     if not 0 <= ridge < math.inf:  # NaN too
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    A, B = _calibration_system(acs, geom, row0)
-    n_unknowns = A.shape[1]
-    if A.shape[0] < n_unknowns:
-        warnings.warn(
-            f"calibration system is underdetermined ({A.shape[0]} rows, "
-            f"{n_unknowns} unknowns)",
-            stacklevel=2,
-        )
-    AH = A.conj().T
-    G = AH @ A
+    check_footprint(geom, acs.nx, acs.ny, row0)
+    R, n_coils = geom.R, acs.n_coils
+    anchors = _window_anchor_rows(acs.ny, geom, row0)
+    # the anchors' lattice rows; one anchor's footprint is by_taps of them
+    lattice = acs.data[None, :, anchors[0] :: R][:, :, : anchors.size + geom.by_taps - 1]
+    At, _ = _im2col(lattice, geom.by_taps, geom.kx_width)  # [(by, bx, coil), anchor * column]
+    # coil i's values m rows below each patch's governing line, row i * (R - 1) + m - 1
+    rows = anchors + geom.gap_index * R + np.arange(1, R)[:, None]  # [m, anchor]
+    Bt = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half].reshape(n_coils * (R - 1), -1)
+    n_unknowns, n_rows = At.shape
+    if n_rows < n_unknowns:
+        warnings.warn(f"calibration system is underdetermined ({n_rows} rows, {n_unknowns} unknowns)",
+                      stacklevel=2)
+    AH = At.conj()
+    G = AH @ At.T
     if ridge == 0.0:
         eig = np.linalg.eigvalsh(G)  # ascending
         rank = int(np.count_nonzero(eig > n_unknowns * np.finfo(float).eps * eig[-1]))
         if rank < n_unknowns:
-            raise np.linalg.LinAlgError(
-                f"singular calibration system (rank {rank} < {n_unknowns}); use ridge > 0"
-            )
+            raise np.linalg.LinAlgError(f"singular calibration system (rank {rank} < {n_unknowns}); "
+                                        "use ridge > 0")
     else:
         G[np.diag_indices(n_unknowns)] += ridge
-    W = np.linalg.solve(G, AH @ B)
-    weights = W.T.reshape(acs.n_coils, geom.R - 1, acs.n_coils, geom.by_taps, geom.kx_width)
-    return GrappaKernel(geometry=geom, n_coils=acs.n_coils, weights=weights)
+    W = np.linalg.solve(G, AH @ Bt.T)
+    weights = W.T.reshape(n_coils, R - 1, geom.by_taps, geom.kx_width, n_coils)
+    return GrappaKernel(geometry=geom, n_coils=n_coils, weights=weights.transpose(0, 1, 4, 2, 3))
 
 
-def interpolate(
-    kernel: GrappaKernel,
-    undersampled: MultiCoilKSpace,
-    pattern: SamplingPattern,
-) -> MultiCoilKSpace:
+def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
+                pattern: SamplingPattern) -> MultiCoilKSpace:
     """Fill every missing ky row; acquired rows pass through bit-exactly.
 
     Footprints that exit the grid read zero-padded sources.
@@ -201,37 +172,34 @@ def interpolate(
     if geom.R != pattern.R:
         raise ValueError(f"kernel was calibrated for R={geom.R} but pattern has R={pattern.R}")
     if undersampled.n_coils != kernel.n_coils:
-        raise ValueError(
-            f"kernel expects {kernel.n_coils} coils, data has {undersampled.n_coils}"
-        )
+        raise ValueError(f"kernel expects {kernel.n_coils} coils, data has {undersampled.n_coils}")
     if undersampled.ny != pattern.ny:
         raise ValueError(f"grid has {undersampled.ny} rows but pattern expects {pattern.ny}")
     data = undersampled.data
     n_coils, ny, nx = data.shape
+    R, pad = geom.R, geom.bx_half
     missing = pattern.missing_rows
-    offsets = missing % geom.R
+    offsets = missing % R
     # every offset m of an acquired line g reads the same footprint, whose
     # tap k reads grid row g + (k - gap_index) * R; one patch matrix serves
     # all R - 1 offsets
     governing, which = np.unique(missing - offsets, return_inverse=True)
     # weight columns in the patch matrix's (by, bx, coil) order
-    w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (geom.R - 1), -1)
+    w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (R - 1), -1)
     block = max(1, _PATCH_BLOCK_BYTES // (nx * w.shape[1] * data.itemsize))
+    runs = np.flatnonzero(np.diff(governing) != R) + 1  # where a run of lattice lines breaks
     out = data.copy()
-    for lo in range(0, governing.size, block):
-        hi = min(lo + block, governing.size)
-        a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
-        patches = np.empty((geom.by_taps, geom.kx_width, n_coils, hi - lo, nx), dtype=complex)
-        for tap in range(geom.by_taps):
-            src = governing[lo:hi] + (tap - geom.gap_index) * geom.R
-            inside = (src >= 0) & (src < ny)
-            # this tap's rows, zero beyond the grid: [coil, line, nx + 2 bx_half]
-            rows = np.zeros((n_coils, hi - lo, nx + 2 * geom.bx_half), dtype=complex)
-            rows[:, inside, geom.bx_half : geom.bx_half + nx] = data[:, src[inside]]
-            for x in range(geom.kx_width):
-                patches[tap, x] = rows[:, :, x : x + nx]
-        vals = w @ patches.reshape(w.shape[1], -1)
-        vals = vals.reshape(n_coils, geom.R - 1, hi - lo, nx)
-        out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
+    for start, stop in zip((0, *runs), (*runs, governing.size)):
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            # lattice rows top + j*R, zero beyond the grid: [1, coil, j, nx + 2 bx_half]
+            top = governing[lo] - geom.gap_index * R
+            slab = np.zeros((1, n_coils, hi - lo + geom.by_taps - 1, nx + 2 * pad), dtype=data.dtype)
+            j0, j1 = max(0, -top // R), min(slab.shape[2], (ny - 1 - top) // R + 1)
+            slab[0, :, j0:j1, pad : pad + nx] = data[:, top + j0 * R : top + (j1 - 1) * R + 1 : R]
+            vals = w @ _im2col(slab, geom.by_taps, geom.kx_width)[0]
+            vals = vals.reshape(n_coils, R - 1, hi - lo, nx)
+            a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
+            out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
     out.flags.writeable = False
     return MultiCoilKSpace(out)

@@ -272,7 +272,10 @@ def _as_input(x) -> np.ndarray:
 # readout rows OW long, not over the few output channels.
 
 def _im2col(x: np.ndarray, ky_taps: int, kx_width: int):
-    """Patch matrix [ky_taps*kx_width*C, N*OH*OW] of a [N, C, H, W] input, plus (N, OH, OW)."""
+    """Patch matrix [ky_taps*kx_width*C, N*OH*OW] of a [N, C, H, W] input, plus (N, OH, OW).
+
+    Complex input works too: GRAPPA builds its patches with it.
+    """
     win = sliding_window_view(x, (ky_taps, kx_width), axis=(2, 3))
     n, _, oh, ow = win.shape[:4]
     cols = np.ascontiguousarray(win.transpose(4, 5, 1, 0, 2, 3)).reshape(-1, n * oh * ow)

@@ -8,6 +8,7 @@ call.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mwrecon.kspace import MultiCoilKSpace
 
@@ -158,6 +159,38 @@ def planted_full_grid(rng, n_coils, ny, nx, R, bx_half=1, by_taps=2):
     missing = [t for t in range(ny) if t % R != 0]
     full = grappa_apply_loops(data, weights, R, bx_half, by_taps, missing)
     return full, weights
+
+
+def grappa_source_matrix(grid, anchors, geom):
+    """Flattened source patches of a ``[ky, kx, coil]`` grid, one row per (anchor, column).
+
+    ``anchors`` are the footprints' top rows: one ascending run ``R`` rows
+    apart.  Columns are coil-major, then by tap, then bx tap.
+    """
+    taps = sliding_window_view(grid, (geom.footprint_rows, geom.kx_width), axis=(0, 1))
+    taps = taps[anchors[0] :: geom.R, :, :, :: geom.R][: anchors.size]  # [anchor, x0, coil, by, bx]
+    return taps.reshape(-1, grid.shape[2] * geom.by_taps * geom.kx_width)
+
+
+def grappa_calibration_system(acs, geom, row0):
+    """GRAPPA's source matrix ``A`` and the stacked targets of every (coil, offset) pair.
+
+    Footprints anchor at every ACS row on the stride-R lattice of the full
+    grid (``row0`` is the grid row of the first ACS row).  Column
+    ``i * (R - 1) + m - 1`` of the targets holds coil ``i``'s ACS values
+    ``m`` rows below each patch's governing acquired line.
+    """
+    anchors = np.array([a for a in range(acs.ny - geom.footprint_rows + 1) if (row0 + a) % geom.R == 0])
+    if anchors.size == 0:
+        raise ValueError(
+            f"ACS too small for geometry: {acs.ny} rows, footprint needs "
+            f"{geom.footprint_rows} rows on the acquisition lattice"
+        )
+    A = grappa_source_matrix(acs.data.transpose(1, 2, 0), anchors, geom)
+    rows = anchors + geom.gap_index * geom.R + np.arange(1, geom.R)[:, None]  # [m, n_anchor]
+    targets = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half]  # [c, m, n_anchor, x0]
+    B = np.ascontiguousarray(targets.reshape(acs.n_coils * (geom.R - 1), -1).T)
+    return A, B
 
 
 def normal_equations_solve(A, B, ridge=0.0):

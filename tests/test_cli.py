@@ -350,8 +350,12 @@ def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
     ("grappa", ["--ridge", "nan"], "flag --ridge must be >= 0.0 and finite, got nan"),
     ("grappa", ["--grappa-kernel", "bx:1"], "flag --grappa-kernel needs both bx: and by:, got 'bx:1'"),
     ("grappa", ["--grappa-kernel", "bx:-1,by:2"], "flag --grappa-kernel bx_half must be >= 0, got -1"),
+    ("grappa", ["--grappa-kernel", "bx:20,by:2"], "flag --grappa-kernel footprint of 41 columns x 5 rows does "
+     "not fit the scan: 32 columns, 16 ACS rows from row 8 on the R=4 lattice"),
+    ("grappa", ["--grappa-kernel", "bx:1,by:5"], "flag --grappa-kernel footprint of 3 columns x 17 rows does "
+     "not fit the scan: 32 columns, 16 ACS rows from row 8 on the R=4 lattice"),
 ], ids=["nan_eps", "negative_eps", "zero_exponent", "nan_exponent", "float32_underflow", "float64_underflow",
-        "inf_ridge", "nan_ridge", "half_kernel", "negative_kernel"])
+        "inf_ridge", "nan_ridge", "half_kernel", "negative_kernel", "wide_kernel", "tall_kernel"])
 def test_recon_rejects_a_bad_bank_or_grappa_flag_before_any_work(scan, capsys, method, flags, message):
     tmp_path, _, under = scan
     out = tmp_path / "r.mwks"
@@ -461,6 +465,17 @@ def test_compare_checks_keys_against_all_its_methods(scan, capsys):
     assert not (tmp_path / "c.csv").exists()
     assert compare("grappa,mw-raki") == 0  # mw-raki reads both keys
     assert len(read_rows(tmp_path / "c.csv")) == 2
+
+
+def test_compare_rejects_a_grappa_kernel_that_does_not_fit_before_any_method(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "raki,grappa", "--R", "4",
+                 "--acs", "16", "--iters", "1", "--grappa-kernel", "bx:1,by:5", "--report", str(report)]) == 2
+    assert "flag --grappa-kernel footprint of 3 columns x 17 rows does not fit" in capsys.readouterr().err
+    assert calls == []
+    assert not report.exists()
 
 
 def test_reports_count_the_virtual_coils(tmp_path, monkeypatch):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from mwrecon import grappa
-from mwrecon.grappa import (
-    GrappaKernel,
-    KernelGeometry,
-    _calibration_system,
-    _source_matrix,
-    calibrate,
-    interpolate,
-)
+from mwrecon.grappa import GrappaKernel, KernelGeometry, calibrate, interpolate
 from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
-from oracles import grappa_apply_loops, normal_equations_solve, planted_full_grid as _planted
+from oracles import (
+    grappa_apply_loops,
+    grappa_calibration_system as _calibration_system,
+    grappa_source_matrix as _source_matrix,
+    normal_equations_solve,
+    planted_full_grid as _planted,
+)
 
 
 def planted_full_grid(rng, n_coils, ny, nx, geom):
@@ -63,6 +62,28 @@ class TestCalibrationSystem:
         geom = KernelGeometry(R=4, bx_half=1, by_taps=2)  # needs 5 rows
         with pytest.raises(ValueError, match="ACS too small"):
             _calibration_system(acs, geom, row0=0)
+
+    @pytest.mark.parametrize("shape, geom, row0, message", [
+        ((2, 16, 32), KernelGeometry(R=4, bx_half=20, by_taps=2), 8,
+         "footprint of 41 columns x 5 rows does not fit the scan: 32 columns, 16 ACS rows from row 8 "
+         "on the R=4 lattice"),
+        ((2, 16, 32), KernelGeometry(R=4, bx_half=1, by_taps=5), 8,
+         "footprint of 3 columns x 17 rows does not fit the scan: 32 columns, 16 ACS rows from row 8 "
+         "on the R=4 lattice"),
+        # 7 rows hold a 7-row footprint only when the first sits on the lattice
+        ((1, 7, 8), KernelGeometry(R=3, bx_half=1, by_taps=3), 1,
+         "footprint of 3 columns x 7 rows does not fit the scan: 8 columns, 7 ACS rows from row 1 "
+         "on the R=3 lattice"),
+    ], ids=["too_wide", "too_tall", "off_lattice"])
+    def test_footprint_that_does_not_fit_names_columns_and_rows(self, shape, geom, row0, message):
+        acs = MultiCoilKSpace(np.ones(shape, dtype=complex))
+        with pytest.raises(ValueError) as info:
+            calibrate(acs, geom, ridge=1.0, row0=row0)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="does not fit"):
+            grappa.check_footprint(geom, shape[2], shape[1], row0)
+        # a readout twice the kernel's width and one lattice step more of ACS hold it
+        grappa.check_footprint(geom, 2 * geom.kx_width, shape[1] + geom.R, row0)
 
     def test_entries_match_manual_gather(self):
         rng = np.random.default_rng(2)
@@ -173,6 +194,22 @@ class TestCalibrate:
         got = kernel.weights[1, 1].reshape(-1)
         assert np.max(np.abs(got - expected)) < 1e-8
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.5], ids=["ridge0", "ridge"])
+    @pytest.mark.parametrize("off_lattice", [False, True], ids=["on", "off"])
+    @pytest.mark.parametrize("bx_half, by_taps", [(1, 2), (2, 3), (0, 4)], ids=["bx1_by2", "bx2_by3", "bx0_by4"])
+    @pytest.mark.parametrize("R", [2, 3, 4, 5])
+    def test_matches_the_reference_solve(self, R, bx_half, by_taps, off_lattice, ridge):
+        rng = np.random.default_rng(40 + R)
+        geom = KernelGeometry(R=R, bx_half=bx_half, by_taps=by_taps)
+        ny = geom.footprint_rows + 4 * R  # at least 4 anchors wherever the lattice falls
+        acs = MultiCoilKSpace(rng.standard_normal((2, ny, 20)) + 1j * rng.standard_normal((2, ny, 20)))
+        row0 = 1 if off_lattice else 2 * R
+        A, B = _calibration_system(acs, geom, row0=row0)
+        W = np.linalg.solve(A.conj().T @ A + ridge * np.eye(A.shape[1]), A.conj().T @ B)
+        expected = W.T.reshape(2, R - 1, 2, by_taps, geom.kx_width)
+        kernel = calibrate(acs, geom, ridge=ridge, row0=row0)
+        assert np.max(np.abs(kernel.weights - expected)) <= 1e-10 * np.max(np.abs(expected))
+
 
 class TestGramSolve:
     """One solve of the Gram system serves every ridge; ridge 0 checks the rank first."""
@@ -205,10 +242,15 @@ class TestGramSolve:
         geom = KernelGeometry(R=2, bx_half=2, by_taps=3)
         ridge = 0.25
         A, B = _calibration_system(acs, geom, row0=0)
-        G = A.conj().T @ A + ridge * np.eye(A.shape[1])
-        W = np.linalg.solve(G, A.conj().T @ B)
+        # the same operands in calibrate's layout: (by, bx, coil) rows, one column per equation
+        c, by, bx = acs.n_coils, geom.by_taps, geom.kx_width
+        At = np.ascontiguousarray(A.reshape(-1, c, by, bx).transpose(0, 2, 3, 1).reshape(A.shape).T)
+        Bt = np.ascontiguousarray(B.T)
+        G = At.conj() @ At.T + ridge * np.eye(A.shape[1])
+        W = np.linalg.solve(G, At.conj() @ Bt.T)
         kernel = calibrate(acs, geom, ridge=ridge)
-        assert np.array_equal(kernel.weights, W.T.reshape(kernel.weights.shape))
+        expected = W.T.reshape(c, geom.R - 1, by, bx, c).transpose(0, 1, 4, 2, 3)
+        assert np.array_equal(kernel.weights, expected)
 
 
 class TestInterpolate:
