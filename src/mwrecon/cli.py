@@ -237,10 +237,18 @@ def _reject_unread(args, entries, methods, setting_of) -> None:
             raise ConfigError(f"flag {flag} is not read by {names}")
 
 
-def _grappa_geometry(spec, measured, pattern) -> KernelGeometry:
-    """``--grappa-kernel``'s footprint, rejected unless it fits the scan's readout and ACS block."""
-    geom = KernelGeometry(pattern.R, *parse_grappa_kernel(spec))
-    check_footprint(geom, measured.nx, pattern.acs_count, pattern.acs_start)
+def _grappa_geometry(args, measured, pattern, ridge) -> KernelGeometry | None:
+    """``--grappa-kernel``'s footprint, or None for the default; whichever GRAPPA
+    will use is rejected unless ``calibrate`` can fit it to the scan at ``ridge``."""
+    geom = _flag(args, "grappa-kernel", lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec)))
+    used = geom or KernelGeometry(pattern.R)
+    flag = "--grappa-kernel" if geom else f"--grappa-kernel (default bx:{used.bx_half},by:{used.by_taps})"
+    try:
+        check_footprint(used, measured.nx, pattern.acs_count, pattern.acs_start, measured.n_coils, ridge)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"flags {flag} and --ridge {ridge:g}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"flag {flag} {exc}") from exc
     return geom
 
 
@@ -248,6 +256,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
     """The run's settings; a value they reject is a ConfigError, raised before any work."""
     mw = method in _MULTIWEIGHT
     try:
+        ridge = _flag(args, "ridge", at_least(float, 0.0), 0.0)
         return ReconConfig(
             method=method,
             pattern=pattern,
@@ -255,8 +264,8 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
             arch=_arch_from(entries, measured.n_coils, pattern.R),
             optimizer=_optimizer_from(entries, args),
             multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
-            grappa_geometry=_flag(args, "grappa-kernel", lambda spec: _grappa_geometry(spec, measured, pattern)),
-            ridge=_flag(args, "ridge", at_least(float, 0.0), 0.0),
+            grappa_geometry=_grappa_geometry(args, measured, pattern, ridge) if method == "grappa" else None,
+            ridge=ridge,
         )
     except ConfigError:
         raise

@@ -9,12 +9,12 @@ target column.
 
 On the acquisition lattice (every R-th row) that footprint is a plain
 ``by_taps x (2*bx_half + 1)`` window, so both steps build their patches with
-the networks' ``_im2col``, in the (by, bx, coil) order of a network's first
-layer.  Calibration takes the patches of the ACS block's lattice rows, so its
-equations match the fill's exactly; every (target coil, offset) pair shares
-them, so it is one solve of their Gram system.  The fill walks each run of
-consecutive governing lines in blocks; each block is one zero-edged slab of
-lattice rows, and one product of all kernels with its patches fills it.
+the networks' ``_im2col``.  Calibration splits the ACS lattice rows into
+[real coils, imaginary coils] channels, as a network's first layer does, so
+one symmetric real product yields the complex Gram matrix that every
+(target coil, offset) pair shares.  The fill multiplies all kernels with
+the complex patches of one zero-edged slab of lattice rows per block of
+governing lines, and writes each offset's rows through a strided view.
 """
 
 from __future__ import annotations
@@ -87,12 +87,11 @@ class GrappaKernel:
         object.__setattr__(self, "weights", w)
 
 
-# interpolate builds and multiplies the _im2col patches of one block of
-# governing lines at a time, each block's patch matrix within
-# _PATCH_BLOCK_BYTES, so a fill's peak memory does not grow with the grid;
-# the block's zero-edged slab of lattice rows is smaller still.  On a
-# 256 x 256, 16-coil scan, blocks of 2-4 MiB ran 1.2-1.6x faster than one
-# matrix of every row, and filled bit-identical rows.
+# interpolate fills one block of governing lines at a time, its _im2col
+# patch matrix within _PATCH_BLOCK_BYTES, so a fill's peak memory does not
+# grow with the grid.  On a 256 x 256, 16-coil scan, blocks of 2-4 MiB ran
+# 1.2-1.6x faster than one matrix of every row and filled bit-identical
+# rows.
 _PATCH_BLOCK_BYTES = 2 << 20
 
 
@@ -107,18 +106,29 @@ def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.nd
     return anchors[(row0 + anchors) % geom.R == 0]
 
 
-def check_footprint(geom: KernelGeometry, nx: int, acs_rows: int, row0: int = 0) -> None:
-    """Raise ``ValueError`` unless ``calibrate`` can place ``geom`` on the scan.
+def check_footprint(geom: KernelGeometry, nx: int, acs_rows: int, row0: int = 0,
+                    n_coils: int | None = None, ridge: float = 0.0) -> None:
+    """Raise unless ``calibrate`` can fit ``geom`` on the scan.
 
-    The kernel must be no wider than the ``nx``-column readout, and at
-    least one footprint must anchor on the acquisition lattice inside the
-    ``acs_rows`` ACS rows that start at grid row ``row0``.
+    ``ValueError`` if ``geom`` is wider than the ``nx``-column readout or has no anchor on
+    the lattice in the ``acs_rows`` ACS rows from grid row ``row0``; given ``n_coils``,
+    ``LinAlgError`` if a ``ridge == 0`` fit has fewer equations than unknowns (singular).
     """
-    if geom.kx_width > nx or _window_anchor_rows(acs_rows, geom, row0).size == 0:
+    n_anchors = _window_anchor_rows(acs_rows, geom, row0).size
+    if geom.kx_width > nx or n_anchors == 0:
         raise ValueError(
             f"footprint of {geom.kx_width} columns x {geom.footprint_rows} rows does not fit "
             f"the scan: {nx} columns, {acs_rows} ACS rows from row {row0} on the R={geom.R} lattice"
         )
+    n_rows, n_unknowns = n_anchors * (nx - 2 * geom.bx_half), geom.n_sources(n_coils or 0)
+    if ridge == 0.0 and n_rows < n_unknowns:
+        raise np.linalg.LinAlgError(f"calibration system has {n_rows} equations for {n_unknowns} "
+                                    "unknowns, so it is singular; use ridge > 0")
+
+
+def _conj_product(P: np.ndarray) -> np.ndarray:
+    """``ZᴴY`` from ``P = [Re Z; Im Z]ᵀ [Re Y; Im Y]``, Z's part on axis 1 and Y's on axis -2."""
+    return P[:, 0, ..., 0, :] + P[:, 1, ..., 1, :] + 1j * (P[:, 0, ..., 1, :] - P[:, 1, ..., 0, :])
 
 
 def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
@@ -126,29 +136,31 @@ def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
     """Fit kernels for every (target coil, offset) pair from the ACS block.
 
     All pairs share one source matrix ``A``, so one solve of
-    ``(AᴴA + ridge·I) W = AᴴB`` fits them all.  ``ridge`` adds Tikhonov
-    damping.  With ``ridge == 0`` a rank-deficient system raises
-    ``numpy.linalg.LinAlgError``; the rank counts the eigenvalues of
-    ``AᴴA`` above ``n·eps·λ_max`` for ``n`` unknowns, which calls a system
-    singular from about ``cond(A) = 1/sqrt(n·eps)`` on.
+    ``(AᴴA + ridge·I) W = AᴴB`` fits them all.  The ``_im2col`` patches
+    ``Ar`` of the real/imaginary-split lattice rows hold ``A``'s two parts,
+    so one symmetric real product ``Ar @ Ar.T`` yields ``AᴴA``.  ``ridge``
+    adds Tikhonov damping.  At ``ridge == 0`` too few equations (checked
+    first) or a rank-deficient ``AᴴA`` raise ``numpy.linalg.LinAlgError``;
+    the rank counts eigenvalues above ``n·eps·λ_max`` for ``n`` unknowns,
+    which calls a system singular from about ``cond(A) = 1/sqrt(n·eps)`` on.
     """
     if not 0 <= ridge < math.inf:  # NaN too
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    check_footprint(geom, acs.nx, acs.ny, row0)
     R, n_coils = geom.R, acs.n_coils
+    check_footprint(geom, acs.nx, acs.ny, row0, n_coils, ridge)
     anchors = _window_anchor_rows(acs.ny, geom, row0)
+    split = np.concatenate([acs.data.real, acs.data.imag])  # [real coils, imaginary coils]
     # the anchors' lattice rows; one anchor's footprint is by_taps of them
-    lattice = acs.data[None, :, anchors[0] :: R][:, :, : anchors.size + geom.by_taps - 1]
-    At, _ = _im2col(lattice, geom.by_taps, geom.kx_width)  # [(by, bx, coil), anchor * column]
-    # coil i's values m rows below each patch's governing line, row i * (R - 1) + m - 1
+    lattice = split[None, :, anchors[0] :: R][:, :, : anchors.size + geom.by_taps - 1]
+    Ar, _ = _im2col(lattice, geom.by_taps, geom.kx_width)  # [(by, bx, re/im, coil), anchor * column]
+    # coil i's values m rows below each patch's governing line, row i * (R - 1) + m - 1 of each part
     rows = anchors + geom.gap_index * R + np.arange(1, R)[:, None]  # [m, anchor]
-    Bt = acs.data[:, rows, geom.bx_half : acs.nx - geom.bx_half].reshape(n_coils * (R - 1), -1)
-    n_unknowns, n_rows = At.shape
+    Br = split[:, rows, geom.bx_half : acs.nx - geom.bx_half].reshape(2 * n_coils * (R - 1), -1)
+    taps, n_unknowns, n_rows = geom.by_taps * geom.kx_width, geom.n_sources(n_coils), Ar.shape[1]
     if n_rows < n_unknowns:
-        warnings.warn(f"calibration system is underdetermined ({n_rows} rows, {n_unknowns} unknowns)",
-                      stacklevel=2)
-    AH = At.conj()
-    G = AH @ At.T
+        warnings.warn(f"calibration system is underdetermined ({n_rows} rows, {n_unknowns} unknowns)", stacklevel=2)
+    G = _conj_product((Ar @ Ar.T).reshape(taps, 2, n_coils, taps, 2, n_coils)).reshape(n_unknowns, -1)
+    AHB = _conj_product((Ar @ Br.T).reshape(taps, 2, n_coils, 2, -1)).reshape(n_unknowns, -1)
     if ridge == 0.0:
         eig = np.linalg.eigvalsh(G)  # ascending
         rank = int(np.count_nonzero(eig > n_unknowns * np.finfo(float).eps * eig[-1]))
@@ -157,7 +169,7 @@ def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
                                         "use ridge > 0")
     else:
         G[np.diag_indices(n_unknowns)] += ridge
-    W = np.linalg.solve(G, AH @ Bt.T)
+    W = np.linalg.solve(G, AHB)
     weights = W.T.reshape(n_coils, R - 1, geom.by_taps, geom.kx_width, n_coils)
     return GrappaKernel(geometry=geom, n_coils=n_coils, weights=weights.transpose(0, 1, 4, 2, 3))
 
@@ -180,9 +192,8 @@ def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
     R, pad = geom.R, geom.bx_half
     missing = pattern.missing_rows
     offsets = missing % R
-    # every offset m of an acquired line g reads the same footprint, whose
-    # tap k reads grid row g + (k - gap_index) * R; one patch matrix serves
-    # all R - 1 offsets
+    # each offset m of a governing line g reads the footprint whose tap k is grid
+    # row g + (k - gap_index) * R, so one patch matrix serves all R - 1 offsets
     governing, which = np.unique(missing - offsets, return_inverse=True)
     # weight columns in the patch matrix's (by, bx, coil) order
     w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (R - 1), -1)
@@ -200,6 +211,10 @@ def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
             vals = w @ _im2col(slab, geom.by_taps, geom.kx_width)[0]
             vals = vals.reshape(n_coils, R - 1, hi - lo, nx)
             a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
-            out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
+            if b - a == (R - 1) * (hi - lo):  # all missing: offset m's rows are one strided view
+                for m in range(1, R):
+                    out[:, governing[lo] + m : governing[hi - 1] + m + 1 : R] = vals[:, m - 1]
+            else:  # an ACS edge or the grid's end: write the missing rows by index
+                out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
     out.flags.writeable = False
     return MultiCoilKSpace(out)

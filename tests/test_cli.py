@@ -478,6 +478,28 @@ def test_compare_rejects_a_grappa_kernel_that_does_not_fit_before_any_method(sca
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--acs", "4"], "flag --grappa-kernel (default bx:1,by:2) footprint of 3 columns x 5 rows does not fit the "
+     "scan: 32 columns, 4 ACS rows from row 14 on the R=4 lattice"),
+    # 3 lattice anchors x 22 columns = 66 equations for 4 coils x 2 x 11 = 88 unknowns
+    (["--acs", "16", "--grappa-kernel", "bx:5,by:2"], "flags --grappa-kernel and --ridge 0: calibration system "
+     "has 66 equations for 88 unknowns, so it is singular; use ridge > 0"),
+], ids=["default_kernel_too_tall", "too_few_equations"])
+def test_a_grappa_fit_that_cannot_be_solved_is_rejected_before_any_method(scan, capsys, monkeypatch, flags, message):
+    tmp_path, full, under = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    out, report = tmp_path / "r.mwks", tmp_path / "r.csv"
+    assert main(["--quiet", "recon", "--method", "grappa", "--input", str(under), "--R", "4", *flags,
+                 "--out", str(out), "--report", str(report)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "raki,grappa", "--R", "4",
+                 "--iters", "1", *flags, "--report", str(report)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert not report.exists()
+
+
 def test_reports_count_the_virtual_coils(tmp_path, monkeypatch):
     full, under = tmp_path / "full.mwks", tmp_path / "under.mwks"
     assert main(["--quiet", "--seed", "3", "phantom", "--size", "32", "--coils", "8",

@@ -159,6 +159,31 @@ class TestCalibrate:
         damped = calibrate(acs, geom, ridge=1e6 * scale)
         assert np.linalg.norm(damped.weights) < np.linalg.norm(plain.weights)
 
+    def test_too_few_equations_at_ridge_zero_is_rejected_before_any_work(self, monkeypatch):
+        # 2 lattice anchors x 29 columns = 58 equations for 4 coils x 3 x 5 = 60 unknowns
+        rng = np.random.default_rng(33)
+        acs = MultiCoilKSpace(rng.standard_normal((4, 12, 33)) + 1j * rng.standard_normal((4, 12, 33)))
+        geom = KernelGeometry(R=3, bx_half=2, by_taps=3)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("calibrate built or checked a system it had already rejected")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
+        monkeypatch.setattr(grappa, "_im2col", no_work)
+        message = "calibration system has 58 equations for 60 unknowns, so it is singular; use ridge > 0"
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            calibrate(acs, geom, ridge=0.0, row0=1)
+        assert str(info.value) == message
+        with pytest.raises(np.linalg.LinAlgError, match="58 equations for 60 unknowns"):
+            grappa.check_footprint(geom, 33, 12, row0=1, n_coils=4)
+        grappa.check_footprint(geom, 33, 12, row0=1, n_coils=4, ridge=1e-2)
+        grappa.check_footprint(geom, 33, 12, row0=1)  # no coil count, no equation count
+        grappa.check_footprint(geom, 33, 12, row0=1, n_coils=3)  # 58 equations for 45 unknowns
+        monkeypatch.undo()
+        with pytest.warns(UserWarning, match=r"underdetermined \(58 rows, 60 unknowns\)"):
+            kernel = calibrate(acs, geom, ridge=1e-2, row0=1)
+        assert np.isfinite(kernel.weights).all()
+
     def test_underdetermined_warns(self):
         rng = np.random.default_rng(6)
         acs = MultiCoilKSpace(
@@ -196,7 +221,8 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5], ids=["ridge0", "ridge"])
     @pytest.mark.parametrize("off_lattice", [False, True], ids=["on", "off"])
-    @pytest.mark.parametrize("bx_half, by_taps", [(1, 2), (2, 3), (0, 4)], ids=["bx1_by2", "bx2_by3", "bx0_by4"])
+    @pytest.mark.parametrize("bx_half, by_taps", [(1, 2), (2, 3), (0, 4), (4, 2)],
+                             ids=["bx1_by2", "bx2_by3", "bx0_by4", "bx4_by2"])
     @pytest.mark.parametrize("R", [2, 3, 4, 5])
     def test_matches_the_reference_solve(self, R, bx_half, by_taps, off_lattice, ridge):
         rng = np.random.default_rng(40 + R)
@@ -242,12 +268,20 @@ class TestGramSolve:
         geom = KernelGeometry(R=2, bx_half=2, by_taps=3)
         ridge = 0.25
         A, B = _calibration_system(acs, geom, row0=0)
-        # the same operands in calibrate's layout: (by, bx, coil) rows, one column per equation
+        # the same operands in calibrate's layout: A's real and imaginary parts as
+        # (by, bx, re/im, coil) rows and B's as (re/im, coil, m) rows, one column per equation
         c, by, bx = acs.n_coils, geom.by_taps, geom.kx_width
-        At = np.ascontiguousarray(A.reshape(-1, c, by, bx).transpose(0, 2, 3, 1).reshape(A.shape).T)
-        Bt = np.ascontiguousarray(B.T)
-        G = At.conj() @ At.T + ridge * np.eye(A.shape[1])
-        W = np.linalg.solve(G, At.conj() @ Bt.T)
+        At = A.reshape(-1, c, by, bx).transpose(2, 3, 1, 0)  # [by, bx, coil, equation]
+        Ar = np.ascontiguousarray(np.concatenate([At.real, At.imag], axis=2)).reshape(2 * A.shape[1], -1)
+        Br = np.ascontiguousarray(np.concatenate([B.T.real, B.T.imag]))
+        # ZᴴY = Re Zᵀ Re Y + Im Zᵀ Im Y + i (Re Zᵀ Im Y - Im Zᵀ Re Y), from one real product each
+        S = (Ar @ Ar.T).reshape(by * bx, 2, c, by * bx, 2, c)
+        G = S[:, 0, :, :, 0] + S[:, 1, :, :, 1] + 1j * (S[:, 0, :, :, 1] - S[:, 1, :, :, 0])
+        G = G.reshape(A.shape[1], -1)
+        G[np.diag_indices(A.shape[1])] += ridge
+        P = (Ar @ Br.T).reshape(by * bx, 2, c, 2, -1)
+        AHB = (P[:, 0, :, 0] + P[:, 1, :, 1] + 1j * (P[:, 0, :, 1] - P[:, 1, :, 0])).reshape(A.shape[1], -1)
+        W = np.linalg.solve(G, AHB)
         kernel = calibrate(acs, geom, ridge=ridge)
         expected = W.T.reshape(c, geom.R - 1, by, bx, c).transpose(0, 1, 4, 2, 3)
         assert np.array_equal(kernel.weights, expected)
