@@ -3,9 +3,10 @@
 Each recon setting is declared once, in ``SETTINGS``, with its flag and the
 methods that read it; a key or flag that none of a run's methods reads is an
 error.  Every run's settings are resolved before any reconstruction: `recon`
-and `compare` build every method's config, and `ablate` parses every axis,
-first, so a value they reject exits 2 and writes nothing.  (A `depth` that a
-method's depth table lacks fails only its own ablation cells.)
+and `compare` build every method's config, and `ablate` parses every axis
+and checks every GRAPPA cell's kernel footprint, first, so a value they
+reject exits 2 and writes nothing.  (A `depth` that a method's depth table
+lacks fails only its own ablation cells.)
 
 All tabular output is UTF-8 CSV with a header row.  Ablation sweeps are
 fully reproducible: every cell's seed is derived by hashing the master seed
@@ -431,6 +432,12 @@ def cmd_ablate(args) -> int:
     r_values = get_list(entries, "R", at_least(int, 2)) or [4]
     acs_values = get_list(entries, "acs", at_least(int, 1, full.ny)) or [full.ny // 4]
     patterns = {(R, acs): make_uniform_pattern(full.ny, R, acs) for R in r_values for acs in acs_values}
+    if "grappa" in methods:  # its cells fit the default kernel at ridge 0
+        for (R, acs), pattern in patterns.items():
+            try:
+                check_footprint(KernelGeometry(R), full.nx, acs, pattern.acs_start, full.n_coils)
+            except ValueError as exc:  # LinAlgError too
+                raise ConfigError(f"{source}: keys 'R' and 'acs' give grappa R = {R}, acs = {acs}: {exc}") from exc
     exponent = _exponent_on(full.ny, full.nx)
     p_values = get_list(entries, "P", exponent) or [None]
     base_exponents = tuple(get_list(entries, "filter", exponent)) or DEFAULT_ABLATION_EXPONENTS
@@ -462,7 +469,8 @@ def cmd_ablate(args) -> int:
         try:
             metrics, curve = _run_ablation_cell(full, ref_sos, cell, patterns, base_exponents, optimizer)
         except Exception as exc:  # cell failures must not stop the sweep
-            metrics, curve = {"train_iters": optimizer.iters, "status": f"error: {exc}"}, []
+            iters = optimizer.iters if cell[0] in _NETWORKS else 0  # GRAPPA trains nothing
+            metrics, curve = {"train_iters": iters, "status": f"error: {exc}"}, []
         rows.append({**columns, **metrics})
         curve_rows += [{**columns, "iteration": it, "loss": loss} for it, loss in enumerate(curve, 1)]
     _write_csv(args.out, ABLATE_COLUMNS, rows)

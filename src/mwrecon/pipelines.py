@@ -27,14 +27,16 @@ Rows: each stage touches only the rows it uses.  The acquired rows (the
 only nonzero ones) are normalised and projected onto the virtual coils;
 the branch batch is weighted on the ACS rows for training.  Inference runs
 only on the lattice rows whose outputs predict a missing row: one network
-call per run of such rows, usually one above and one below the ACS block.
-On small grids a call may take a few more rows, or the whole lattice, so
-that its predictions equal the whole lattice's (see
-:func:`_inference_span`).  De-weighting, the branch combine and the map
-back to the physical coils run on the missing rows only, which are then
-written into one copy of the measurement.  Coil products are taken one ky
-row at a time, so every value equals what the same stages would give on
-the whole grid.
+call per run of such rows, usually one above and one below the ACS block,
+on the run's rows plus the receptive-field halo.  De-weighting, the branch
+combine and the map back to the physical coils run on the missing rows
+only, which are then written into one copy of the measurement.  A value
+equals what the same stages give on the whole grid bit for bit only where
+it has the same operands in the same order.  Coil products are taken one
+ky row at a time, so the projections and the map back do.  A run's GEMMs
+are narrower than the whole lattice's, and a BLAS may round a GEMM's
+columns by its width, so the networks' predictions agree with the whole
+lattice's to float32 rounding.
 
 Virtual coils: the networks run on a projection of the coils onto the
 ``nv`` leading left singular vectors of the scale-normalised ACS block
@@ -264,32 +266,6 @@ def _weighted(values: np.ndarray, mw: MultiWeightConfig, rows: np.ndarray) -> np
     return np.stack([values * f.h[rows] for f in mw.filters])
 
 
-def _inference_span(arch: NetworkArch, nv: int, nx: int, n_lat: int, first: int, stop: int):
-    """The output rows [s, e) on which to infer lattice rows [first, stop).
-
-    A network's GEMMs run over each layer's grid, row after row.  OpenBLAS's
-    small-matrix sgemm (0.3.31, AVX-512, m*N*k <= 1e6) rounds the last N mod
-    16 of N columns apart from the rest when there are 1 to 8 of them; any
-    other column is the same function of its inputs whatever N is.  So the
-    span grows below the kept rows until no such tail holds a column they
-    need, and is the whole lattice when the whole lattice's tail holds one.
-    """
-    def apart(n, mk):  # how many last columns of an n-column GEMM are rounded apart
-        return (n % 16) * ((mk * n <= 1e6) & (n % 16 <= 8))
-
-    layers, size = arch.layers, lambda spec: spec.ky_taps * spec.kx_width * spec.out_channels
-    # (grid i, m*k) per GEMM: grid i is the output of layer i, which layer i + 1 reads
-    gemms = [(i, size(spec) * layers[i - 1].out_channels) for i, spec in enumerate(layers[1:], 1)]
-    gemms += [(i, nv * size(spec) * arch.in_channels) for i, spec in [(1, layers[0]), (len(layers), arch.skip)] if spec]
-    e, ok = np.arange(stop, stop + 9), True
-    for i, mk in gemms:
-        w, d = nx + sum(spec.kx_width - 1 for spec in layers[i:]), sum(spec.ky_taps - 1 for spec in layers[i:])
-        if (n_lat - stop) * w < apart((n_lat + d) * w, mk):
-            return 0, n_lat
-        ok = ok & (apart((e - first + d) * w, mk) <= (e - stop) * w)
-    return first, int(e[np.argmax(ok)])
-
-
 def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
     """Root-sum-of-squares of the per-coil centered inverse FFTs.
 
@@ -383,9 +359,9 @@ def _scan_specific_reconstruct(
     nets, histories = train(nets0, ts, cfg.optimizer)
 
     # inference: output row o of a network predicts original rows o*R + m;
-    # only missing rows keep a prediction, so the networks run once per run of
-    # consecutive o those rows fall in (above and below the ACS block), over
-    # the span _inference_span gives it
+    # only missing rows keep a prediction, so the networks run once per run
+    # [s, e) of consecutive o those rows fall in (above and below the ACS
+    # block), on the run's lattice rows plus the receptive-field halo
     missing = pattern.missing_rows
     o, channels = missing // R, np.stack([missing % R - 1, missing % R + R - 2])  # real, imaginary output
     lat = np.arange(0, ny, R)
@@ -396,18 +372,15 @@ def _scan_specific_reconstruct(
     combined = np.zeros((nv, missing.size, nx), dtype=np.complex128)
     parts = combined.view(np.float64).reshape(nv, missing.size, nx, 2).transpose(0, 3, 1, 2)
     kept = np.unique(o)
-    runs = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
-    spans = [_inference_span(arch, nv, nx, lat.size, run[0], run[-1] + 1) for run in runs]
-    if sum(e - s for s, e in spans) >= lat.size:  # one call on the whole lattice costs no more
-        runs, spans = [kept], [(0, lat.size)]
-    for run, (s, e) in zip(runs, spans):
+    for run in np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1):
+        s, e = run[0], run[-1] + 1
         top = s - gap  # padded input row j holds lattice row top + j, zero off the lattice
         lo, hi = max(top, 0), min(top + e - s + taps, lat.size)
         batch = _weighted(virt[:, np.searchsorted(acquired, lat[lo:hi])], mw, lat[lo:hi])
         x = np.zeros((len(mw.filters), 2 * nv, e - s + taps, nx + arch.rf_cols - 1), dtype=np.float32)
         x[:, :, lo - top:hi - top, tx:tx + nx] = np.concatenate([batch.real, batch.imag], axis=1)
         out = forward(nets, x)  # [nv, n_f, 2*(R-1), e - s, nx]
-        rows = slice(*np.searchsorted(o, [run[0], run[-1] + 1]))
+        rows = slice(*np.searchsorted(o, [s, e]))
         for b, gain in enumerate(gains):
             parts[:, :, rows] += out[:, b, channels[:, rows], o[rows] - s] * gain[rows]
     parts *= 1.0 / np.sum(valid, axis=0)  # the all-pass branch is always valid

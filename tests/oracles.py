@@ -375,7 +375,8 @@ def scan_specific_full_grid(measured, pattern, filters, eps, basis, arch, seed, 
     valid branches, map back to the coils and restore the acquired rows.
     The networks (``mwrecon.network``) and the training-pair cutter are the
     package's own: this checks the host path around them, and that the
-    pipeline's predictions equal the whole lattice's.  Coil products are
+    pipeline's predictions match the whole lattice's to float32 rounding
+    (its GEMMs run over fewer lattice rows).  Coil products are
     taken one ky row at a time, so a row's values do not depend on which
     other rows are computed.
     """

@@ -699,6 +699,46 @@ def test_ablate_rejects_a_config_that_defines_no_sweep(tmp_path, capsys, text, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coils, acs, message", [
+    (4, 4, "footprint of 3 columns x 5 rows does not fit the scan: 32 columns, 4 ACS rows from row 14"),
+    # 1 lattice anchor x 30 columns = 30 equations for 8 coils x 2 x 3 = 48 unknowns
+    (8, 7, "calibration system has 30 equations for 48 unknowns, so it is singular"),
+], ids=["footprint", "singular"])
+def test_ablate_checks_every_grappa_cell_before_any_cell(tmp_path, capsys, monkeypatch, coils, acs, message):
+    # the ACS-16 cell sorts first and fits; the other cell's GRAPPA fit cannot be made
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = {coils}\nacs = {acs}, 16\nR = 4\nmethod = grappa, raki\n"
+                      "iters = 1\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: keys 'R' and 'acs' give grappa R = 4, acs = {acs}: {message}" in err
+    assert calls == [] and not out.exists()
+
+
+def test_ablate_reports_no_training_for_a_failed_grappa_cell(tmp_path, capsys, monkeypatch):
+    from mwrecon import cli
+
+    real = cli.reconstruct
+
+    def fail_grappa(measured, cfg):
+        if cfg.method == "grappa":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(measured, cfg)
+
+    monkeypatch.setattr(cli, "reconstruct", fail_grappa)
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nmethod = grappa, raki\niters = 3\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 1
+    assert [(r["method"], r["train_iters"], r["status"]) for r in read_rows(out)] == [
+        ("grappa", "0", "error: Singular matrix"),
+        ("raki", "3", "ok"),
+    ]
+    assert "error: Singular matrix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["grappa", "raki"])
 def test_recon_rejects_a_pattern_on_another_grid_before_any_work(scan, capsys, monkeypatch, method):
     tmp_path, _, under = scan
