@@ -14,7 +14,6 @@ from .kspace import (
     SamplingPattern,
     apply_pattern,
     extract_acs,
-    fft2c,
     load_kspace,
     load_pattern,
     make_uniform_pattern,
@@ -41,10 +40,7 @@ from .pipelines import (
     ReconResult,
     build_training_pairs,
     default_arch,
-    grappa_reconstruct,
     make_multiweight_config,
-    mw_reconstruct,
-    raki_reconstruct,
     reconstruct,
     reconstruct_image,
 )

@@ -3,10 +3,11 @@
 Each recon setting is declared once, in ``SETTINGS``, with its flag and the
 methods that read it; a key or flag that none of a run's methods reads is an
 error.  Every run's settings are resolved before any reconstruction: `recon`
-and `compare` build every method's config, and `ablate` parses every axis
-and checks every GRAPPA cell's kernel footprint, first, so a value they
-reject exits 2 and writes nothing.  (A `depth` that a method's depth table
-lacks fails only its own ablation cells.)
+and `compare` build every method's config, which checks that GRAPPA's kernel
+and each network fit the ACS block, and `ablate` parses every axis and
+checks every GRAPPA cell's kernel footprint, first, so a value they reject
+exits 2 and writes nothing.  (A `depth` that a method's depth table lacks,
+or an ACS block too small for a network, fails only its own ablation cells.)
 
 All tabular output is UTF-8 CSV with a header row.  Ablation sweeps are
 fully reproducible: every cell's seed is derived by hashing the master seed
@@ -31,7 +32,6 @@ import numpy as np
 from .config import (
     ConfigError,
     at_least,
-    build_arch,
     get_list,
     get_scalar,
     load_config,
@@ -56,11 +56,14 @@ from .phantom import make_coil_maps, shepp_logan, simulate_kspace
 from .pipelines import (
     DEFAULT_FILTER_EXPONENTS,
     METHODS,
+    MULTIWEIGHT,
+    NETWORKS,
     MultiWeightConfig,
     ReconConfig,
     default_arch,
     reconstruct,
     reconstruct_image,
+    training_windows,
 )
 
 AXIS_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed")
@@ -70,19 +73,17 @@ RECON_COLUMNS = (
 ABLATE_COLUMNS = AXIS_COLUMNS + ("psnr", "ssim", "rmse", "train_iters", "status")
 CURVE_COLUMNS = AXIS_COLUMNS + ("iteration", "loss")
 DEFAULT_ABLATION_EXPONENTS = (0.6, 0.2, 0.4, 0.3)
-_NETWORKS = ("raki", "rraki", "mw_raki", "mw_rraki")
-_MULTIWEIGHT = ("mw_raki", "mw_rraki")
 # Every recon setting: its flag (None for a config key only) and the methods
 # that read it.  GRAPPA's settings are flags only; every other setting is also
 # a config key.  A key or flag that none of a run's methods reads is an error.
 SETTINGS = {
-    "seed": ("--seed", _NETWORKS),
-    "iters": ("--iters", _NETWORKS),
-    "lr": ("--lr", _NETWORKS),
-    "layers": (None, _NETWORKS),
-    "skip": (None, _NETWORKS),
-    "filter": ("--filters", _MULTIWEIGHT),
-    "filter_eps": ("--filter-eps", _MULTIWEIGHT),
+    "seed": ("--seed", NETWORKS),
+    "iters": ("--iters", NETWORKS),
+    "lr": ("--lr", NETWORKS),
+    "layers": (None, NETWORKS),
+    "skip": (None, NETWORKS),
+    "filter": ("--filters", MULTIWEIGHT),
+    "filter_eps": ("--filter-eps", MULTIWEIGHT),
     "ridge": ("--ridge", ("grappa",)),
     "grappa_kernel": ("--grappa-kernel", ("grappa",)),
 }
@@ -195,12 +196,20 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
     return OptimizerConfig(**values)
 
 
-def _arch_from(entries, n_coils, R) -> NetworkArch | None:
-    layer_values = get_list(entries, "layers", parse_layer_spec)
-    if not layer_values:
-        return None
-    skip_value = get_scalar(entries, "skip", parse_layer_spec)
-    return build_arch(layer_values, 2 * n_coils, 2 * (R - 1), skip_value)
+def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
+    """The `layers` and `skip` keys' network, or None for the default; whichever
+    ``method`` will run is rejected unless the ACS block holds a training window for it."""
+    def layer(text):
+        return parse_layer_spec(text, 2 * (pattern.R - 1))
+    layers = get_list(entries, "layers", layer)
+    arch = NetworkArch(2 * n_coils, layers, get_scalar(entries, "skip", layer)) if layers else None
+    try:
+        training_windows(arch or default_arch(method, n_coils, pattern.R), pattern.R, pattern.acs_count,
+                         pattern.acs_start)
+    except ValueError as exc:
+        given = f"--pattern {args.pattern}" if getattr(args, "pattern", None) else f"--acs {args.acs}"
+        raise ConfigError(f"flag {given}: {method.replace('_', '-')} cannot train: {exc}") from exc
+    return arch
 
 
 def _exponent_on(ny, nx):
@@ -247,7 +256,7 @@ def _grappa_geometry(args, measured, pattern, ridge) -> KernelGeometry | None:
     try:
         check_footprint(used, measured.nx, pattern.acs_count, pattern.acs_start, measured.n_coils, ridge)
     except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"flags {flag} and --ridge {ridge:g}: {exc}") from exc
+        raise ConfigError(f"flags {flag} and --ridge {ridge:g}: {exc}; use --ridge > 0") from exc
     except ValueError as exc:
         raise ConfigError(f"flag {flag} {exc}") from exc
     return geom
@@ -255,14 +264,14 @@ def _grappa_geometry(args, measured, pattern, ridge) -> KernelGeometry | None:
 
 def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
     """The run's settings; a value they reject is a ConfigError, raised before any work."""
-    mw = method in _MULTIWEIGHT
+    mw = method in MULTIWEIGHT
     try:
         ridge = _flag(args, "ridge", at_least(float, 0.0), 0.0)
         return ReconConfig(
             method=method,
             pattern=pattern,
             seed=args.seed if args.seed is not None else get_scalar(entries, "seed", _SEED, 0),
-            arch=_arch_from(entries, measured.n_coils, pattern.R),
+            arch=_arch_from(args, entries, method, measured.n_coils, pattern) if method in NETWORKS else None,
             optimizer=_optimizer_from(entries, args),
             multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
             grappa_geometry=_grappa_geometry(args, measured, pattern, ridge) if method == "grappa" else None,
@@ -436,8 +445,10 @@ def cmd_ablate(args) -> int:
         for (R, acs), pattern in patterns.items():
             try:
                 check_footprint(KernelGeometry(R), full.nx, acs, pattern.acs_start, full.n_coils)
-            except ValueError as exc:  # LinAlgError too
-                raise ConfigError(f"{source}: keys 'R' and 'acs' give grappa R = {R}, acs = {acs}: {exc}") from exc
+            except ValueError as exc:  # LinAlgError too, which only a taller ACS mends at ridge 0
+                taller = "; use a taller acs" if isinstance(exc, np.linalg.LinAlgError) else ""
+                raise ConfigError(f"{source}: keys 'R' and 'acs' give grappa R = {R}, acs = {acs}: "
+                                  f"{exc}{taller}") from exc
     exponent = _exponent_on(full.ny, full.nx)
     p_values = get_list(entries, "P", exponent) or [None]
     base_exponents = tuple(get_list(entries, "filter", exponent)) or DEFAULT_ABLATION_EXPONENTS
@@ -455,9 +466,9 @@ def cmd_ablate(args) -> int:
     # multi-weight methods have a filter bank (P, L)
     cells = set()
     for method, R, acs, p, l_count, depth, rep in itertools.product(*axes):
-        if method not in _MULTIWEIGHT:
+        if method not in MULTIWEIGHT:
             p = l_count = None
-        if method not in _NETWORKS:
+        if method not in NETWORKS:
             depth = None
         seed = _cell_seed(master, method, R, acs, p, l_count, depth, rep)
         cells.add((method, R, acs, p, l_count, depth, rep, seed))
@@ -469,7 +480,7 @@ def cmd_ablate(args) -> int:
         try:
             metrics, curve = _run_ablation_cell(full, ref_sos, cell, patterns, base_exponents, optimizer)
         except Exception as exc:  # cell failures must not stop the sweep
-            iters = optimizer.iters if cell[0] in _NETWORKS else 0  # GRAPPA trains nothing
+            iters = optimizer.iters if cell[0] in NETWORKS else 0  # GRAPPA trains nothing
             metrics, curve = {"train_iters": iters, "status": f"error: {exc}"}, []
         rows.append({**columns, **metrics})
         curve_rows += [{**columns, "iteration": it, "loss": loss} for it, loss in enumerate(curve, 1)]

@@ -5,13 +5,17 @@ bank); any other key given twice is an error, not a silent override.
 Blank lines and `#` comments are ignored.  Each reader names the keys it
 accepts, so a misspelt or stale key is an error rather than a silent
 default.  Parse errors carry the offending key and line number.
+
+A network layer is `channels@KXxKY`, with `out` for the output channel
+count.  Its activation follows from its place in the stack (see
+:mod:`mwrecon.network`), so a spec names none: `32@5x2:relu` is malformed.
 """
 
 from __future__ import annotations
 
 import math
 
-from .network import LayerSpec, NetworkArch
+from .network import LayerSpec
 
 
 class ConfigError(ValueError):
@@ -105,35 +109,16 @@ def parse_filter_exponent(spec: str) -> float:
     return parse_positive(spec[2:] if spec.upper().startswith("P:") else spec)
 
 
-def parse_layer_spec(spec: str):
-    """`32@5x2:relu` -> LayerSpec; the `out@3x2` form leaves channels None."""
-    spec = spec.strip()
-    head, _, activation = spec.partition(":")
-    activation = activation.strip() or None
-    channels_part, sep, kernel_part = head.partition("@")
+def parse_layer_spec(spec: str, out_channels: int) -> LayerSpec:
+    """`32@5x2` -> ``LayerSpec(32, 5, 2)``; `out@3x2` takes ``out_channels``."""
+    channels, sep, kernel = spec.strip().lower().partition("@")
     if not sep:
         raise ValueError(f"layer spec {spec!r} needs channels@KXxKY")
-    channels_part = channels_part.strip().lower()
-    channels = None if channels_part == "out" else int(channels_part)
-    kx_str, sep, ky_str = kernel_part.lower().partition("x")
+    kx, sep, ky = kernel.partition("x")
     if not sep:
         raise ValueError(f"layer spec {spec!r} needs a KXxKY kernel size")
-    return channels, int(kx_str), int(ky_str), activation
-
-
-def build_arch(layer_specs, in_channels: int, out_channels: int, skip_spec=None) -> NetworkArch:
-    """Realize parsed layer specs; `out` channel markers become ``out_channels``."""
-    layers = []
-    for i, (channels, kx, ky, activation) in enumerate(layer_specs):
-        last = i == len(layer_specs) - 1
-        if activation is None:
-            activation = "identity" if last else "relu"
-        layers.append(LayerSpec(out_channels if channels is None else channels, kx, ky, activation))
-    skip = None
-    if skip_spec is not None:
-        channels, kx, ky, activation = skip_spec
-        skip = LayerSpec(out_channels if channels is None else channels, kx, ky, activation or "identity")
-    return NetworkArch(in_channels=in_channels, layers=tuple(layers), skip=skip)
+    channels = channels.strip()
+    return LayerSpec(out_channels if channels == "out" else int(channels), int(kx), int(ky))
 
 
 def parse_grappa_kernel(spec: str):

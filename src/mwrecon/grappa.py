@@ -123,7 +123,7 @@ def check_footprint(geom: KernelGeometry, nx: int, acs_rows: int, row0: int = 0,
     n_rows, n_unknowns = n_anchors * (nx - 2 * geom.bx_half), geom.n_sources(n_coils or 0)
     if ridge == 0.0 and n_rows < n_unknowns:
         raise np.linalg.LinAlgError(f"calibration system has {n_rows} equations for {n_unknowns} "
-                                    "unknowns, so it is singular; use ridge > 0")
+                                    "unknowns, so it is singular")
 
 
 def _conj_product(P: np.ndarray) -> np.ndarray:

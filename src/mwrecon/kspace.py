@@ -12,9 +12,10 @@ Conventions used throughout the package:
   either domain.  Containers are immutable after construction; every
   operation returns a new object and is safe to call concurrently.
   A producer that builds a fresh array freezes it and hands it over, so the
-  container takes it without a copy: :func:`fft2c`, :func:`apply_pattern`
-  and :func:`load_kspace` here, and ``phantom.simulate_kspace`` (whose
-  ``CoilMaps`` takes over ``make_coil_maps``'s array by the same rule).
+  container takes it without a copy: :func:`apply_pattern` and
+  :func:`load_kspace` here, and ``phantom.simulate_kspace``, which
+  transforms one coil at a time with :func:`_fft2c_into` (its ``CoilMaps``
+  takes over ``make_coil_maps``'s array by the same rule).
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ class SamplingPattern:
 def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     """Build the uniform-undersampling pattern for an ``ny``-row grid."""
     return SamplingPattern(ny, R, acs_count)
-
-
-def fft2c(image: MultiCoilKSpace) -> MultiCoilKSpace:
-    """Centered orthonormal 2-D FFT of each coil image."""
-    out = np.empty_like(image.data)
-    for coil, k in zip(image.data, out):
-        _fft2c_into(coil, k)
-    out.flags.writeable = False
-    return MultiCoilKSpace(out)
 
 
 def _fft2c_into(image: np.ndarray, out: np.ndarray) -> None:

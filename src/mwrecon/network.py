@@ -8,6 +8,10 @@ so a tap spacing of R grid rows is one row of the compacted input.  Complex
 data is handled as paired real channels and all weights are real.  An
 optional parallel linear convolution (the ``skip`` path) realizes residual
 variants: it is computed on the main chain's output grid only and added.
+A layer's activation follows from its position, as in RAKI (Akçakaya et
+al., MRM 2019) and rRAKI (Zhang et al., NeuroImage 2022): hidden layers
+apply ReLU, and the final layer and the skip path are linear, so a
+:class:`LayerSpec` holds only its channels and kernel size.
 
 A reconstruction trains one network per target coil, and every coil's
 network reads the same source tensor; only the targets differ.  So
@@ -60,12 +64,10 @@ reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-ACTIVATIONS = ("relu", "identity")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -77,13 +79,11 @@ class LayerSpec:
     out_channels: int
     kx_width: int
     ky_taps: int
-    activation: str = "relu"
+    activation: InitVar[str | None] = None  # ignored, as position decides; perfbench's tests pass one
 
-    def __post_init__(self):
+    def __post_init__(self, activation):
         if self.out_channels < 1 or self.kx_width < 1 or self.ky_taps < 1:
             raise ValueError(f"layer dimensions must be positive: {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,7 @@ class NetworkArch:
             raise ValueError(f"in_channels must be positive, got {self.in_channels}")
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for spec in self.layers[:-1]:
-            if spec.activation != "relu":
-                raise ValueError("hidden layers must use relu")
-        if self.layers[-1].activation != "identity":
-            raise ValueError("final layer must be linear (identity activation)")
         if self.skip is not None:
-            if self.skip.activation != "identity":
-                raise ValueError("skip path must be linear (identity activation)")
             if self.skip.out_channels != self.out_channels:
                 raise ValueError("skip path must match the output channel count")
             if self.skip_row_offset < 0 or self.skip.ky_taps - 1 + self.skip_row_offset > self.ky_taps_excess:
@@ -389,7 +382,7 @@ def _input_cols(arch: NetworkArch, x: np.ndarray):
 def _first_layer(arch: NetworkArch, w: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
     """Every coil's first-layer activations [coils, O, N, OH, OW]."""
     z = _shared_gemm(w, cols).reshape(*w.shape[:2], *shape)
-    if arch.layers[0].activation == "relu":
+    if len(arch.layers) > 1:  # a hidden layer
         np.maximum(z, 0.0, out=z)
     return z
 
@@ -409,7 +402,7 @@ def _layer(arch: NetworkArch, li: int, w: np.ndarray, h: np.ndarray) -> np.ndarr
     z = y[:, i, j, :, :, rows, cols].copy()
     for i, j, rows, cols in rest:
         z += y[:, i, j, :, :, rows, cols]
-    if spec.activation == "relu":
+    if li < len(arch.layers) - 1:  # a hidden layer
         np.maximum(z, 0.0, out=z)
     return z
 
@@ -490,12 +483,12 @@ def _loss_and_grads(arch: NetworkArch, params, input_cols, targets: np.ndarray):
         if skip is not None:
             d_skip[g] = d
         for li in range(n_layers - 1, 0, -1):
-            if arch.layers[li].activation == "relu":
+            if li < n_layers - 1:
                 d *= acts[li] > 0
             grads[li][g], d = _layer_grads(arch, li, params[li][g], acts[li - 1], d)
         # the group's first-layer activations are read for the last time
         # above, so they take the first layer's output gradient
-        if arch.layers[0].activation == "relu":
+        if n_layers > 1:
             np.multiply(d, acts[0] > 0, out=acts[0])
         else:
             acts[0][...] = d

@@ -81,12 +81,12 @@ def _span(axis: np.ndarray, center: float, half: float) -> slice:
     return slice(inside[0], inside[-1] + 1)
 
 
-def make_coil_maps(n_coils: int, ny: int, nx: int, seed: int, variation: float = 0.5) -> CoilMaps:
+def make_coil_maps(n_coils: int, ny: int, nx: int, seed: int) -> CoilMaps:
     """Smooth complex sensitivities: per-coil degree-2 polynomials.
 
     Each coil gets a distinct-phase constant term plus random polynomial
-    perturbations scaled by ``variation`` (0 gives constant unit-magnitude
-    maps).  Maps are rescaled so the mean of their root-sum-of-squares is 1.
+    perturbations of fixed spread.  Maps are rescaled so the mean of their
+    root-sum-of-squares is 1.
     """
     if n_coils < 1:
         raise ValueError(f"need at least one coil, got {n_coils}")
@@ -99,7 +99,7 @@ def make_coil_maps(n_coils: int, ny: int, nx: int, seed: int, variation: float =
     for plane, term in zip(basis, (1.0, x, y, x * x, x * y, y * y)):
         plane[...] = term
     basis = basis.reshape(6, ny * nx)
-    scales = variation * np.array([0.3, 0.4, 0.4, 0.2, 0.2, 0.2])
+    scales = np.array([0.15, 0.2, 0.2, 0.1, 0.1, 0.1])  # spread of each term's coefficient
     maps = np.empty((n_coils, ny, nx), dtype=np.complex128)
     power = np.zeros((ny, nx))  # sum of squares, added in coil order
     for c, coil_map in enumerate(maps):

@@ -86,7 +86,12 @@ from .network import (
     train,
 )
 
-METHODS = ("grappa", "raki", "rraki", "mw_raki", "mw_rraki")
+# Each network method and its default depth (see default_arch).  The mw_
+# methods train on a weighting bank, and the rRAKI methods add a linear skip.
+NETWORKS = {"raki": 3, "rraki": 3, "mw_raki": 2, "mw_rraki": 3}
+MULTIWEIGHT = tuple(m for m in NETWORKS if m.startswith("mw_"))
+RESIDUAL = tuple(m for m in NETWORKS if m.endswith("rraki"))
+METHODS = ("grappa", *NETWORKS)
 
 DEFAULT_FILTER_EXPONENTS = (0.6, 0.2)
 
@@ -149,7 +154,7 @@ class ReconConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.ridge < math.inf:  # NaN too
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if self.multiweight is not None and self.method not in ("mw_raki", "mw_rraki"):
+        if self.multiweight is not None and self.method not in MULTIWEIGHT:
             raise ValueError(f"multiweight config does not apply to method {self.method!r}")
 
 
@@ -162,38 +167,30 @@ class ReconResult:
     loss_histories: tuple
 
 
-_DEFAULT_DEPTHS = {"raki": 3, "rraki": 3, "mw_raki": 2, "mw_rraki": 3}
-
-
 def default_arch(method: str, n_coils: int, R: int, depth: int | None = None) -> NetworkArch:
     """Per-method network layout (unit ky spacing; lattice-compacted inputs).
 
-    ``depth`` selects a stack of 1, 2, 3 or 5 layers; without it mw_raki
-    gets 2 and the other methods 3.  The residual methods (rraki, mw_rraki)
-    add a linear skip path as wide as the stack's receptive field allows,
-    up to 5 columns.
+    ``depth`` selects a stack of 1, 2, 3 or 5 layers; without it the
+    method's entry of ``NETWORKS``.  The ``RESIDUAL`` methods add a linear
+    skip path as wide as the stack's receptive field allows, up to 5 columns.
     """
-    if method not in _DEFAULT_DEPTHS:
+    if method not in NETWORKS:
         raise ValueError(f"no network architecture for method {method!r}")
     out = 2 * (R - 1)
-    wide = LayerSpec(32, 5, 2, "relu")
-    bottleneck = LayerSpec(8, 1, 1, "relu")
-    final = LayerSpec(out, 3, 2, "identity")
+    wide = LayerSpec(32, 5, 2)
+    bottleneck = LayerSpec(8, 1, 1)
+    final = LayerSpec(out, 3, 2)
     stacks = {
         1: (final,),
         2: (wide, final),
         3: (wide, bottleneck, final),
         5: (wide, bottleneck, bottleneck, bottleneck, final),
     }
-    depth = _DEFAULT_DEPTHS[method] if depth is None else depth
+    depth = NETWORKS[method] if depth is None else depth
     if depth not in stacks:
         raise ValueError(f"unsupported depth {depth}; choose from {sorted(stacks)}")
-    layers = stacks[depth]
-    skip = None
-    if method in ("rraki", "mw_rraki"):
-        rf_cols = sum(spec.kx_width - 1 for spec in layers) + 1
-        skip = LayerSpec(out, min(5, rf_cols), 2, "identity")
-    return NetworkArch(in_channels=2 * n_coils, layers=layers, skip=skip)
+    arch = NetworkArch(in_channels=2 * n_coils, layers=stacks[depth])
+    return replace(arch, skip=LayerSpec(out, min(5, arch.rf_cols), 2)) if method in RESIDUAL else arch
 
 
 def build_training_pairs(
@@ -217,6 +214,23 @@ def build_training_pairs(
     return TrainingSet(sources=ts.sources, targets=ts.targets[target_coil:target_coil + 1])
 
 
+def training_windows(arch: NetworkArch, R: int, acs_rows: int, acs_row0: int):
+    """(ACS-internal lattice rows, window count) of ``arch`` on ``acs_rows`` ACS rows from grid
+    row ``acs_row0``: its receptive fields on the lattice with room for the R-1 target rows
+    below the target gap.  ``ValueError`` if none fits."""
+    lat = np.arange(acs_rows)[(acs_row0 + np.arange(acs_rows)) % R == 0]
+    taps, gap = arch.ky_taps_excess, arch.target_row_gap
+    n_win = lat.size - taps
+    while n_win > 0 and lat[n_win - 1 + gap] + (R - 1) > acs_rows - 1:
+        n_win -= 1
+    if n_win < 1:
+        raise ValueError(
+            f"ACS too small: {acs_rows} rows; this architecture needs at least "
+            f"{taps * R + 1} fully sampled rows (plus shift room for the R-1 targets)"
+        )
+    return lat, n_win
+
+
 def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, dtype) -> TrainingSet:
     """Training pairs of every branch and coil of an ACS batch [n_f, coils, rows, nx].
 
@@ -225,25 +239,11 @@ def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, d
     """
     n_f, n_coils, ny, nx = acs.shape
     if arch.in_channels != 2 * n_coils:
-        raise ValueError(
-            f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}"
-        )
+        raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
     if arch.out_channels != 2 * (R - 1):
-        raise ValueError(
-            f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}"
-        )
-    lat = np.arange(ny)[(acs_row0 + np.arange(ny)) % R == 0]
-    taps = arch.ky_taps_excess
-    gap = arch.target_row_gap
-    min_rows = taps * R + 1
-    n_win = lat.size - taps
-    while n_win > 0 and lat[n_win - 1 + gap] + (R - 1) > ny - 1:
-        n_win -= 1
-    if n_win < 1:
-        raise ValueError(
-            f"ACS too small: {ny} rows; this architecture needs at least "
-            f"{min_rows} fully sampled rows (plus shift room for the R-1 targets)"
-        )
+        raise ValueError(f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}")
+    lat, n_win = training_windows(arch, R, ny, acs_row0)
+    taps, gap = arch.ky_taps_excess, arch.target_row_gap
     compact = acs[:, :, lat[: n_win + taps], :]
     sources = np.concatenate([compact.real, compact.imag], axis=1, dtype=dtype)
     ow = nx - (arch.rf_cols - 1)
@@ -322,9 +322,9 @@ def _virtual_coil_basis(acs: np.ndarray, R: int) -> np.ndarray:
     return v[:, ::-1][:, :nv]
 
 
-def _scan_specific_reconstruct(
-    measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightConfig
-) -> ReconResult:
+def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightConfig) -> ReconResult:
+    """Every network method's scan-specific flow, on the bank ``mw`` that :func:`reconstruct`
+    picks (public only because perfbench's span checks name it)."""
     pattern = cfg.pattern
     _require_consistent(measured, pattern)
     R = pattern.R
@@ -393,25 +393,8 @@ def _scan_specific_reconstruct(
     return ReconResult(result_kspace, reconstruct_image(result_kspace), tuple(histories))
 
 
-def raki_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
-    """Scan-specific reconstruction without weighting (methods raki / rraki)."""
-    if cfg.method not in ("raki", "rraki"):
-        raise ValueError(f"raki_reconstruct got method {cfg.method!r}")
-    return _scan_specific_reconstruct(measured, cfg, MultiWeightConfig(measured.ny, measured.nx, ()))
-
-
-def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
-    """Multi-weight scan-specific reconstruction (methods mw_raki / mw_rraki)."""
-    if cfg.method not in ("mw_raki", "mw_rraki"):
-        raise ValueError(f"mw_reconstruct got method {cfg.method!r}")
-    mw = cfg.multiweight or MultiWeightConfig(measured.ny, measured.nx)
-    return _scan_specific_reconstruct(measured, cfg, mw)
-
-
-def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
+def _grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
     """Linear kernel calibration and interpolation."""
-    if cfg.method != "grappa":
-        raise ValueError(f"grappa_reconstruct got method {cfg.method!r}")
     pattern = cfg.pattern
     geom = cfg.grappa_geometry or KernelGeometry(R=pattern.R)
     if geom.R != pattern.R:
@@ -424,9 +407,9 @@ def grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResu
 
 
 def reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
-    """Dispatch to the configured method."""
+    """Reconstruct ``measured`` with ``cfg.method``.  A network method runs on ``cfg.multiweight``,
+    else on the all-pass branch plus, for the ``MULTIWEIGHT`` methods, ``DEFAULT_FILTER_EXPONENTS``."""
     if cfg.method == "grappa":
-        return grappa_reconstruct(measured, cfg)
-    if cfg.method in ("raki", "rraki"):
-        return raki_reconstruct(measured, cfg)
-    return mw_reconstruct(measured, cfg)
+        return _grappa_reconstruct(measured, cfg)
+    exponents = DEFAULT_FILTER_EXPONENTS if cfg.method in MULTIWEIGHT else ()
+    return mw_reconstruct(measured, cfg, cfg.multiweight or MultiWeightConfig(measured.ny, measured.nx, exponents))

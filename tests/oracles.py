@@ -3,17 +3,26 @@
 Everything here is written as directly as possible from the defining
 formulas (nested loops, direct summation) and must stay independent of the
 package code paths it checks.  The coil-image helpers at the top
-(``ifft2c``, ``sos_combine``) are plain numpy compositions that only tests
-call.
+(``fft2c``, ``ifft2c``, ``sos_combine``) are plain numpy compositions that
+only tests call; ``fft2c`` runs the package's one-coil ``_fft2c_into``.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mwrecon.kspace import MultiCoilKSpace
+from mwrecon.kspace import MultiCoilKSpace, _fft2c_into
 
 # the container under a name that marks image-domain arguments
 CoilImage = MultiCoilKSpace
+
+
+def fft2c(image):
+    """Centered orthonormal 2-D FFT of each coil image, one coil at a time."""
+    out = np.empty_like(image.data)
+    for coil, k in zip(image.data, out):
+        _fft2c_into(coil, k)
+    out.flags.writeable = False
+    return MultiCoilKSpace(out)
 
 
 def ifft2c(kspace):
@@ -308,7 +317,7 @@ def shepp_logan_full_grid(ny, nx, ellipses):
     return np.maximum(img, 0.0)
 
 
-def coil_maps_tensordot(n_coils, ny, nx, seed, variation=0.5):
+def coil_maps_tensordot(n_coils, ny, nx, seed):
     """Coil maps from one ``tensordot`` of each coil's coefficients with the
     six real polynomial planes, normalised by the mean of the stack's SoS."""
     rng = np.random.default_rng(seed)
@@ -317,7 +326,7 @@ def coil_maps_tensordot(n_coils, ny, nx, seed, variation=0.5):
     basis = np.stack(
         [np.broadcast_to(t, (ny, nx)) for t in (np.ones((ny, nx)), x, y, x * x, x * y, y * y)]
     )
-    scales = variation * np.array([0.3, 0.4, 0.4, 0.2, 0.2, 0.2])
+    scales = 0.5 * np.array([0.3, 0.4, 0.4, 0.2, 0.2, 0.2])
     maps = np.empty((n_coils, ny, nx), dtype=np.complex128)
     for c in range(n_coils):
         coeff = scales * (rng.standard_normal(6) + 1j * rng.standard_normal(6))

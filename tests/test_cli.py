@@ -5,6 +5,7 @@ import pytest
 
 from mwrecon.cli import main
 from mwrecon.kspace import load_kspace
+from mwrecon.network import LayerSpec
 
 
 def read_rows(path):
@@ -293,7 +294,7 @@ def spy_on_reconstruct(monkeypatch):
 
 def test_recon_config_keys_reach_the_recon_config(scan, monkeypatch):
     from mwrecon.grappa import KernelGeometry
-    from mwrecon.network import LayerSpec, NetworkArch
+    from mwrecon.network import NetworkArch
 
     tmp_path, _, under = scan
     config = tmp_path / "recon.cfg"
@@ -308,8 +309,8 @@ def test_recon_config_keys_reach_the_recon_config(scan, monkeypatch):
         return calls[-1][0]
 
     cfg = run("mw-rraki", "--iters", "1", "--config", str(config))
-    out = LayerSpec(6, 3, 2, "identity")  # 2·(R−1) channels at R = 4
-    assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2, "relu"), out), skip=out)
+    out = LayerSpec(6, 3, 2)  # 2·(R−1) channels at R = 4
+    assert cfg.arch == NetworkArch(8, (LayerSpec(16, 3, 2), out), skip=out)
     assert cfg.multiweight.filters[0].is_all_pass
     assert [f.P for f in cfg.multiweight.filters[1:]] == [0.5]
     assert cfg.multiweight.eps == 1e-4
@@ -337,6 +338,72 @@ def test_recon_names_a_bad_layer_spec_or_grappa_kernel(scan, capsys):
     assert run("grappa", "--grappa-kernel", "bx:1") == 2
     assert "flag --grappa-kernel needs both bx: and by:, got 'bx:1'" in capsys.readouterr().err
     assert not (tmp_path / "r.mwks").exists()
+
+
+@pytest.mark.parametrize("text, line, key, value", [
+    ("layers = 32@5x2:relu\n", 1, "layers", "32@5x2:relu"),
+    ("layers = 32@5x2, out@3x2\nskip = out@3x2:identity\n", 2, "skip", "out@3x2:identity"),
+], ids=["layer", "skip"])
+def test_a_layer_spec_names_no_activation(scan, capsys, monkeypatch, text, line, key, value):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(text, encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "r.mwks"
+    assert main(["--quiet", "recon", "--method", "rraki", "--input", str(under), "--R", "4", "--acs", "16",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:{line}: bad value for key '{key}': '{value}'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+# at R = 4 the default depth-3 networks need 9 ACS rows; ACS 8 has two lattice rows
+ACS_TOO_SMALL = "ACS too small: 8 rows; this architecture needs at least 9 fully sampled rows"
+
+
+@pytest.mark.parametrize("method", ["raki", "rraki", "mw-raki", "mw-rraki"])
+def test_recon_rejects_an_acs_too_small_for_the_network_before_any_work(scan, capsys, monkeypatch, method):
+    tmp_path, full, _ = scan
+    under, pattern = tmp_path / "acs8.mwks", tmp_path / "acs8.pattern"
+    assert main(["--quiet", "undersample", "--input", str(full), "--R", "4", "--acs", "8",
+                 "--out", str(under), "--pattern-out", str(pattern)]) == 0
+    calls = spy_on_reconstruct(monkeypatch)
+    out, report = tmp_path / "r.mwks", tmp_path / "r.csv"
+    for given, flag in ((["--R", "4", "--acs", "8"], "--acs 8"), (["--pattern", str(pattern)], f"--pattern {pattern}")):
+        assert main(["--quiet", "recon", "--method", method, "--input", str(under), *given, "--iters", "1",
+                     "--out", str(out), "--report", str(report)]) == 2
+        assert f"flag {flag}: {method} cannot train: {ACS_TOO_SMALL}" in capsys.readouterr().err
+    assert calls == [] and not out.exists() and not report.exists()
+
+
+def test_compare_rejects_an_acs_too_small_for_a_network_before_any_method(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "grappa,raki", "--R", "4",
+                 "--acs", "8", "--iters", "1", "--report", str(report)]) == 2
+    assert f"flag --acs 8: raki cannot train: {ACS_TOO_SMALL}" in capsys.readouterr().err
+    assert calls == [] and not report.exists()
+
+
+def test_the_acs_check_reads_the_configured_layers(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    config = tmp_path / "recon.cfg"
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+
+    def compare(acs, layers):
+        config.write_text(f"layers = {layers}\n", encoding="utf-8")
+        return main(["--quiet", "compare", "--input", str(full), "--methods", "raki", "--R", "4", "--acs", acs,
+                     "--iters", "1", "--config", str(config), "--report", str(report)])
+
+    # one layer of 2 ky taps needs R + 1 = 5 rows, so ACS 8 holds it
+    assert compare("8", "out@3x2") == 0
+    assert [cfg.arch.layers for cfg, _ in calls] == [(LayerSpec(6, 3, 2),)]
+    # ACS 12 holds the default network but not four layers of 2 ky taps
+    report.unlink()
+    assert compare("12", "8@1x2, 8@1x2, 8@1x2, out@3x2") == 2
+    assert "flag --acs 12: raki cannot train: ACS too small: 12 rows" in capsys.readouterr().err
+    assert len(calls) == 1 and not report.exists()
 
 
 @pytest.mark.parametrize("method, flags, message", [
@@ -483,7 +550,7 @@ def test_compare_rejects_a_grappa_kernel_that_does_not_fit_before_any_method(sca
      "scan: 32 columns, 4 ACS rows from row 14 on the R=4 lattice"),
     # 3 lattice anchors x 22 columns = 66 equations for 4 coils x 2 x 11 = 88 unknowns
     (["--acs", "16", "--grappa-kernel", "bx:5,by:2"], "flags --grappa-kernel and --ridge 0: calibration system "
-     "has 66 equations for 88 unknowns, so it is singular; use ridge > 0"),
+     "has 66 equations for 88 unknowns, so it is singular; use --ridge > 0"),
 ], ids=["default_kernel_too_tall", "too_few_equations"])
 def test_a_grappa_fit_that_cannot_be_solved_is_rejected_before_any_method(scan, capsys, monkeypatch, flags, message):
     tmp_path, full, under = scan
@@ -492,7 +559,7 @@ def test_a_grappa_fit_that_cannot_be_solved_is_rejected_before_any_method(scan, 
     assert main(["--quiet", "recon", "--method", "grappa", "--input", str(under), "--R", "4", *flags,
                  "--out", str(out), "--report", str(report)]) == 2
     assert message in capsys.readouterr().err
-    assert main(["--quiet", "compare", "--input", str(full), "--methods", "raki,grappa", "--R", "4",
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "grappa,raki", "--R", "4",
                  "--iters", "1", *flags, "--report", str(report)]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
@@ -702,7 +769,7 @@ def test_ablate_rejects_a_config_that_defines_no_sweep(tmp_path, capsys, text, m
 @pytest.mark.parametrize("coils, acs, message", [
     (4, 4, "footprint of 3 columns x 5 rows does not fit the scan: 32 columns, 4 ACS rows from row 14"),
     # 1 lattice anchor x 30 columns = 30 equations for 8 coils x 2 x 3 = 48 unknowns
-    (8, 7, "calibration system has 30 equations for 48 unknowns, so it is singular"),
+    (8, 7, "calibration system has 30 equations for 48 unknowns, so it is singular; use a taller acs"),
 ], ids=["footprint", "singular"])
 def test_ablate_checks_every_grappa_cell_before_any_cell(tmp_path, capsys, monkeypatch, coils, acs, message):
     # the ACS-16 cell sorts first and fits; the other cell's GRAPPA fit cannot be made

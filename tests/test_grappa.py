@@ -170,7 +170,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
         monkeypatch.setattr(grappa, "_im2col", no_work)
-        message = "calibration system has 58 equations for 60 unknowns, so it is singular; use ridge > 0"
+        message = "calibration system has 58 equations for 60 unknowns, so it is singular"
         with pytest.raises(np.linalg.LinAlgError) as info:
             calibrate(acs, geom, ridge=0.0, row0=1)
         assert str(info.value) == message

@@ -10,7 +10,6 @@ from mwrecon.kspace import (
     MultiCoilKSpace,
     apply_pattern,
     extract_acs,
-    fft2c,
     load_kspace,
     load_pattern,
     make_uniform_pattern,
@@ -20,6 +19,7 @@ from mwrecon.kspace import (
 from oracles import (
     CoilImage,
     dft2c_direct,
+    fft2c,
     idft2c_direct,
     ifft2c,
     sos_combine,

@@ -37,9 +37,9 @@ def zero_main(net):
 
 
 def small_arch(in_ch=2, hidden=3, out=2, skip=False, depth=2):
-    hidden_layers = (LayerSpec(hidden, 3, 2, "relu"), LayerSpec(hidden, 2, 2, "relu"))
-    layers = hidden_layers[: depth - 1] + (LayerSpec(out, 3, 2, "identity"),)
-    skip_spec = LayerSpec(out, 3, 2, "identity") if skip else None
+    hidden_layers = (LayerSpec(hidden, 3, 2), LayerSpec(hidden, 2, 2))
+    layers = hidden_layers[: depth - 1] + (LayerSpec(out, 3, 2),)
+    skip_spec = LayerSpec(out, 3, 2) if skip else None
     return NetworkArch(in_channels=in_ch, layers=layers, skip=skip_spec)
 
 
@@ -54,9 +54,9 @@ def make_training_set(rng, arch, batch=1, h=9, w=10):
 def dilated_reference(net, x, spacing):
     """``net``'s output with ky taps ``spacing`` rows apart, from the naive oracle."""
     arch, h = net.arch, x
-    for w, spec in zip(net.weights, arch.layers):
+    for li, w in enumerate(net.weights):
         h = conv_naive(h, w, spacing)
-        if spec.activation == "relu":
+        if li < len(net.weights) - 1:  # hidden layers apply ReLU
             h = np.maximum(h, 0.0)
     if net.skip_weight is not None:
         oh, ow = h.shape[2:]
@@ -66,27 +66,19 @@ def dilated_reference(net, x, spacing):
 
 
 class TestArchValidation:
-    def test_rejects_relu_final_layer(self):
-        with pytest.raises(ValueError, match="final layer"):
-            NetworkArch(2, (LayerSpec(4, 3, 2, "relu"),))
-
-    def test_rejects_identity_hidden_layer(self):
-        with pytest.raises(ValueError, match="hidden"):
-            NetworkArch(2, (LayerSpec(4, 3, 2, "identity"), LayerSpec(2, 3, 2, "identity")))
-
     def test_rejects_oversized_skip(self):
         with pytest.raises(ValueError, match="skip"):
             NetworkArch(
                 2,
-                (LayerSpec(4, 3, 2, "relu"), LayerSpec(2, 3, 2, "identity")),
-                skip=LayerSpec(2, 3, 4, "identity"),
+                (LayerSpec(4, 3, 2), LayerSpec(2, 3, 2)),
+                skip=LayerSpec(2, 3, 4),
             )
 
     def test_receptive_field_accounting(self):
         arch = NetworkArch(
             4,
-            (LayerSpec(32, 5, 2, "relu"), LayerSpec(8, 1, 1, "relu"), LayerSpec(2, 3, 2, "identity")),
-            skip=LayerSpec(2, 5, 2, "identity"),
+            (LayerSpec(32, 5, 2), LayerSpec(8, 1, 1), LayerSpec(2, 3, 2)),
+            skip=LayerSpec(2, 5, 2),
         )
         assert arch.ky_taps_excess == 2
         assert arch.rf_cols == 7
@@ -121,7 +113,7 @@ class TestInit:
 
     def test_uniform_bound(self):
         # fan_in = 3*1*2 = 6 and fan_out = 3*1*2 = 6 -> bound sqrt(6/12)
-        arch = NetworkArch(3, (LayerSpec(3, 2, 1, "identity"),))
+        arch = NetworkArch(3, (LayerSpec(3, 2, 1),))
         net = init_network(arch, 0)
         bound = np.sqrt(0.5)
         assert np.max(np.abs(net.weights[0])) <= bound
@@ -144,7 +136,7 @@ class TestForward:
         assert np.all(forward([zero], x) == 0)
 
     def test_identity_one_by_one_layer(self):
-        arch = NetworkArch(3, (LayerSpec(3, 1, 1, "identity"),))
+        arch = NetworkArch(3, (LayerSpec(3, 1, 1),))
         eye = np.eye(3).reshape(3, 3, 1, 1)
         net = ScanNetwork(arch, (eye,), None)
         x = np.random.default_rng(1).standard_normal((2, 3, 5, 6))
@@ -168,7 +160,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 3, 10, 8))
         w = rng.standard_normal((4, 3, 2, 3))
-        net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2, "identity"),)), (w,), None)
+        net = ScanNetwork(NetworkArch(3, (LayerSpec(4, 3, 2),)), (w,), None)
         assert np.max(np.abs(run(net, x) - conv_naive(x, w, 1))) < 1e-12
 
     def test_dilated_on_lattice_equals_compact(self):
@@ -202,8 +194,8 @@ class TestForward:
         # 3-tap layers put the targets two gaps down; a 1x1 skip then reads
         # rows and columns offset into the receptive field
         rng = np.random.default_rng(7)
-        arch = NetworkArch(2, (LayerSpec(3, 3, 3, "relu"), LayerSpec(2, 3, 3, "identity")),
-                           skip=LayerSpec(2, 1, 1, "identity"))
+        arch = NetworkArch(2, (LayerSpec(3, 3, 3), LayerSpec(2, 3, 3)),
+                           skip=LayerSpec(2, 1, 1))
         assert (arch.skip_row_offset, arch.skip_col_offset) == (2, 2)
         net = init_network(arch, 9)
         x = rng.standard_normal((2, 2, 13, 10))
@@ -260,12 +252,11 @@ class TestLoss:
 
 def _min_preactivation(net, x):
     """Smallest |pre-ReLU| value, computed with the naive conv oracle."""
-    arch = net.arch
     smallest = np.inf
     h = x
-    for w, spec in zip(net.weights, arch.layers):
+    for li, w in enumerate(net.weights):
         z = conv_naive(h, w, 1)
-        if spec.activation == "relu":
+        if li < len(net.weights) - 1:  # hidden layers apply ReLU
             smallest = min(smallest, float(np.min(np.abs(z))))
             h = np.maximum(z, 0.0)
         else:
@@ -368,7 +359,7 @@ class TestTrainOptimizerWiring:
     W0 = 0.75
 
     def run(self, opt):
-        net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1, "identity"),)), (scalar(self.W0),), None)
+        net = ScanNetwork(NetworkArch(1, (LayerSpec(1, 1, 1),)), (scalar(self.W0),), None)
         trained, histories = train([net], TrainingSet(np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1, 1))), opt)
         return trained[0].weights[0][0, 0, 0, 0], histories[0]
 
@@ -432,7 +423,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         arch = NetworkArch(
             24,
-            (LayerSpec(32, 5, 2, "relu"), LayerSpec(6, 3, 2, "identity")),
+            (LayerSpec(32, 5, 2), LayerSpec(6, 3, 2)),
         )
         teacher = init_network(arch, 99)
         src = rng.standard_normal((1, 24, 8, 64))

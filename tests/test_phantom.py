@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mwrecon.kspace import MultiCoilKSpace, apply_pattern, fft2c, make_uniform_pattern
+from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
 from mwrecon.phantom import _ELLIPSES, CoilMaps, make_coil_maps, shepp_logan, simulate_kspace
 from oracles import (
     CoilImage,
     coil_maps_tensordot,
+    fft2c,
     fft2c_stacked,
     ifft2c,
     shepp_logan_full_grid,
@@ -54,13 +55,6 @@ class TestCoilMaps:
         a = make_coil_maps(4, 16, 16, seed=3)
         b = make_coil_maps(4, 16, 16, seed=3)
         assert np.array_equal(a.maps, b.maps)
-
-    def test_single_constant_coil(self):
-        maps = make_coil_maps(1, 16, 16, seed=0, variation=0.0)
-        assert np.allclose(np.abs(maps.maps), 1.0, atol=1e-12)
-        img = shepp_logan(16, 16)
-        sos = sos_combine(CoilImage(img[None] * maps.maps))
-        assert np.allclose(sos, np.abs(img), atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_sos_bounded(self, seed):

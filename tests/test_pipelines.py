@@ -20,10 +20,7 @@ from mwrecon.pipelines import (
     ReconConfig,
     build_training_pairs,
     default_arch,
-    grappa_reconstruct,
     make_multiweight_config,
-    mw_reconstruct,
-    raki_reconstruct,
     reconstruct,
     reconstruct_image,
 )
@@ -89,7 +86,7 @@ class TestBuildTrainingPairs:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((1, 5, 6)) + 1j * rng.standard_normal((1, 5, 6))
         acs = MultiCoilKSpace(data)
-        arch = NetworkArch(2, (LayerSpec(2, 3, 2, "identity"),))
+        arch = NetworkArch(2, (LayerSpec(2, 3, 2),))
         ts = build_training_pairs(acs, R=2, arch=arch, target_coil=0)
         # sources: lattice rows {0, 2, 4}; windows {0,2} and {2,4}; targets rows 1 and 3
         assert ts.sources.shape == (1, 2, 3, 6)
@@ -111,7 +108,7 @@ class TestBuildTrainingPairs:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
         acs = MultiCoilKSpace(data)
-        arch = NetworkArch(2, (LayerSpec(2, 3, 2, "identity"),))
+        arch = NetworkArch(2, (LayerSpec(2, 3, 2),))
         ts = build_training_pairs(acs, R=2, arch=arch, target_coil=0, acs_row0=5)
         # absolute lattice: ACS rows 1, 3, 5, 7
         assert np.array_equal(ts.sources[0, 0], data[0, [1, 3, 5, 7], :].real)
@@ -120,7 +117,7 @@ class TestBuildTrainingPairs:
         consts = np.array([1.5, -2.0])
         data = np.broadcast_to(consts[:, None, None], (2, 7, 8)).astype(complex)
         acs = MultiCoilKSpace(data)
-        arch = NetworkArch(4, (LayerSpec(2, 3, 2, "identity"),))
+        arch = NetworkArch(4, (LayerSpec(2, 3, 2),))
         ts = build_training_pairs(acs, R=2, arch=arch, target_coil=0)
         assert np.all(ts.targets[0, 0, 0] == 1.5)
         assert np.all(ts.targets[0, 0, 1] == 0.0)
@@ -134,7 +131,7 @@ class TestBuildTrainingPairs:
 
     def test_acs_too_small(self):
         acs = MultiCoilKSpace(np.zeros((1, 3, 8), dtype=complex))
-        arch = NetworkArch(2, (LayerSpec(6, 3, 2, "identity"),))
+        arch = NetworkArch(2, (LayerSpec(6, 3, 2),))
         with pytest.raises(ValueError, match="at least 5"):
             build_training_pairs(acs, R=4, arch=arch, target_coil=0)
 
@@ -173,10 +170,9 @@ class TestDefaultArch:
     def test_table_depths(self, method, depth, widths, skip_width):
         arch = default_arch(method, n_coils=4, R=4, depth=depth)
         assert [spec.kx_width for spec in arch.layers] == widths
-        assert [spec.activation for spec in arch.layers] == ["relu"] * (depth - 1) + ["identity"]
         assert (arch.in_channels, arch.out_channels) == (8, 6)
         if method in ("rraki", "mw_rraki"):
-            assert arch.skip == LayerSpec(6, skip_width, 2, "identity")
+            assert arch.skip == LayerSpec(6, skip_width, 2)
         else:
             assert arch.skip is None
 
@@ -262,7 +258,7 @@ class TestGrappaPipeline:
         pattern = make_uniform_pattern(32, 4, 10)
         measured = apply_pattern(MultiCoilKSpace(full), pattern)
         cfg = ReconConfig(method="grappa", pattern=pattern)
-        result = grappa_reconstruct(measured, cfg)
+        result = reconstruct(measured, cfg)
         rel = np.linalg.norm(result.kspace.data - full) / np.linalg.norm(full)
         assert rel < 1e-8
         assert np.array_equal(
@@ -273,13 +269,13 @@ class TestGrappaPipeline:
         pattern = make_uniform_pattern(16, 2, 6)
         cfg = ReconConfig(method="grappa", pattern=pattern, grappa_geometry=KernelGeometry(R=4))
         with pytest.raises(ValueError, match="R="):
-            grappa_reconstruct(MultiCoilKSpace(np.zeros((1, 16, 8), dtype=complex)), cfg)
+            reconstruct(MultiCoilKSpace(np.zeros((1, 16, 8), dtype=complex)), cfg)
 
     def test_rejects_data_on_missing_rows(self):
         full, _, pattern = phantom_scene()
         cfg = ReconConfig(method="grappa", pattern=pattern, ridge=1e-3)
         with pytest.raises(ValueError, match="nonzero"):
-            grappa_reconstruct(full, cfg)  # full grid has data on missing rows
+            reconstruct(full, cfg)  # full grid has data on missing rows
 
 
 @pytest.mark.parametrize("method", ["grappa", "raki"])
@@ -298,13 +294,13 @@ class TestScanSpecificPipeline:
         pattern = make_uniform_pattern(48, 4, 48)
         cfg = ReconConfig(method="raki", pattern=pattern, optimizer=fast_opt())
         with pytest.raises(ValueError, match="nothing to reconstruct"):
-            raki_reconstruct(full, cfg)
+            reconstruct(full, cfg)
 
     def test_rejects_inconsistent_zeros(self):
         full, _, pattern = phantom_scene()
         cfg = ReconConfig(method="raki", pattern=pattern, optimizer=fast_opt())
         with pytest.raises(ValueError, match="nonzero"):
-            raki_reconstruct(full, cfg)  # full grid has data on missing rows
+            reconstruct(full, cfg)  # full grid has data on missing rows
 
     @pytest.mark.parametrize("method", ["raki", "rraki", "mw_raki", "mw_rraki"])
     def test_data_consistency_and_shapes(self, method):
@@ -348,14 +344,14 @@ class TestScanSpecificPipeline:
     def test_training_reduces_acs_loss(self):
         _, measured, pattern = phantom_scene(snr=None, seed=3)
         cfg = ReconConfig(method="raki", pattern=pattern, seed=0, optimizer=fast_opt(300))
-        result = raki_reconstruct(measured, cfg)
+        result = reconstruct(measured, cfg)
         for history in result.loss_histories:
             assert history[-1] <= 0.1 * history[0]
 
     def test_missing_rows_are_filled(self):
         _, measured, pattern = phantom_scene(snr=None, seed=4)
         cfg = ReconConfig(method="mw_raki", pattern=pattern, seed=1, optimizer=fast_opt(60))
-        result = mw_reconstruct(measured, cfg)
+        result = reconstruct(measured, cfg)
         missing = result.kspace.data[:, ~pattern.mask]
         assert np.any(missing != 0)
 
@@ -365,7 +361,7 @@ class TestScanSpecificPipeline:
         full, _ = planted_full_grid(rng, 2, 24, 16, R=2)
         pattern = make_uniform_pattern(24, 2, 10)
         measured = apply_pattern(MultiCoilKSpace(full), pattern)
-        arch = NetworkArch(4, (LayerSpec(2, 3, 2, "identity"),))
+        arch = NetworkArch(4, (LayerSpec(2, 3, 2),))
         cfg = ReconConfig(
             method="raki",
             pattern=pattern,
@@ -373,7 +369,7 @@ class TestScanSpecificPipeline:
             arch=arch,
             optimizer=OptimizerConfig(lr=0.003, iters=4000),
         )
-        result = raki_reconstruct(measured, cfg)
+        result = reconstruct(measured, cfg)
         missing = ~pattern.mask
         rel = np.linalg.norm(result.kspace.data[:, missing] - full[:, missing]) / np.linalg.norm(
             full[:, missing]
@@ -388,7 +384,7 @@ class TestScanSpecificPipeline:
             optimizer=OptimizerConfig(lr=1e12, iters=50),
         )
         with pytest.raises(TrainingDivergedError, match=r"coil \d"):
-            raki_reconstruct(measured, cfg)
+            reconstruct(measured, cfg)
 
 
 def virtual_coil_basis(measured, pattern):
@@ -457,12 +453,12 @@ class TestVirtualCoils:
         full = np.einsum("cs,syx->cyx", mix, src)
         pattern = make_uniform_pattern(24, 2, 10)
         measured = apply_pattern(MultiCoilKSpace(full), pattern)
-        arch = NetworkArch(8, (LayerSpec(2, 3, 2, "identity"),))
+        arch = NetworkArch(8, (LayerSpec(2, 3, 2),))
         cfg = ReconConfig(
             method="raki", pattern=pattern, seed=2, arch=arch,
             optimizer=OptimizerConfig(lr=0.003, iters=4000),
         )
-        result = raki_reconstruct(measured, cfg)
+        result = reconstruct(measured, cfg)
         assert len(result.loss_histories) == 2
         assert result.kspace.n_coils == 4
         missing = ~pattern.mask
@@ -689,8 +685,8 @@ class TestMultiWeightSemantics:
         cfg_raki = ReconConfig(
             method="raki", pattern=pattern, seed=7, arch=arch, optimizer=fast_opt(80)
         )
-        a = mw_reconstruct(measured, cfg_mw)
-        b = raki_reconstruct(measured, cfg_raki)
+        a = reconstruct(measured, cfg_mw)
+        b = reconstruct(measured, cfg_raki)
         assert np.array_equal(a.kspace.data, b.kspace.data)
 
     def test_near_dc_falls_back_to_all_pass_branch(self):
@@ -713,8 +709,8 @@ class TestMultiWeightSemantics:
             optimizer=fast_opt(40),
             multiweight=MultiWeightConfig(48, 48, (0.4,), 10.0 * float(f.h.max())),
         )
-        a = mw_reconstruct(measured, cfg_a)
-        b = mw_reconstruct(measured, cfg_b)
+        a = reconstruct(measured, cfg_a)
+        b = reconstruct(measured, cfg_b)
         invalid = f.h < eps
         assert invalid.any() and (~invalid).any()
         assert np.array_equal(a.kspace.data[:, invalid], b.kspace.data[:, invalid])
@@ -728,13 +724,13 @@ class TestMultiWeightSemantics:
             multiweight=make_multiweight_config(32, 32),
         )
         with pytest.raises(ValueError, match="grid is 48x48 but filters are 32x32"):
-            mw_reconstruct(measured, cfg)
+            reconstruct(measured, cfg)
 
     def test_determinism(self):
         _, measured, pattern = phantom_scene(snr=20, seed=14)
         cfg = ReconConfig(method="mw_rraki", pattern=pattern, seed=9, optimizer=fast_opt(40))
-        a = mw_reconstruct(measured, cfg)
-        b = mw_reconstruct(measured, cfg)
+        a = reconstruct(measured, cfg)
+        b = reconstruct(measured, cfg)
         assert np.array_equal(a.kspace.data, b.kspace.data)
 
     @pytest.mark.parametrize("method", ["raki", "rraki", "mw_raki", "mw_rraki"])
@@ -749,10 +745,10 @@ class TestMultiWeightSemantics:
 
     def test_seed_changes_result(self):
         _, measured, pattern = phantom_scene(snr=20, seed=16)
-        a = mw_reconstruct(
+        a = reconstruct(
             measured, ReconConfig(method="mw_raki", pattern=pattern, seed=0, optimizer=fast_opt(30))
         )
-        b = mw_reconstruct(
+        b = reconstruct(
             measured, ReconConfig(method="mw_raki", pattern=pattern, seed=1, optimizer=fast_opt(30))
         )
         assert not np.array_equal(a.kspace.data, b.kspace.data)
@@ -769,6 +765,12 @@ class TestConfigValidation:
         pattern = make_uniform_pattern(16, 2, 4)
         with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
             ReconConfig(method="grappa", pattern=pattern, ridge=ridge)
+
+    @pytest.mark.parametrize("method", ["raki", "rraki", "grappa"])
+    def test_reconstruct_rejects_a_bank_for_a_method_without_one(self, method):
+        _, measured, pattern = phantom_scene()
+        with pytest.raises(ValueError, match=f"multiweight config does not apply to method '{method}'"):
+            reconstruct(measured, ReconConfig(method=method, pattern=pattern, multiweight=MultiWeightConfig(48, 48)))
 
     def test_multiweight_rejected_for_plain_raki(self):
         pattern = make_uniform_pattern(16, 2, 4)
