@@ -197,11 +197,15 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
 
 
 def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
-    """The `layers` and `skip` keys' network, or None for the default; whichever
-    ``method`` will run is rejected unless the ACS block holds a training window for it."""
+    """The `layers` and `skip` keys' network, or None for the default; a final layer not 2·(R−1)
+    wide, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
     def layer(text):
         return parse_layer_spec(text, 2 * (pattern.R - 1))
     layers = get_list(entries, "layers", layer)
+    if layers and layers[-1].out_channels != 2 * (pattern.R - 1):
+        lineno, _, source = [e for e in entries["layers"] if e[1].replace(",", "").strip()][-1]
+        raise ConfigError(f"{source}:{lineno}: bad value for key 'layers': the final layer emits "
+                          f"{layers[-1].out_channels} channels but R={pattern.R} needs {2 * (pattern.R - 1)}")
     arch = NetworkArch(2 * n_coils, layers, get_scalar(entries, "skip", layer)) if layers else None
     try:
         training_windows(arch or default_arch(method, n_coils, pattern.R), pattern.R, pattern.acs_count,

@@ -176,7 +176,7 @@ def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
 
 def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
                 pattern: SamplingPattern) -> MultiCoilKSpace:
-    """Fill every missing ky row; acquired rows pass through bit-exactly.
+    """Copy only the acquired rows, bit-exactly, and fill every missing ky row.
 
     Footprints that exit the grid read zero-padded sources.
     """
@@ -199,7 +199,9 @@ def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
     w = kernel.weights.transpose(0, 1, 3, 4, 2).reshape(n_coils * (R - 1), -1)
     block = max(1, _PATCH_BLOCK_BYTES // (nx * w.shape[1] * data.itemsize))
     runs = np.flatnonzero(np.diff(governing) != R) + 1  # where a run of lattice lines breaks
-    out = data.copy()
+    out = np.empty_like(data)  # the lattice and ACS rows; the fill writes every other row
+    for rows in (slice(None, None, R), slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)):
+        out[:, rows] = data[:, rows]
     for start, stop in zip((0, *runs), (*runs, governing.size)):
         for lo in range(start, stop, block):
             hi = min(lo + block, stop)

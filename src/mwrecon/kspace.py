@@ -15,7 +15,9 @@ Conventions used throughout the package:
   container takes it without a copy: :func:`apply_pattern` and
   :func:`load_kspace` here, and ``phantom.simulate_kspace``, which
   transforms one coil at a time with :func:`_fft2c_into` (its ``CoilMaps``
-  takes over ``make_coil_maps``'s array by the same rule).
+  takes over ``make_coil_maps``'s array by the same rule),
+* a 2-D transform is ``fft2``'s kx pass, a transpose into a coil buffer, and
+  its ky pass on rows, not strided columns (:func:`_fft2_rows`): same bits.
 """
 
 from __future__ import annotations
@@ -122,10 +124,15 @@ def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     return SamplingPattern(ny, R, acs_count)
 
 
-def _fft2c_into(image: np.ndarray, out: np.ndarray) -> None:
-    """Write one coil's centered FFT into ``out``: the temporaries are one coil's
-    size, and the values bit-identical to those of one transform of the stack."""
-    out[...] = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(image), norm="ortho"))
+def _fft2_rows(x: np.ndarray, buf: np.ndarray, fft=np.fft.fft) -> np.ndarray:
+    """Orthonormal 2-D ``fft`` (or ``ifft``) of one coil [ny, nx], transposed to [nx, ny] in ``buf``'s shape."""
+    buf[...] = fft(x, norm="ortho").T
+    return fft(buf, norm="ortho")
+
+
+def _fft2c_into(image: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """Write one coil's centered FFT into ``out`` by :func:`_fft2_rows` through ``buf``: bit for bit ``fft2``."""
+    out[...] = np.fft.fftshift(_fft2_rows(np.fft.ifftshift(image), buf)).T
 
 
 def apply_pattern(full: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilKSpace:

@@ -132,8 +132,9 @@ def simulate_kspace(
     if snr_db is not None and not snr_db > -math.inf:  # NaN too
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db}")
     data = np.empty(maps.maps.shape, dtype=np.complex128)
+    buf = np.empty(image.shape[::-1], dtype=np.complex128)
     for coil_map, k in zip(maps.maps, data):
-        _fft2c_into(image * coil_map, k)
+        _fft2c_into(image * coil_map, k, buf)
     noisy = snr_db is not None and snr_db < math.inf
     signal_norm = np.linalg.norm(data) if noisy else 0.0
     if signal_norm != 0:  # a zero image stays noise-free

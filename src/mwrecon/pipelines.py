@@ -30,7 +30,7 @@ only on the lattice rows whose outputs predict a missing row: one network
 call per run of such rows, usually one above and one below the ACS block,
 on the run's rows plus the receptive-field halo.  De-weighting, the branch
 combine and the map back to the physical coils run on the missing rows
-only, which are then written into one copy of the measurement.  A value
+only, which are then written into a copy of the acquired rows.  A value
 equals what the same stages give on the whole grid bit for bit only where
 it has the same operands in the same order.  Coil products are taken one
 ky row at a time, so the projections and the map back do.  A run's GEMMs
@@ -75,7 +75,7 @@ import numpy as np
 
 from .filters import WeightFilter, deweight
 from .grappa import KernelGeometry, calibrate, interpolate
-from .kspace import MultiCoilKSpace, SamplingPattern, extract_acs
+from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, extract_acs
 from .network import (
     LayerSpec,
     NetworkArch,
@@ -267,21 +267,22 @@ def _weighted(values: np.ndarray, mw: MultiWeightConfig, rows: np.ndarray) -> np
 
 
 def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
-    """Root-sum-of-squares of the per-coil centered inverse FFTs.
+    """Root-sum-of-squares of the per-coil centered inverse FFTs, C-contiguous.
 
     The coil stack is not shifted: shifting k-space only changes each
     pixel's phase, and shifting the image moves every coil's pixels alike,
-    so the one shift is of the real combined image.  Coils are transformed
-    one at a time and their ``re² + im²`` added into one accumulator in
-    coil order, which is the order a sum over the stack's coil axis adds
-    them in, so the image is bit-identical to that of one transform of the
-    whole stack while each coil's image stays in cache.
+    so the one shift is of the real combined image.  Each coil is two row
+    passes through one buffer (see :mod:`mwrecon.kspace`), and its transposed
+    ``re² + im²`` is added into a transposed accumulator in coil order, the
+    order a sum over the stack's coil axis adds them in: the same 1-D
+    transforms and sums as one ``ifft2`` of the stack, so the same bits.
     """
-    sos = np.zeros(kspace.data.shape[1:])
+    buf = np.empty(kspace.data.shape[:0:-1], dtype=np.complex128)
+    sos = np.zeros(buf.shape)
     for coil in kspace.data:
-        image = np.fft.ifft2(coil, norm="ortho")
+        image = _fft2_rows(coil, buf, np.fft.ifft)
         sos += image.real**2 + image.imag**2
-    return np.fft.fftshift(np.sqrt(sos))
+    return np.fft.fftshift(np.sqrt(sos).T.copy())
 
 
 def _require_consistent(measured: MultiCoilKSpace, pattern: SamplingPattern) -> None:
@@ -385,8 +386,10 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightC
             parts[:, :, rows] += out[:, b, channels[:, rows], o[rows] - s] * gain[rows]
     parts *= 1.0 / np.sum(valid, axis=0)  # the all-pass branch is always valid
 
-    # back to the physical coils, into a copy of the measurement
-    filled = measured.data.copy()
+    # back to the physical coils, into a copy of the measurement's acquired rows
+    filled = np.empty_like(measured.data)
+    for rows in (slice(None, None, R), slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)):
+        filled[:, rows] = measured.data[:, rows]
     filled[:, missing] = np.matmul(basis, combined.transpose(1, 0, 2)).transpose(1, 0, 2) * scale
     filled.flags.writeable = False
     result_kspace = MultiCoilKSpace(filled)

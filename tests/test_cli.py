@@ -356,6 +356,38 @@ def test_a_layer_spec_names_no_activation(scan, capsys, monkeypatch, text, line,
     assert calls == [] and not out.exists()
 
 
+# at R = 4 a final layer must emit 2 (R - 1) = 6 channels, as `out@3x2` does
+WRONG_FINAL = "bad value for key 'layers': the final layer emits 4 channels but R=4 needs 6"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("layers = 32@5x2, 4@3x2\n", 1),
+    ("iters = 1\nlayers = 32@5x2\nlayers = 4@3x2\nlayers = ,\n", 3),  # the line the final layer is on
+], ids=["one_line", "later_line"])
+def test_recon_rejects_a_final_layer_of_the_wrong_width_before_any_work(scan, capsys, monkeypatch, text, line):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(text, encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "r.mwks"
+    assert main(["--quiet", "recon", "--method", "raki", "--input", str(under), "--R", "4", "--acs", "16",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:{line}: {WRONG_FINAL}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_compare_rejects_a_final_layer_of_the_wrong_width_before_any_method(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("layers = 32@5x2, 4@3x2\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "grappa,raki", "--R", "4",
+                 "--acs", "16", "--iters", "1", "--config", str(config), "--report", str(report)]) == 2
+    assert f"{config}:1: {WRONG_FINAL}" in capsys.readouterr().err
+    assert calls == [] and not report.exists()
+
+
 # at R = 4 the default depth-3 networks need 9 ACS rows; ACS 8 has two lattice rows
 ACS_TOO_SMALL = "ACS too small: 8 rows; this architecture needs at least 9 fully sampled rows"
 

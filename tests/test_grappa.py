@@ -328,6 +328,21 @@ class TestInterpolate:
         assert np.all(out.data[:, ~pattern.mask] == 0)
         assert np.array_equal(out.data[:, pattern.mask], measured.data[:, pattern.mask])
 
+    @pytest.mark.parametrize("R, acs, on_lattice", [
+        (2, 8, True), (2, 7, False), (3, 9, True), (3, 10, False), (5, 13, True), (5, 11, False),
+    ], ids=["R2-acs-on", "R2-acs-off", "R3-acs-on", "R3-acs-off", "R5-acs-on", "R5-acs-off"])
+    def test_zero_kernel_writes_every_missing_row(self, R, acs, on_lattice):
+        # the output starts uninitialised with only the acquired rows copied in; the input's
+        # missing rows are nonzero, so a row the fill skips holds neither zero nor its input
+        rng = np.random.default_rng(R + acs)
+        data = rng.standard_normal((2, 33, 7)) + 1j * rng.standard_normal((2, 33, 7))
+        pattern = make_uniform_pattern(ny=33, R=R, acs_count=acs)
+        assert (pattern.acs_start % R == 0) == on_lattice
+        kernel = GrappaKernel(KernelGeometry(R=R), 2, np.zeros((2, R - 1, 2, 2, 3), dtype=complex))
+        out = interpolate(kernel, MultiCoilKSpace(data), pattern)
+        assert np.all(out.data[:, ~pattern.mask] == 0)
+        assert np.array_equal(out.data[:, pattern.mask], data[:, pattern.mask])
+
     def test_acquired_rows_bit_exact(self):
         rng = np.random.default_rng(13)
         geom = KernelGeometry(R=4)

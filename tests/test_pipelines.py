@@ -240,15 +240,20 @@ class TestReconstructImage:
         expected = sos_loop(images)
         assert np.max(np.abs(reconstruct_image(MultiCoilKSpace(data)) - expected)) < 1e-12
 
-    @pytest.mark.parametrize("coils, n", [(5, 64), (3, 256)])
-    def test_one_coil_at_a_time_equals_one_stack_transform(self, coils, n):
+    @pytest.mark.parametrize("shape", [(5, 64, 64), (3, 256, 256), (3, 15, 9), (2, 33, 40), (2, 256, 192)],
+                             ids=["5-64", "3-256", "3-15x9", "2-33x40", "2-256x192"])
+    def test_one_coil_at_a_time_equals_one_stack_transform(self, shape):
         # the coil-axis sum adds the coils in order, so the per-coil
-        # accumulator gives the same bits; another order would not
-        rng = np.random.default_rng(coils)
-        data = rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
+        # accumulator gives the same bits; another order would not.  The row
+        # passes run ifft2's 1-D transforms on the same values, on square,
+        # non-square and odd grids alike
+        rng = np.random.default_rng(shape[0])
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         images = np.fft.ifft2(data, axes=(-2, -1), norm="ortho")
         expected = np.fft.fftshift(np.sqrt(np.sum(images.real**2 + images.imag**2, axis=0)))
-        assert np.array_equal(reconstruct_image(MultiCoilKSpace(data)), expected)
+        image = reconstruct_image(MultiCoilKSpace(data))
+        assert np.array_equal(image, expected)
+        assert image.flags.c_contiguous
 
 
 class TestGrappaPipeline:
