@@ -197,16 +197,18 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
 
 
 def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
-    """The `layers` and `skip` keys' network, or None for the default; a final layer not 2·(R−1)
-    wide, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
+    """The `layers` and `skip` keys' network, or None for the default; a final layer or skip not
+    2·(R−1) wide, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
+    need = 2 * (pattern.R - 1)
     def layer(text):
-        return parse_layer_spec(text, 2 * (pattern.R - 1))
-    layers = get_list(entries, "layers", layer)
-    if layers and layers[-1].out_channels != 2 * (pattern.R - 1):
-        lineno, _, source = [e for e in entries["layers"] if e[1].replace(",", "").strip()][-1]
-        raise ConfigError(f"{source}:{lineno}: bad value for key 'layers': the final layer emits "
-                          f"{layers[-1].out_channels} channels but R={pattern.R} needs {2 * (pattern.R - 1)}")
-    arch = NetworkArch(2 * n_coils, layers, get_scalar(entries, "skip", layer)) if layers else None
+        return parse_layer_spec(text, need)
+    layers, skip = get_list(entries, "layers", layer), get_scalar(entries, "skip", layer)
+    for key, what, spec in (("layers", "final layer", layers[-1] if layers else None), ("skip", "skip", skip)):
+        if spec is not None and spec.out_channels != need:
+            lineno, _, source = [e for e in entries[key] if e[1].replace(",", "").strip()][-1]
+            raise ConfigError(f"{source}:{lineno}: bad value for key {key!r}: the {what} emits "
+                              f"{spec.out_channels} channels but R={pattern.R} needs {need}")
+    arch = NetworkArch(2 * n_coils, layers, skip) if layers else None
     try:
         training_windows(arch or default_arch(method, n_coils, pattern.R), pattern.R, pattern.acs_count,
                          pattern.acs_start)

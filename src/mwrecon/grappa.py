@@ -15,6 +15,8 @@ one symmetric real product yields the complex Gram matrix that every
 (target coil, offset) pair shares.  The fill multiplies all kernels with
 the complex patches of one zero-edged slab of lattice rows per block of
 governing lines, and writes each offset's rows through a strided view.
+At large grids the blocks, and calibration's two products, run on the
+worker pool of :mod:`mwrecon.kspace`, whose concurrency rule keeps the bits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspace import MultiCoilKSpace, SamplingPattern
+from .kspace import MultiCoilKSpace, SamplingPattern, _map
 from .network import _im2col
 
 
@@ -159,8 +161,9 @@ def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
     taps, n_unknowns, n_rows = geom.by_taps * geom.kx_width, geom.n_sources(n_coils), Ar.shape[1]
     if n_rows < n_unknowns:
         warnings.warn(f"calibration system is underdetermined ({n_rows} rows, {n_unknowns} unknowns)", stacklevel=2)
-    G = _conj_product((Ar @ Ar.T).reshape(taps, 2, n_coils, taps, 2, n_coils)).reshape(n_unknowns, -1)
-    AHB = _conj_product((Ar @ Br.T).reshape(taps, 2, n_coils, 2, -1)).reshape(n_unknowns, -1)
+    ArAr, ArBr = _map(lambda M: Ar @ M.T, (Ar, Br), Ar.nbytes)
+    G = _conj_product(ArAr.reshape(taps, 2, n_coils, taps, 2, n_coils)).reshape(n_unknowns, -1)
+    AHB = _conj_product(ArBr.reshape(taps, 2, n_coils, 2, -1)).reshape(n_unknowns, -1)
     if ridge == 0.0:
         eig = np.linalg.eigvalsh(G)  # ascending
         rank = int(np.count_nonzero(eig > n_unknowns * np.finfo(float).eps * eig[-1]))
@@ -202,21 +205,27 @@ def interpolate(kernel: GrappaKernel, undersampled: MultiCoilKSpace,
     out = np.empty_like(data)  # the lattice and ACS rows; the fill writes every other row
     for rows in (slice(None, None, R), slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)):
         out[:, rows] = data[:, rows]
-    for start, stop in zip((0, *runs), (*runs, governing.size)):
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            # lattice rows top + j*R, zero beyond the grid: [1, coil, j, nx + 2 bx_half]
-            top = governing[lo] - geom.gap_index * R
-            slab = np.zeros((1, n_coils, hi - lo + geom.by_taps - 1, nx + 2 * pad), dtype=data.dtype)
-            j0, j1 = max(0, -top // R), min(slab.shape[2], (ny - 1 - top) // R + 1)
-            slab[0, :, j0:j1, pad : pad + nx] = data[:, top + j0 * R : top + (j1 - 1) * R + 1 : R]
-            vals = w @ _im2col(slab, geom.by_taps, geom.kx_width)[0]
-            vals = vals.reshape(n_coils, R - 1, hi - lo, nx)
-            a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
-            if b - a == (R - 1) * (hi - lo):  # all missing: offset m's rows are one strided view
-                for m in range(1, R):
-                    out[:, governing[lo] + m : governing[hi - 1] + m + 1 : R] = vals[:, m - 1]
-            else:  # an ACS edge or the grid's end: write the missing rows by index
-                out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
+
+    def fill(block_lines):  # lines lo..hi-1 of one run; no other block writes their rows
+        lo, hi = block_lines
+        # lattice rows top + j*R, zero beyond the grid: [1, coil, j, nx + 2 bx_half]
+        top = governing[lo] - geom.gap_index * R
+        slab = np.zeros((1, n_coils, hi - lo + geom.by_taps - 1, nx + 2 * pad), dtype=data.dtype)
+        j0, j1 = max(0, -top // R), min(slab.shape[2], (ny - 1 - top) // R + 1)
+        slab[0, :, j0:j1, pad : pad + nx] = data[:, top + j0 * R : top + (j1 - 1) * R + 1 : R]
+        vals = w @ _im2col(slab, geom.by_taps, geom.kx_width)[0]
+        vals = vals.reshape(n_coils, R - 1, hi - lo, nx)
+        a, b = np.searchsorted(which, (lo, hi))  # the missing rows these lines govern
+        if b - a == (R - 1) * (hi - lo):  # all missing: offset m's rows are one strided view
+            for m in range(1, R):
+                out[:, governing[lo] + m : governing[hi - 1] + m + 1 : R] = vals[:, m - 1]
+        else:  # an ACS edge or the grid's end: write the missing rows by index
+            out[:, missing[a:b], :] = vals[:, offsets[a:b] - 1, which[a:b] - lo, :]
+
+    blocks = [(lo, min(lo + block, stop)) for start, stop in zip((0, *runs), (*runs, governing.size))
+              for lo in range(start, stop, block)]
+    patch_bytes = max((hi - lo for lo, hi in blocks), default=0) * nx * w.shape[1] * data.itemsize
+    for _ in _map(fill, blocks, patch_bytes):
+        pass
     out.flags.writeable = False
     return MultiCoilKSpace(out)

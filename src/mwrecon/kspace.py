@@ -16,14 +16,48 @@ Conventions used throughout the package:
   :func:`load_kspace` here, and ``phantom.simulate_kspace``, which
   transforms one coil at a time with :func:`_fft2c_into` (its ``CoilMaps``
   takes over ``make_coil_maps``'s array by the same rule),
-* a 2-D transform is ``fft2``'s kx pass, a transpose into a coil buffer, and
-  its ky pass on rows, not strided columns (:func:`_fft2_rows`): same bits.
+* a 2-D transform is ``fft2``'s kx pass, a transposing copy, and its ky
+  pass on rows, not strided columns (:func:`_fft2_rows`): same bits.
+
+Concurrency: :func:`_map` runs independent tasks on a thread pool, the
+calling thread taking a share.  Four loops go through it, all numpy FFT or
+BLAS calls that release the GIL: ``grappa.interpolate``'s blocks of
+governing lines, ``grappa.calibrate``'s two products ``Ar @ Ar.T`` and
+``Ar @ Br.T``, and the per-coil transforms of
+``pipelines.reconstruct_image`` and ``phantom.simulate_kspace``.
+
+* Size rule: a map whose tasks each read fewer than ``_MIN_TASK_BYTES``
+  (384 KiB, one 157 x 157 coil plane) runs as the plain serial loop, as
+  does every map when the process may run on one CPU only.  A coil plane
+  of the input's grid is the operand of a per-coil transform; a fill
+  block's patch matrix (at most 2 MiB) and the patches ``Ar`` are
+  GRAPPA's.  One 128 x 128 plane's inverse transform takes 0.15 ms
+  against a 0.03 ms hand-off.  On 2 CPUs (medians of 40 alternating calls,
+  8 coils, serial against pooled) image formation took 2.26 against
+  2.33 ms at 128 x 128 (256 KiB planes), 6.10 against 4.08 ms at
+  160 x 160 (400 KiB) and 10.5 against 6.5 ms at 192 x 256; synthesis
+  took 3.49 against 3.88 ms at 128 x 128.
+* Workers: the CPUs the process may run on (``os.sched_getaffinity``, else
+  ``os.cpu_count()``), at most ``_MAX_WORKERS`` = 4, the caller included.
+  A task holds up to about 4 MiB (a 2 MiB fill block with its filled rows,
+  or a 256 x 256 plane's transform with its transposed copy), so four hold
+  at most 16 MiB beside the scan, a tenth of a 256 x 256, 16-coil scan's
+  peak.  The pool's threads are made on first use and live with the
+  process.
+* Same bits: a task runs the serial loop's operations on the same operands.
+  A fill block writes rows, and a coil's forward transform its coil's slot,
+  that no other task writes; the per-coil power maps and the two products
+  come back in order, and the caller adds the power maps in coil order.
+* Only private functions and numpy run on a worker; every public
+  ``mwrecon`` function runs on the caller's thread, so a tracer that wraps
+  them sees one call stack.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,15 +158,60 @@ def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     return SamplingPattern(ny, R, acs_count)
 
 
-def _fft2_rows(x: np.ndarray, buf: np.ndarray, fft=np.fft.fft) -> np.ndarray:
-    """Orthonormal 2-D ``fft`` (or ``ifft``) of one coil [ny, nx], transposed to [nx, ny] in ``buf``'s shape."""
-    buf[...] = fft(x, norm="ortho").T
-    return fft(buf, norm="ortho")
+_MIN_TASK_BYTES = 384 << 10
+_MAX_WORKERS = 4
+_pool = None  # a concurrent.futures.ThreadPoolExecutor, made by the first pooled map
+_pool_lock = threading.Lock()
 
 
-def _fft2c_into(image: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
-    """Write one coil's centered FFT into ``out`` by :func:`_fft2_rows` through ``buf``: bit for bit ``fft2``."""
-    out[...] = np.fft.fftshift(_fft2_rows(np.fft.ifftshift(image), buf)).T
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map(fn, items, task_bytes: int):
+    """``map(fn, items)``, on the pool when each task's ``task_bytes`` operand pays for the hand-off.
+
+    Results come back in ``items``' order (see the concurrency rule above).
+    Pooled, the items run in rounds of one per worker: the caller runs the
+    first and yields it, then yields the pool's in order, so at most one
+    round's results are held.  A task must not call ``_map``: its round
+    would wait on the pool that runs it.
+    """
+    workers = min(_cpus(), _MAX_WORKERS) if task_bytes >= _MIN_TASK_BYTES else 1
+    items = list(items)
+    return map(fn, items) if workers < 2 or len(items) < 2 else _rounds(fn, items, workers)
+
+
+def _rounds(fn, items, workers):
+    # imported here: the module costs a process that never pools 0.6 MB of RSS
+    from concurrent import futures
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(workers - 1, thread_name_prefix="mwrecon")
+    for lo in range(0, len(items), workers):
+        theirs = [_pool.submit(fn, item) for item in items[lo + 1 : lo + workers]]
+        try:
+            yield fn(items[lo])
+            for task in theirs:
+                yield task.result()
+        finally:  # no task outlives the round, even when one raised
+            futures.wait(theirs)
+
+
+def _fft2_rows(x: np.ndarray, fft=np.fft.fft) -> np.ndarray:
+    """Orthonormal 2-D ``fft`` (or ``ifft``) of one coil [ny, nx], transposed to [nx, ny]."""
+    return fft(fft(x, norm="ortho").T.copy(), norm="ortho")
+
+
+def _fft2c_into(image: np.ndarray, out: np.ndarray) -> None:
+    """Write one coil's centered FFT into ``out`` by :func:`_fft2_rows`: bit for bit ``fft2``."""
+    out[...] = np.fft.fftshift(_fft2_rows(np.fft.ifftshift(image))).T
 
 
 def apply_pattern(full: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilKSpace:
@@ -154,12 +233,20 @@ def extract_acs(kspace: MultiCoilKSpace, pattern: SamplingPattern) -> MultiCoilK
 
 
 def save_kspace(path, kspace: MultiCoilKSpace) -> None:
-    """Write an .mwks file (header + interleaved float32 re/im pairs)."""
+    """Write an .mwks file (header + interleaved float32 re/im pairs).
+
+    Each coil is narrowed into one reused float32 buffer and written from
+    it, so a write holds one coil's payload beside the array, never a
+    float32 copy of the whole array; the bytes are ``astype("<f4")``'s.
+    """
     header = _HEADER.pack(MWKS_MAGIC, MWKS_VERSION, kspace.n_coils, kspace.ny, kspace.nx)
-    payload = kspace.data.view(np.float64).astype("<f4")  # re, im, re, im, ...
+    coils = kspace.data.view(np.float64).reshape(kspace.n_coils, -1)  # re, im, re, im, ...
+    payload = np.empty(coils.shape[1], dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for coil in coils:
+            payload[:] = coil
+            fh.write(payload)
 
 
 def load_kspace(path) -> MultiCoilKSpace:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspace import MultiCoilKSpace, _fft2c_into, _take_over
+from .kspace import MultiCoilKSpace, _fft2c_into, _map, _take_over
 
 # ellipse table: intensity, half-axes a, b, center x0, y0, angle (degrees)
 _ELLIPSES = (
@@ -122,9 +122,10 @@ def simulate_kspace(
 
     The noise level is set so the expected ratio
     ``20*log10(||signal|| / ||noise||)`` equals ``snr_db``; ``+inf`` adds
-    none, and NaN or ``-inf`` is rejected before any transform.  Coils are
-    encoded one at a time into the output array, and the noise is added to
-    its real parts, then its imaginary parts, through one coil-sized buffer.
+    none, and NaN or ``-inf`` is rejected before any transform.  Each coil is
+    encoded into its own slot of the output array, on a worker pool at large
+    grids (see :mod:`mwrecon.kspace`), and the noise is added to its real
+    parts, then its imaginary parts, through one coil-sized buffer.
     """
     image = np.asarray(image)
     if image.shape != maps.maps.shape[1:]:
@@ -132,9 +133,8 @@ def simulate_kspace(
     if snr_db is not None and not snr_db > -math.inf:  # NaN too
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db}")
     data = np.empty(maps.maps.shape, dtype=np.complex128)
-    buf = np.empty(image.shape[::-1], dtype=np.complex128)
-    for coil_map, k in zip(maps.maps, data):
-        _fft2c_into(image * coil_map, k, buf)
+    for _ in _map(lambda c: _fft2c_into(image * maps.maps[c], data[c]), range(len(data)), data[0].nbytes):
+        pass
     noisy = snr_db is not None and snr_db < math.inf
     signal_norm = np.linalg.norm(data) if noisy else 0.0
     if signal_norm != 0:  # a zero image stays noise-free

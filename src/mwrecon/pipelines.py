@@ -75,7 +75,7 @@ import numpy as np
 
 from .filters import WeightFilter, deweight
 from .grappa import KernelGeometry, calibrate, interpolate
-from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, extract_acs
+from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, _map, extract_acs
 from .network import (
     LayerSpec,
     NetworkArch,
@@ -272,16 +272,19 @@ def reconstruct_image(kspace: MultiCoilKSpace) -> np.ndarray:
     The coil stack is not shifted: shifting k-space only changes each
     pixel's phase, and shifting the image moves every coil's pixels alike,
     so the one shift is of the real combined image.  Each coil is two row
-    passes through one buffer (see :mod:`mwrecon.kspace`), and its transposed
-    ``re² + im²`` is added into a transposed accumulator in coil order, the
-    order a sum over the stack's coil axis adds them in: the same 1-D
-    transforms and sums as one ``ifft2`` of the stack, so the same bits.
+    passes (see :mod:`mwrecon.kspace`, whose concurrency rule runs them on a
+    worker pool at large grids), and its transposed ``re² + im²`` is added
+    into a transposed accumulator in coil order, the order a sum over the
+    stack's coil axis adds them in: the same 1-D transforms and sums as one
+    ``ifft2`` of the stack, so the same bits.
     """
-    buf = np.empty(kspace.data.shape[:0:-1], dtype=np.complex128)
-    sos = np.zeros(buf.shape)
-    for coil in kspace.data:
-        image = _fft2_rows(coil, buf, np.fft.ifft)
-        sos += image.real**2 + image.imag**2
+    def power(coil):
+        image = _fft2_rows(coil, np.fft.ifft)
+        return image.real**2 + image.imag**2
+
+    sos = np.zeros(kspace.data.shape[:0:-1])
+    for coil_power in _map(power, kspace.data, kspace.data[0].nbytes):
+        sos += coil_power
     return np.fft.fftshift(np.sqrt(sos).T.copy())
 
 

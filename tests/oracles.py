@@ -19,9 +19,8 @@ CoilImage = MultiCoilKSpace
 def fft2c(image):
     """Centered orthonormal 2-D FFT of each coil image, one coil at a time."""
     out = np.empty_like(image.data)
-    buf = np.empty(out.shape[:0:-1], dtype=out.dtype)
     for coil, k in zip(image.data, out):
-        _fft2c_into(coil, k, buf)
+        _fft2c_into(coil, k)
     out.flags.writeable = False
     return MultiCoilKSpace(out)
 

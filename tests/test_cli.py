@@ -388,6 +388,35 @@ def test_compare_rejects_a_final_layer_of_the_wrong_width_before_any_method(scan
     assert calls == [] and not report.exists()
 
 
+# the skip path must be as wide as the final layer; the key is on line 2
+WRONG_SKIP_CONFIG = "layers = 32@5x2, out@3x2\nskip = 4@3x2\n"
+WRONG_SKIP = "2: bad value for key 'skip': the skip emits 4 channels but R=4 needs 6"
+
+
+def test_recon_rejects_a_skip_of_the_wrong_width_before_any_work(scan, capsys, monkeypatch):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(WRONG_SKIP_CONFIG, encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "r.mwks"
+    assert main(["--quiet", "recon", "--method", "rraki", "--input", str(under), "--R", "4", "--acs", "16",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:{WRONG_SKIP}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_compare_rejects_a_skip_of_the_wrong_width_before_any_method(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text(WRONG_SKIP_CONFIG, encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", "grappa,rraki", "--R", "4",
+                 "--acs", "16", "--iters", "1", "--config", str(config), "--report", str(report)]) == 2
+    assert f"{config}:{WRONG_SKIP}" in capsys.readouterr().err
+    assert calls == [] and not report.exists()
+
+
 # at R = 4 the default depth-3 networks need 9 ACS rows; ACS 8 has two lattice rows
 ACS_TOO_SMALL = "ACS too small: 8 rows; this architecture needs at least 9 fully sampled rows"
 

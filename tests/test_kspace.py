@@ -360,6 +360,24 @@ class TestFileFormat:
             tracemalloc.stop()
         assert peak <= 1.25 * ks.data.nbytes
 
+    def test_payload_is_the_whole_array_narrowed_to_float32(self, tmp_path):
+        rng = np.random.default_rng(14)
+        data = random_kspace(rng, 3, 17, 9).data * 1e3  # values float32 must round
+        path = tmp_path / "grid.mwks"
+        save_kspace(path, MultiCoilKSpace(data))
+        assert path.read_bytes()[20:] == data.view(np.float64).astype("<f4").tobytes()
+
+    def test_save_holds_one_coil_beside_the_array(self, tmp_path):
+        # a whole-array float32 copy would add half the array's size
+        ks = random_kspace(np.random.default_rng(13), 16, 64, 64)
+        tracemalloc.start()
+        try:
+            save_kspace(tmp_path / "grid.mwks", ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * ks.data.nbytes
+
     def test_pattern_roundtrip(self, tmp_path):
         p = make_uniform_pattern(ny=256, R=6, acs_count=40)
         path = tmp_path / "pattern.txt"
