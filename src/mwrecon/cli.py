@@ -26,6 +26,7 @@ import itertools
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -197,18 +198,26 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
 
 
 def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
-    """The `layers` and `skip` keys' network, or None for the default; a final layer or skip not
-    2·(R−1) wide, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
+    """The `layers` and `skip` keys' network, or None for the default; a `skip` alone joins the
+    method's default stack.  A final layer or skip not 2·(R−1) wide, a skip outside the stack's
+    receptive field, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
     need = 2 * (pattern.R - 1)
     def layer(text):
         return parse_layer_spec(text, need)
+    def bad(key, reason):
+        lineno, _, source = [e for e in entries[key] if e[1].replace(",", "").strip()][-1]
+        return ConfigError(f"{source}:{lineno}: bad value for key {key!r}: {reason}")
     layers, skip = get_list(entries, "layers", layer), get_scalar(entries, "skip", layer)
     for key, what, spec in (("layers", "final layer", layers[-1] if layers else None), ("skip", "skip", skip)):
         if spec is not None and spec.out_channels != need:
-            lineno, _, source = [e for e in entries[key] if e[1].replace(",", "").strip()][-1]
-            raise ConfigError(f"{source}:{lineno}: bad value for key {key!r}: the {what} emits "
-                              f"{spec.out_channels} channels but R={pattern.R} needs {need}")
-    arch = NetworkArch(2 * n_coils, layers, skip) if layers else None
+            raise bad(key, f"the {what} emits {spec.out_channels} channels but R={pattern.R} needs {need}")
+    arch = None
+    if layers or skip is not None:
+        stack = NetworkArch(2 * n_coils, layers) if layers else default_arch(method, n_coils, pattern.R)
+        try:
+            arch = replace(stack, skip=skip)
+        except ValueError as exc:  # the skip does not fit the stack's receptive field
+            raise bad("skip", str(exc)) from exc
     try:
         training_windows(arch or default_arch(method, n_coils, pattern.R), pattern.R, pattern.acs_count,
                          pattern.acs_start)

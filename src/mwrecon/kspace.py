@@ -51,6 +51,10 @@ governing lines, ``grappa.calibrate``'s two products ``Ar @ Ar.T`` and
 * Only private functions and numpy run on a worker; every public
   ``mwrecon`` function runs on the caller's thread, so a tracer that wraps
   them sees one call stack.
+
+Network training holds the GIL between its many small numpy calls, so it
+shares its coils over processes, not threads; :mod:`mwrecon.network` states
+that rule, which reads this module's CPU count and worker cap.
 """
 
 from __future__ import annotations

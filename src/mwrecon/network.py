@@ -60,14 +60,53 @@ the iteration count are set.  The float32 path relies on Python scalars
 arrays, which holds under both numpy 1.x value-based casting and numpy 2
 weak scalars; the learning rate is passed on as a Python float for that
 reason.
+
+Coil shares: the coils' networks share nothing but their read-only input,
+so :func:`train` splits the coil axis into shares and trains them at once.
+The caller trains the first share with the one-process loop, and a
+persistent helper process (:mod:`mwrecon._helper`) trains each other share
+from the same stacked parameter arrays; the results go back in coil order.
+
+* Share rule: one share per CPU that BLAS leaves free, the CPUs the process
+  may run on (``kspace._cpus``) over the BLAS threads per process
+  (:func:`_blas_threads`), at most ``kspace._MAX_WORKERS`` = 4 and at most
+  one per coil.  BLAS left unpinned takes every CPU, so nothing is shared:
+  unpinned on 2 CPUs, a shared mw_raki call took 2.5 times as long as the
+  one-process loop.
+* Break-even: a call shares only when its work, the multiply-adds of its
+  forward passes (:func:`_work`), reaches ``_MIN_SHARED_WORK`` (16 Mi).  On
+  2 CPUs with one BLAS thread (float32, medians of 45 alternating calls,
+  one process against two), 4 coils on 4 x 32 sources took 1.69 against
+  1.65 ms at 5 M and 5.68 against 4.93 ms at 20 M; 3 coils split 1 + 2
+  broke even near 35 M; the raki128 benchmark's call (4 coils, 8 x 128,
+  20 iterations, 212 M) took 33.2 against 14.1 ms.
+* Processes, not threads: a training step is many sub-millisecond numpy
+  calls with the GIL held between them, so two threads over coil halves
+  lost to it, as did pipelining the first-layer GEMMs on a worker thread
+  (0.86 to 1.19 ms per raki step).  A helper has its own interpreter; a
+  shared call pays one pickled round trip of the sources and the share's
+  parameters and targets.
+* Results: a coil's arithmetic does not depend on its share but for the
+  rounding of GEMMs of other shapes (float32 rraki weights moved by 1.4e-6
+  relative after 20 iterations; raki, mw_raki and mw_rraki kept every bit).
+  On one CPU, below the break-even, and when another thread's call holds
+  the helpers, the one-process loop trains every coil as before.
+* Divergence: each share stops at its first non-finite loss, and the
+  caller raises for the earliest (iteration, coil) over all shares, naming
+  the coil's global index.
+* Only the private :func:`_fit` runs on a helper; every public function
+  runs in the caller's process and thread.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import kspace
 
 
 class TrainingDivergedError(RuntimeError):
@@ -511,26 +550,85 @@ def _adam_update(params, grads, m, v, t: int, lr: float) -> None:
         params[i] = params[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + _EPS)
 
 
-def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
-    arch = nets[0].arch
+_MIN_SHARED_WORK = 16 << 20  # multiply-adds: the break-even of the coil shares (see above)
+
+
+def _work(arch: NetworkArch, shape, coils: int, iters: int) -> int:
+    """Multiply-adds of ``iters`` forward passes of ``coils`` networks on sources of ``shape``."""
+    n, in_ch, hh, ww = shape
+    macs = 0
+    for spec in arch.layers:
+        hh, ww = hh - (spec.ky_taps - 1), ww - (spec.kx_width - 1)
+        macs += n * hh * ww * spec.ky_taps * spec.kx_width * in_ch * spec.out_channels
+        in_ch = spec.out_channels
+    if arch.skip is not None:
+        spec = arch.skip
+        macs += n * hh * ww * spec.ky_taps * spec.kx_width * arch.in_channels * spec.out_channels
+    return macs * coils * iters
+
+
+def _blas_threads() -> int:
+    """BLAS threads per process: the first of OpenBLAS's and MKL's variables that is set, else one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            return max(1, int(os.environ[var]))
+        except (KeyError, ValueError):
+            continue
+    return kspace._cpus()
+
+
+def _shares(arch: NetworkArch, shape, coils: int, iters: int) -> list:
+    """Coil slices trained at once, the first by the caller and each other by a helper process."""
+    count = min(kspace._cpus() // _blas_threads(), kspace._MAX_WORKERS, coils)
+    if count < 2 or _work(arch, shape, coils, iters) < _MIN_SHARED_WORK:
+        count = 1
+    bounds = [c * coils // count for c in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fit(arch: NetworkArch, params, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
+    """Adam on stacked ``params`` against ``targets`` [coils, N, O, OH, OW].
+
+    Returns (params, losses [coils, iters], divergence), the last being the
+    first (iteration, coil) with a non-finite loss, where training stopped,
+    or None.  A helper process runs it on its share of the coils.
+    """
     input_cols = _input_cols(arch, sources)
     y = np.ascontiguousarray(targets.transpose(0, 2, 1, 3, 4))
-    params = _pack(nets, sources.dtype)
     first_moment = [np.zeros_like(p) for p in params]
     second_moment = [np.zeros_like(p) for p in params]
-    losses = np.empty((len(nets), opt.iters))
-    # overflow on the way to a non-finite loss is reported as the exception
-    # below, not as numpy warnings
+    losses = np.empty((params[0].shape[0], opt.iters))
+    # overflow on the way to a non-finite loss is reported as a divergence,
+    # not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, opt.iters + 1):
             values, grads = _loss_and_grads(arch, params, input_cols, y)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise TrainingDivergedError(
-                    f"coil {bad[0]}: non-finite training loss at iteration {it}"
-                )
+                return params, losses, (it, int(bad[0]))
             losses[:, it - 1] = values
             _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr))
+    return params, losses, None
+
+
+def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
+    arch = nets[0].arch
+    params = _pack(nets, sources.dtype)
+    shares = _shares(arch, sources.shape, len(nets), opt.iters)
+    results = None
+    if len(shares) > 1:
+        # imported here: subprocess costs a process that never shares 0.5 MB of RSS
+        from . import _helper
+
+        results = _helper.run(_fit, [(arch, [p[s] for p in params], sources, targets[s], opt) for s in shares])
+    if results is None:  # one share, or another thread holds the helpers
+        shares, results = [slice(0, len(nets))], [_fit(arch, params, sources, targets, opt)]
+    diverged = [(d[0], s.start + d[1]) for s, (_, _, d) in zip(shares, results) if d is not None]
+    if diverged:
+        it, coil = min(diverged)
+        raise TrainingDivergedError(f"coil {coil}: non-finite training loss at iteration {it}")
+    params = [np.concatenate([r[0][i] for r in results]) for i in range(len(params))]
+    losses = np.concatenate([r[1] for r in results])
     return tuple(ScanNetwork(arch, *_unpack(arch, params, c)) for c in range(len(nets))), losses
 
 
@@ -602,8 +700,10 @@ def train(nets, ts: TrainingSet, opt: OptimizerConfig):
     all read ``ts.sources``; coil ``c`` fits ``ts.targets[c]``.  The result
     is a tuple of trained networks and histories [coils, iters], each the
     loss at the start of every iteration.  Each coil's history and weights
-    agree with training it alone up to rounding.  A non-finite loss aborts
-    with :class:`TrainingDivergedError` naming the first such coil.
+    agree with training it alone up to rounding.  A large enough call trains
+    shares of the coils on helper processes (see the module's coil shares).
+    A non-finite loss aborts with :class:`TrainingDivergedError` naming the
+    earliest iteration and the first coil whose loss it was.
     """
     nets = _as_nets(nets)
     _check_training_set(nets, ts)

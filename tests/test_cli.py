@@ -417,6 +417,56 @@ def test_compare_rejects_a_skip_of_the_wrong_width_before_any_method(scan, capsy
     assert calls == [] and not report.exists()
 
 
+# a `skip` key without `layers` joins the method's default stack, whose receptive
+# field at R = 4 is 3 taps by 7 columns: a 9-column skip does not fit it
+SKIP_ONLY = LayerSpec(6, 3, 2)
+SKIP_TOO_WIDE = "2: bad value for key 'skip': skip kx width does not fit inside the main receptive field"
+
+
+@pytest.mark.parametrize("method", ["raki", "mw-rraki"])
+def test_recon_applies_a_skip_alone_to_the_default_stack(scan, monkeypatch, method):
+    from dataclasses import replace
+
+    from mwrecon.pipelines import default_arch
+
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("iters = 1\nskip = out@3x2\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    assert main(["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
+                 "--config", str(config), "--out", str(tmp_path / "r.mwks")]) == 0
+    ((cfg, _),) = calls
+    assert cfg.arch == replace(default_arch(method.replace("-", "_"), 4, 4), skip=SKIP_ONLY)
+
+
+def test_recon_rejects_a_skip_alone_outside_the_default_receptive_field(scan, capsys, monkeypatch):
+    tmp_path, _, under = scan
+    config = tmp_path / "recon.cfg"
+    config.write_text("iters = 1\nskip = out@9x2\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    out = tmp_path / "r.mwks"
+    assert main(["--quiet", "recon", "--method", "rraki", "--input", str(under), "--R", "4", "--acs", "16",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:{SKIP_TOO_WIDE}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_compare_applies_or_rejects_a_skip_alone_before_any_method(scan, capsys, monkeypatch):
+    tmp_path, full, _ = scan
+    config = tmp_path / "recon.cfg"
+    calls = spy_on_reconstruct(monkeypatch)
+    report = tmp_path / "c.csv"
+    argv = ["--quiet", "compare", "--input", str(full), "--methods", "grappa,raki", "--R", "4",
+            "--acs", "16", "--iters", "1", "--config", str(config), "--report", str(report)]
+    config.write_text("skip = out@9x2\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert f"{config}:{SKIP_TOO_WIDE.replace('2:', '1:', 1)}" in capsys.readouterr().err
+    assert calls == [] and not report.exists()
+    config.write_text("skip = out@3x2\n", encoding="utf-8")
+    assert main(argv) == 0
+    assert [cfg.arch.skip if cfg.arch else None for cfg, _ in calls] == [None, SKIP_ONLY]
+
+
 # at R = 4 the default depth-3 networks need 9 ACS rows; ACS 8 has two lattice rows
 ACS_TOO_SMALL = "ACS too small: 8 rows; this architecture needs at least 9 fully sampled rows"
 
