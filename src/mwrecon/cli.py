@@ -3,11 +3,13 @@
 Each recon setting is declared once, in ``SETTINGS``, with its flag and the
 methods that read it; a key or flag that none of a run's methods reads is an
 error.  Every run's settings are resolved before any reconstruction: `recon`
-and `compare` build every method's config, which checks that GRAPPA's kernel
-and each network fit the ACS block, and `ablate` parses every axis and
-checks every GRAPPA cell's kernel footprint, first, so a value they reject
-exits 2 and writes nothing.  (A `depth` that a method's depth table lacks,
-or an ACS block too small for a network, fails only its own ablation cells.)
+and `compare` build every method's config and check it through
+``pipelines.plan``, the check ``reconstruct`` runs first, so GRAPPA's kernel
+and each network must fit the scan; `ablate` parses every axis and checks
+every GRAPPA cell through ``plan``, first.  A value they reject exits 2,
+naming the flag or key to change, and writes nothing.  (A `depth` that a
+method's depth table lacks, or an ACS block too small for a network, fails
+only its own ablation cells.)
 
 All tabular output is UTF-8 CSV with a header row.  Ablation sweeps are
 fully reproducible: every cell's seed is derived by hashing the master seed
@@ -42,7 +44,7 @@ from .config import (
     parse_positive,
 )
 from .filters import WeightFilter
-from .grappa import KernelGeometry, check_footprint
+from .grappa import KernelGeometry
 from .kspace import (
     apply_pattern,
     load_kspace,
@@ -62,9 +64,9 @@ from .pipelines import (
     MultiWeightConfig,
     ReconConfig,
     default_arch,
+    plan,
     reconstruct,
     reconstruct_image,
-    training_windows,
 )
 
 AXIS_COLUMNS = ("method", "R", "acs", "P", "L", "depth", "rep", "seed")
@@ -191,16 +193,16 @@ def _flag(args, name, convert, default=None):
 def _optimizer_from(entries, args) -> OptimizerConfig:
     """Adam settings: a flag overrides its config key, and both share one lower bound."""
     values = {}
-    for key, kind, low, default in (("lr", float, 0.0, 0.001), ("iters", int, 1, 1000)):
+    for key, kind, low in (("lr", float, 0.0), ("iters", int, 1)):
         convert = at_least(kind, low)
-        values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, default))
+        values[key] = _flag(args, key, convert, get_scalar(entries, key, convert, getattr(OptimizerConfig, key)))
     return OptimizerConfig(**values)
 
 
-def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
+def _arch_from(entries, method, n_coils, pattern) -> NetworkArch | None:
     """The `layers` and `skip` keys' network, or None for the default; a `skip` alone joins the
-    method's default stack.  A final layer or skip not 2·(R−1) wide, a skip outside the stack's
-    receptive field, or a ``method`` whose training window the ACS block cannot hold, is rejected."""
+    method's default stack.  A final layer or skip not 2·(R−1) wide, or a skip outside the stack's
+    receptive field, is rejected."""
     need = 2 * (pattern.R - 1)
     def layer(text):
         return parse_layer_spec(text, need)
@@ -218,12 +220,6 @@ def _arch_from(args, entries, method, n_coils, pattern) -> NetworkArch | None:
             arch = replace(stack, skip=skip)
         except ValueError as exc:  # the skip does not fit the stack's receptive field
             raise bad("skip", str(exc)) from exc
-    try:
-        training_windows(arch or default_arch(method, n_coils, pattern.R), pattern.R, pattern.acs_count,
-                         pattern.acs_start)
-    except ValueError as exc:
-        given = f"--pattern {args.pattern}" if getattr(args, "pattern", None) else f"--acs {args.acs}"
-        raise ConfigError(f"flag {given}: {method.replace('_', '-')} cannot train: {exc}") from exc
     return arch
 
 
@@ -262,40 +258,32 @@ def _reject_unread(args, entries, methods, setting_of) -> None:
             raise ConfigError(f"flag {flag} is not read by {names}")
 
 
-def _grappa_geometry(args, measured, pattern, ridge) -> KernelGeometry | None:
-    """``--grappa-kernel``'s footprint, or None for the default; whichever GRAPPA
-    will use is rejected unless ``calibrate`` can fit it to the scan at ``ridge``."""
-    geom = _flag(args, "grappa-kernel", lambda spec: KernelGeometry(pattern.R, *parse_grappa_kernel(spec)))
-    used = geom or KernelGeometry(pattern.R)
-    flag = "--grappa-kernel" if geom else f"--grappa-kernel (default bx:{used.bx_half},by:{used.by_taps})"
-    try:
-        check_footprint(used, measured.nx, pattern.acs_count, pattern.acs_start, measured.n_coils, ridge)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"flags {flag} and --ridge {ridge:g}: {exc}; use --ridge > 0") from exc
-    except ValueError as exc:
-        raise ConfigError(f"flag {flag} {exc}") from exc
-    return geom
-
-
 def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig:
-    """The run's settings; a value they reject is a ConfigError, raised before any work."""
-    mw = method in MULTIWEIGHT
+    """The run's settings, checked through ``plan``; a value they reject is a ConfigError, raised
+    before any work, that names the flag or key to change."""
+    cfg = ReconConfig(
+        method=method,
+        pattern=pattern,
+        seed=args.seed if args.seed is not None else get_scalar(entries, "seed", _SEED, ReconConfig.seed),
+        arch=_arch_from(entries, method, measured.n_coils, pattern) if method in NETWORKS else None,
+        optimizer=_optimizer_from(entries, args),
+        multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if method in MULTIWEIGHT else None,
+        grappa_geometry=_flag(args, "grappa-kernel", lambda spec: KernelGeometry(
+            pattern.R, *parse_grappa_kernel(spec))) if method == "grappa" else None,
+        ridge=_flag(args, "ridge", at_least(float, 0.0), ReconConfig.ridge),
+    )
     try:
-        ridge = _flag(args, "ridge", at_least(float, 0.0), 0.0)
-        return ReconConfig(
-            method=method,
-            pattern=pattern,
-            seed=args.seed if args.seed is not None else get_scalar(entries, "seed", _SEED, 0),
-            arch=_arch_from(args, entries, method, measured.n_coils, pattern) if method in NETWORKS else None,
-            optimizer=_optimizer_from(entries, args),
-            multiweight=_multiweight_from(entries, args, measured.ny, measured.nx) if mw else None,
-            grappa_geometry=_grappa_geometry(args, measured, pattern, ridge) if method == "grappa" else None,
-            ridge=ridge,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        plan(cfg, measured.n_coils, measured.ny, measured.nx)
+    except ValueError as exc:  # LinAlgError too
+        if method in NETWORKS:  # the CLI builds each network for the coils and each bank for the grid
+            given = f"--pattern {args.pattern}" if getattr(args, "pattern", None) else f"--acs {args.acs}"
+            raise ConfigError(f"flag {given}: {method.replace('_', '-')} cannot train: {exc}") from exc
+        flag = "--grappa-kernel" if args.grappa_kernel else (
+            f"--grappa-kernel (default bx:{KernelGeometry.bx_half},by:{KernelGeometry.by_taps})")
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise ConfigError(f"flags {flag} and --ridge {cfg.ridge:g}: {exc}; use --ridge > 0") from exc
+        raise ConfigError(f"flag {flag} {exc}") from exc
+    return cfg
 
 
 def _train_iters(result) -> int:
@@ -355,8 +343,10 @@ def cmd_recon(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    recon_sos = reconstruct_image(load_kspace(args.recon))
-    ref_sos = reconstruct_image(load_kspace(args.ref))
+    recon, ref = load_kspace(args.recon), load_kspace(args.ref)
+    if (ref.ny, ref.nx) != (recon.ny, recon.nx):
+        raise ConfigError(f"--ref grid is {ref.ny}x{ref.nx} but --recon grid is {recon.ny}x{recon.nx}")
+    recon_sos, ref_sos = reconstruct_image(recon), reconstruct_image(ref)
     report = evaluate(recon_sos, ref_sos)
     _write_csv(args.report, ("psnr", "ssim", "rmse"),
                [{"psnr": report.psnr_db, "ssim": report.ssim, "rmse": report.rmse_pct}])
@@ -393,10 +383,15 @@ def _load_ablation_scene(entries, source):
     """(fully sampled k-space, reference SoS image) of the sweep's scene.
 
     A synthesized scene is scored against its noise-free image, not against
-    the noisy one it is reconstructed from; a file's scene has only its own.
+    the noisy one it is reconstructed from; a file's scene has only its own,
+    and a key that synthesizes a scene is an error beside `input`.
     """
     input_path = get_scalar(entries, "input", str)
     if input_path:
+        unread = [(entries[key][0][0], key) for key in ("size", "coils", "snr_db", "scene_seed") if key in entries]
+        if unread:
+            lineno, key = min(unread)
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is not read when 'input' is given")
         full = load_kspace(input_path)
         return full, reconstruct_image(full)
     size = get_scalar(entries, "size", _GRID)
@@ -459,7 +454,7 @@ def cmd_ablate(args) -> int:
     if "grappa" in methods:  # its cells fit the default kernel at ridge 0
         for (R, acs), pattern in patterns.items():
             try:
-                check_footprint(KernelGeometry(R), full.nx, acs, pattern.acs_start, full.n_coils)
+                plan(ReconConfig("grappa", pattern), full.n_coils, full.ny, full.nx)
             except ValueError as exc:  # LinAlgError too, which only a taller ACS mends at ridge 0
                 taller = "; use a taller acs" if isinstance(exc, np.linalg.LinAlgError) else ""
                 raise ConfigError(f"{source}: keys 'R' and 'acs' give grappa R = {R}, acs = {acs}: "

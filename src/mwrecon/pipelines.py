@@ -9,6 +9,16 @@ the targets of every coil and branch from the ACS block in one pass, and
 all coils train and infer together as one list of networks (see
 :mod:`mwrecon.network`).
 
+Planning: :func:`plan` resolves what a run uses, from ``cfg`` or else the
+method's default: the network (:func:`default_arch`), the weighting bank
+(the all-pass branch plus, for the ``MULTIWEIGHT`` methods,
+``DEFAULT_FILTER_EXPONENTS``) and GRAPPA's footprint (``KernelGeometry(R)``).
+It runs every check that needs only the scan's shape: the footprint's R and
+its fit at ``cfg.ridge``, the network's input channels and training window,
+and the bank's grid.  :func:`reconstruct` plans before it reads the data, and
+the CLI plans every run before any work, so both reject the same settings
+with the same text.
+
 Multi-weight variants run the same flow on a batch of weighted copies of
 the measurement, one per filter of the bank: the all-pass branch (P = 0,
 the original) and one gain ``r**(2P)`` per exponent P > 0.  The batch
@@ -74,7 +84,7 @@ from functools import cached_property
 import numpy as np
 
 from .filters import WeightFilter, deweight
-from .grappa import KernelGeometry, calibrate, interpolate
+from .grappa import KernelGeometry, calibrate, check_footprint, interpolate
 from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, _map, extract_acs
 from .network import (
     LayerSpec,
@@ -326,14 +336,35 @@ def _virtual_coil_basis(acs: np.ndarray, R: int) -> np.ndarray:
     return v[:, ::-1][:, :nv]
 
 
-def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightConfig) -> ReconResult:
-    """Every network method's scan-specific flow, on the bank ``mw`` that :func:`reconstruct`
+def plan(cfg: ReconConfig, n_coils: int, ny: int, nx: int):
+    """(network, weighting bank, GRAPPA footprint) that :func:`reconstruct` runs ``cfg`` with on
+    an ``n_coils``-coil ``ny`` x ``nx`` scan: ``cfg``'s own, else the method's default, and None
+    where the method has none.  Raises unless the scan's shape can run them; at ``cfg.ridge == 0``
+    a GRAPPA fit with too few equations raises ``LinAlgError``, anything else ``ValueError``."""
+    pattern, R = cfg.pattern, cfg.pattern.R
+    if cfg.method == "grappa":
+        geom = cfg.grappa_geometry or KernelGeometry(R)
+        if geom.R != R:
+            raise ValueError(f"kernel geometry R={geom.R} does not match pattern R={R}")
+        check_footprint(geom, nx, pattern.acs_count, pattern.acs_start, n_coils, cfg.ridge)
+        return None, None, geom
+    arch = cfg.arch or default_arch(cfg.method, n_coils, R)
+    if arch.in_channels != 2 * n_coils:
+        raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
+    training_windows(arch, R, pattern.acs_count, pattern.acs_start)
+    mw = cfg.multiweight or MultiWeightConfig(ny, nx, DEFAULT_FILTER_EXPONENTS if cfg.method in MULTIWEIGHT else ())
+    mw.require_grid(ny, nx)
+    return arch, mw, None
+
+
+def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, arch: NetworkArch,
+                   mw: MultiWeightConfig) -> ReconResult:
+    """Every network method's scan-specific flow, on the network and bank that :func:`plan`
     picks (public only because perfbench's span checks name it)."""
     pattern = cfg.pattern
     _require_consistent(measured, pattern)
     R = pattern.R
-    n_coils, ny, nx = measured.n_coils, measured.ny, measured.nx
-    mw.require_grid(ny, nx)
+    ny, nx = measured.ny, measured.nx
 
     # the networks read only acquired rows, the ACS block and the lattice;
     # _require_consistent has shown that every other row is zero
@@ -347,14 +378,7 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightC
     nv = basis.shape[1]
     # one product per row: a row's values do not depend on which rows are taken
     virt = np.matmul(basis.conj().T, normalised.transpose(1, 0, 2)).transpose(1, 0, 2)
-    if cfg.arch is None:
-        arch = default_arch(cfg.method, nv, R)
-    elif cfg.arch.in_channels != 2 * n_coils:
-        raise ValueError(
-            f"arch expects {cfg.arch.in_channels} input channels, data provides {2 * n_coils}"
-        )
-    else:
-        arch = replace(cfg.arch, in_channels=2 * nv)
+    arch = replace(arch, in_channels=2 * nv)
 
     # float32: the networks compute in their input's precision
     acs = _weighted(virt[:, acs_at], mw, acs_rows)  # [n_f, nv, acs_count, nx]
@@ -399,12 +423,9 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, mw: MultiWeightC
     return ReconResult(result_kspace, reconstruct_image(result_kspace), tuple(histories))
 
 
-def _grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
+def _grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, geom: KernelGeometry) -> ReconResult:
     """Linear kernel calibration and interpolation."""
     pattern = cfg.pattern
-    geom = cfg.grappa_geometry or KernelGeometry(R=pattern.R)
-    if geom.R != pattern.R:
-        raise ValueError(f"kernel geometry R={geom.R} does not match pattern R={pattern.R}")
     _require_consistent(measured, pattern)
     acs = extract_acs(measured, pattern)
     kernel = calibrate(acs, geom, ridge=cfg.ridge, row0=pattern.acs_start)
@@ -413,9 +434,8 @@ def _grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconRes
 
 
 def reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
-    """Reconstruct ``measured`` with ``cfg.method``.  A network method runs on ``cfg.multiweight``,
-    else on the all-pass branch plus, for the ``MULTIWEIGHT`` methods, ``DEFAULT_FILTER_EXPONENTS``."""
+    """Reconstruct ``measured`` with ``cfg.method``, on what :func:`plan` picks for its shape."""
+    arch, mw, geom = plan(cfg, measured.n_coils, measured.ny, measured.nx)
     if cfg.method == "grappa":
-        return _grappa_reconstruct(measured, cfg)
-    exponents = DEFAULT_FILTER_EXPONENTS if cfg.method in MULTIWEIGHT else ()
-    return mw_reconstruct(measured, cfg, cfg.multiweight or MultiWeightConfig(measured.ny, measured.nx, exponents))
+        return _grappa_reconstruct(measured, cfg, geom)
+    return mw_reconstruct(measured, cfg, arch, mw)

@@ -1093,3 +1093,103 @@ def test_ablate_names_the_line_of_a_negative_seed_key(tmp_path, capsys, monkeypa
     assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
     assert f"{config}:4: bad value for key '{key}': '-1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["raki", "grappa"])
+def test_recon_without_settings_passes_the_library_defaults(scan, monkeypatch, method):
+    from mwrecon import cli
+    from mwrecon.kspace import make_uniform_pattern
+    from mwrecon.pipelines import ReconConfig
+
+    tmp_path, _, under = scan
+    configs = []
+
+    def stop(measured, cfg):  # record the config, and end the run (exit 1) before 1000 iterations
+        configs.append(cfg)
+        raise RuntimeError("stopped before reconstructing")
+
+    monkeypatch.setattr(cli, "reconstruct", stop)
+    assert main(["--quiet", "recon", "--method", method, "--input", str(under), "--R", "4", "--acs", "16",
+                 "--out", str(tmp_path / "r.mwks")]) == 1
+    assert configs == [ReconConfig(method, make_uniform_pattern(32, 4, 16))]
+
+
+def test_ablate_without_optimizer_keys_uses_the_library_defaults(tmp_path, monkeypatch):
+    from mwrecon.network import OptimizerConfig
+
+    config = tmp_path / "sweep.cfg"
+    config.write_text("size = 32\ncoils = 4\nacs = 16\nR = 2, 4\nmethod = grappa\n", encoding="utf-8")
+    calls = spy_on_reconstruct(monkeypatch)
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    assert [cfg.optimizer for cfg, _ in calls] == [OptimizerConfig()] * 2
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("size = 64\ncoils = 8\nsnr_db = 10\nscene_seed = 3\n", "size"),
+    ("snr_db = 10\ncoils = 8\n", "snr_db"),
+    ("scene_seed = 3\n", "scene_seed"),
+], ids=["all_four", "snr_db", "scene_seed"])
+def test_ablate_rejects_scene_keys_beside_an_input_file(scan, capsys, monkeypatch, lines, key):
+    from mwrecon import cli
+
+    tmp_path, full, _ = scan
+    refuse_synthesis(monkeypatch)
+    monkeypatch.setattr(cli, "load_kspace", lambda path: pytest.fail("loaded the input of a rejected sweep"))
+    calls = spy_on_reconstruct(monkeypatch)
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"input = {full}\nacs = 16\nmethod = grappa\nR = 2, 4\n{lines}", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:5: key '{key}' is not read when 'input' is given" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_eval_rejects_another_grid_before_forming_either_image(scan, capsys, monkeypatch):
+    from mwrecon import cli
+
+    tmp_path, _, under = scan
+    ref = tmp_path / "ref48.mwks"
+    assert main(["--quiet", "phantom", "--size", "48", "--coils", "4", "--out", str(ref)]) == 0
+    monkeypatch.setattr(cli, "reconstruct_image", lambda kspace: pytest.fail("formed an image"))
+    report = tmp_path / "e.csv"
+    assert main(["--quiet", "eval", "--recon", str(under), "--ref", str(ref), "--report", str(report)]) == 2
+    assert "error: --ref grid is 48x48 but --recon grid is 32x32" in capsys.readouterr().err
+    assert not report.exists()
+
+
+# each exit 2 that pipelines.plan decides: the CLI prints plan's own text after the flag or key to change
+@pytest.mark.parametrize("method, acs, kernel, prefix", [
+    ("raki", 8, None, "flag --acs 8: raki cannot train: "),
+    ("mw_rraki", 8, None, "flag --acs 8: mw-rraki cannot train: "),
+    ("grappa", 4, None, "flag --grappa-kernel (default bx:1,by:2) "),
+    ("grappa", 16, (1, 5), "flag --grappa-kernel "),
+    ("grappa", 16, (5, 2), "flags --grappa-kernel and --ridge 0: "),
+], ids=["raki_acs", "mw_rraki_acs", "default_kernel", "tall_kernel", "too_few_equations"])
+def test_compare_prints_plans_rejection_after_the_flag(scan, capsys, method, acs, kernel, prefix):
+    from mwrecon.grappa import KernelGeometry
+    from mwrecon.kspace import make_uniform_pattern
+    from mwrecon.pipelines import ReconConfig, plan
+
+    tmp_path, full, _ = scan
+    flags = ["--grappa-kernel", "bx:{},by:{}".format(*kernel)] if kernel else []
+    flags += [] if method == "grappa" else ["--iters", "1"]
+    assert main(["--quiet", "compare", "--input", str(full), "--methods", method.replace("_", "-"), "--R", "4",
+                 "--acs", str(acs), *flags, "--report", str(tmp_path / "c.csv")]) == 2
+    geometry = KernelGeometry(4, *kernel) if kernel else None
+    with pytest.raises(ValueError) as planned:
+        plan(ReconConfig(method, make_uniform_pattern(32, 4, acs), grappa_geometry=geometry), 4, 32, 32)
+    assert f"error: {prefix}{planned.value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coils, acs", [(4, 4), (8, 7)], ids=["footprint", "too_few_equations"])
+def test_ablate_prints_plans_rejection_of_a_grappa_cell_after_its_keys(tmp_path, capsys, coils, acs):
+    from mwrecon.kspace import make_uniform_pattern
+    from mwrecon.pipelines import ReconConfig, plan
+
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"size = 32\ncoils = {coils}\nacs = {acs}, 16\nR = 4\nmethod = grappa\n", encoding="utf-8")
+    assert main(["--quiet", "ablate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 2
+    with pytest.raises(ValueError) as planned:
+        plan(ReconConfig("grappa", make_uniform_pattern(32, 4, acs)), coils, 32, 32)
+    assert f"error: {config}: keys 'R' and 'acs' give grappa R = 4, acs = {acs}: {planned.value}" in (
+        capsys.readouterr().err)

@@ -293,6 +293,22 @@ def test_rejects_acquired_rows_that_are_all_zero(method):
         reconstruct(measured, cfg)
 
 
+@pytest.mark.parametrize("method, geometry, error, match", [
+    *((method, None, ValueError, "ACS too small: 8 rows") for method in pipelines.NETWORKS),
+    ("grappa", KernelGeometry(4, 1, 5), ValueError, "footprint of 3 columns x 17 rows does not fit the scan"),
+    # 3 lattice anchors x 32 columns = 96 equations for 4 coils x 2 x 17 = 136 unknowns
+    ("grappa", KernelGeometry(4, 8, 2), np.linalg.LinAlgError, "has 96 equations for 136 unknowns"),
+], ids=[*pipelines.NETWORKS, "grappa_footprint", "grappa_equations"])
+def test_reconstruct_plans_before_it_reads_the_data(monkeypatch, method, geometry, error, match):
+    checked = []
+    monkeypatch.setattr(pipelines, "_require_consistent", lambda *args: checked.append(args))
+    _, measured, pattern = phantom_scene(R=4, acs=8 if geometry is None else 16)
+    cfg = ReconConfig(method=method, pattern=pattern, optimizer=fast_opt(1), grappa_geometry=geometry)
+    with pytest.raises(error, match=match):
+        reconstruct(measured, cfg)
+    assert checked == []
+
+
 class TestScanSpecificPipeline:
     def test_rejects_fully_sampled(self):
         full, _, _ = phantom_scene()
