@@ -147,6 +147,7 @@ def _snr_db(text) -> float:
 _GRID = at_least(int, 16)
 _COILS = at_least(int, 1)
 _SEED = at_least(int, 0)  # numpy's generators take no negative seed
+_GRAPPA_KERNEL = f"bx:{KernelGeometry.bx_half},by:{KernelGeometry.by_taps}"
 
 
 def cmd_phantom(args) -> int:
@@ -278,8 +279,7 @@ def _build_recon_config(args, entries, measured, method, pattern) -> ReconConfig
         if method in NETWORKS:  # the CLI builds each network for the coils and each bank for the grid
             given = f"--pattern {args.pattern}" if getattr(args, "pattern", None) else f"--acs {args.acs}"
             raise ConfigError(f"flag {given}: {method.replace('_', '-')} cannot train: {exc}") from exc
-        flag = "--grappa-kernel" if args.grappa_kernel else (
-            f"--grappa-kernel (default bx:{KernelGeometry.bx_half},by:{KernelGeometry.by_taps})")
+        flag = "--grappa-kernel" if args.grappa_kernel else f"--grappa-kernel (default {_GRAPPA_KERNEL})"
         if isinstance(exc, np.linalg.LinAlgError):
             raise ConfigError(f"flags {flag} and --ridge {cfg.ridge:g}: {exc}; use --ridge > 0") from exc
         raise ConfigError(f"flag {flag} {exc}") from exc
@@ -512,6 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwrecon",
         description="Scan-specific parallel MRI reconstruction in k-space.",
+        epilog="mwrecon runs worker threads and helper processes only when BLAS runs fewer threads "
+               "than there are CPUs, for example: OPENBLAS_NUM_THREADS=1 mwrecon recon ...",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -534,14 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern-out")
     p.set_defaults(func=cmd_undersample)
 
+    def add_optimizer_options(p):
+        p.add_argument("--iters", type=int, help=f"training iterations (default {OptimizerConfig.iters})")
+        p.add_argument("--lr", type=float, help=f"Adam learning rate (default {OptimizerConfig.lr})")
+
     def add_recon_options(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--iters", type=int)
-        p.add_argument("--lr", type=float)
+        add_optimizer_options(p)
         p.add_argument("--filters", help="high-pass exponents, e.g. 0.6,0.2")
         p.add_argument("--filter-eps", type=float, dest="filter_eps")
-        p.add_argument("--ridge", type=float)
-        p.add_argument("--grappa-kernel", dest="grappa_kernel", help="e.g. bx:1,by:2")
+        p.add_argument("--ridge", type=float, help="GRAPPA's absolute damping, added to the diagonal "
+                       f"of A^H A (default {ReconConfig.ridge})")
+        p.add_argument("--grappa-kernel", dest="grappa_kernel", help=f"bx:B,by:T (default {_GRAPPA_KERNEL})")
 
     p = sub.add_parser("recon", help="reconstruct undersampled k-space")
     p.add_argument("--method", required=True)
@@ -575,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--curves", help="per-iteration loss curve CSV")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--lr", type=float)
+    add_optimizer_options(p)
     p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -28,7 +28,7 @@ governing lines, ``grappa.calibrate``'s two products ``Ar @ Ar.T`` and
 
 * Size rule: a map whose tasks each read fewer than ``_MIN_TASK_BYTES``
   (384 KiB, one 157 x 157 coil plane) runs as the plain serial loop, as
-  does every map when the process may run on one CPU only.  A coil plane
+  does every map when :func:`_workers` gives one.  A coil plane
   of the input's grid is the operand of a per-coil transform; a fill
   block's patch matrix (at most 2 MiB) and the patches ``Ar`` are
   GRAPPA's.  One 128 x 128 plane's inverse transform takes 0.15 ms
@@ -37,8 +37,22 @@ governing lines, ``grappa.calibrate``'s two products ``Ar @ Ar.T`` and
   2.33 ms at 128 x 128 (256 KiB planes), 6.10 against 4.08 ms at
   160 x 160 (400 KiB) and 10.5 against 6.5 ms at 192 x 256; synthesis
   took 3.49 against 3.88 ms at 128 x 128.
-* Workers: the CPUs the process may run on (``os.sched_getaffinity``, else
-  ``os.cpu_count()``), at most ``_MAX_WORKERS`` = 4, the caller included.
+* Workers, one budget for this pool and ``network``'s coil shares
+  (:func:`_workers`): one per CPU that BLAS leaves free, the CPUs the
+  process may run on (``os.sched_getaffinity``, else ``os.cpu_count()``)
+  over the BLAS threads per process, at least 1 and at most
+  ``_MAX_WORKERS`` = 4, the caller included.  BLAS threads are counted as
+  numpy's OpenBLAS counts them: the first of ``OPENBLAS_NUM_THREADS``,
+  ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is an integer >= 1,
+  else one per CPU.  ``MKL_NUM_THREADS`` is not read, so an MKL build
+  pinned by it alone runs one worker.  BLAS left unpinned takes every CPU,
+  so the maps run serially.  On 2 CPUs, GRAPPA's ``reconstruct`` at
+  256 x 256 (16 coils, ACS 48; medians of 30 alternating calls, pooled
+  against serial) took 50.9 against 45.0 ms at R=2 and 38.9 against
+  39.9 ms at R=4 with BLAS unpinned, and 41.5 against 56.5 ms and 37.2
+  against 51.6 ms with ``OPENBLAS_NUM_THREADS=1``.  The per-coil
+  transforms call no BLAS, and unpinned they gave up a gain: the same
+  scan's ``reconstruct_image`` took 14.4 against 20.6 ms.
   A task holds up to about 4 MiB (a 2 MiB fill block with its filled rows,
   or a 256 x 256 plane's transform with its transposed copy), so four hold
   at most 16 MiB beside the scan, a tenth of a 256 x 256, 16-coil scan's
@@ -53,8 +67,8 @@ governing lines, ``grappa.calibrate``'s two products ``Ar @ Ar.T`` and
   them sees one call stack.
 
 Network training holds the GIL between its many small numpy calls, so it
-shares its coils over processes, not threads; :mod:`mwrecon.network` states
-that rule, which reads this module's CPU count and worker cap.
+shares its coils over processes, not threads (see :mod:`mwrecon.network`),
+as many as :func:`_workers` gives.
 """
 
 from __future__ import annotations
@@ -176,6 +190,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers() -> int:
+    """Workers one process runs at once: :func:`_cpus` over OpenBLAS's threads, 1 to ``_MAX_WORKERS``."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):  # OpenBLAS's order
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) >= 1:
+            return max(1, min(_cpus() // int(value), _MAX_WORKERS))
+    return 1  # unpinned, OpenBLAS runs a thread per CPU
+
+
 def _map(fn, items, task_bytes: int):
     """``map(fn, items)``, on the pool when each task's ``task_bytes`` operand pays for the hand-off.
 
@@ -185,7 +208,7 @@ def _map(fn, items, task_bytes: int):
     round's results are held.  A task must not call ``_map``: its round
     would wait on the pool that runs it.
     """
-    workers = min(_cpus(), _MAX_WORKERS) if task_bytes >= _MIN_TASK_BYTES else 1
+    workers = _workers() if task_bytes >= _MIN_TASK_BYTES else 1
     items = list(items)
     return map(fn, items) if workers < 2 or len(items) < 2 else _rounds(fn, items, workers)
 

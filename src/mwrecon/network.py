@@ -67,12 +67,11 @@ The caller trains the first share with the one-process loop, and a
 persistent helper process (:mod:`mwrecon._helper`) trains each other share
 from the same stacked parameter arrays; the results go back in coil order.
 
-* Share rule: one share per CPU that BLAS leaves free, the CPUs the process
-  may run on (``kspace._cpus``) over the BLAS threads per process
-  (:func:`_blas_threads`), at most ``kspace._MAX_WORKERS`` = 4 and at most
-  one per coil.  BLAS left unpinned takes every CPU, so nothing is shared:
-  unpinned on 2 CPUs, a shared mw_raki call took 2.5 times as long as the
-  one-process loop.
+* Share rule: one share per worker of the budget stated in
+  :mod:`mwrecon.kspace`'s concurrency section (``kspace._workers``), at
+  most one per coil.  BLAS left unpinned takes every CPU, so nothing is
+  shared: unpinned on 2 CPUs, a shared mw_raki call took 2.5 times as long
+  as the one-process loop.
 * Break-even: a call shares only when its work, the multiply-adds of its
   forward passes (:func:`_work`), reaches ``_MIN_SHARED_WORK`` (16 Mi).  On
   2 CPUs with one BLAS thread (float32, medians of 45 alternating calls,
@@ -100,7 +99,6 @@ from the same stacked parameter arrays; the results go back in coil order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -567,19 +565,9 @@ def _work(arch: NetworkArch, shape, coils: int, iters: int) -> int:
     return macs * coils * iters
 
 
-def _blas_threads() -> int:
-    """BLAS threads per process: the first of OpenBLAS's and MKL's variables that is set, else one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            return max(1, int(os.environ[var]))
-        except (KeyError, ValueError):
-            continue
-    return kspace._cpus()
-
-
 def _shares(arch: NetworkArch, shape, coils: int, iters: int) -> list:
     """Coil slices trained at once, the first by the caller and each other by a helper process."""
-    count = min(kspace._cpus() // _blas_threads(), kspace._MAX_WORKERS, coils)
+    count = min(kspace._workers(), coils)
     if count < 2 or _work(arch, shape, coils, iters) < _MIN_SHARED_WORK:
         count = 1
     bounds = [c * coils // count for c in range(count + 1)]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mwrecon.cli import main
+from mwrecon.grappa import KernelGeometry
 from mwrecon.kspace import load_kspace
-from mwrecon.network import LayerSpec
+from mwrecon.network import LayerSpec, OptimizerConfig
+from mwrecon.pipelines import ReconConfig
 
 
 def read_rows(path):
@@ -232,6 +234,26 @@ def test_there_is_no_optimizer_flag(argv, capsys):
         main([*argv, "--optimizer", "adam"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --optimizer adam" in capsys.readouterr().err
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())  # unwrapped, whatever the terminal width
+
+
+@pytest.mark.parametrize("command", ["recon", "compare", "ablate"])
+def test_help_states_the_library_defaults(command, capsys):
+    text = help_text([command], capsys)
+    assert f"(default {OptimizerConfig.iters})" in text and f"(default {OptimizerConfig.lr})" in text
+    if command != "ablate":
+        assert f"diagonal of A^H A (default {ReconConfig.ridge})" in text
+        assert f"(default bx:{KernelGeometry.bx_half},by:{KernelGeometry.by_taps})" in text
+
+
+def test_help_says_how_to_run_workers(capsys):
+    assert "OPENBLAS_NUM_THREADS=1 mwrecon recon" in help_text([], capsys)
 
 
 @pytest.mark.parametrize("line", ["L = 1, -1", "reps = 0"], ids=["negative_L", "zero_reps"])

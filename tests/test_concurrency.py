@@ -3,7 +3,10 @@ same results, the caller's thread, the one-process fallback.
 
 Each test picks the CPU count by monkeypatching ``kspace._cpus``, so the
 pooled path and the helper processes also run on a one-CPU host, where
-they share the CPU.
+they share the CPU.  The worker budget (``kspace._workers``) counts BLAS's
+threads too, and BLAS left unpinned takes every CPU, so an autouse fixture
+sets ``OPENBLAS_NUM_THREADS=1``: every CPU is then free for a worker, and
+the pooled and shared paths run whatever the environment of the test run.
 """
 
 import concurrent.futures
@@ -29,6 +32,11 @@ from mwrecon.pipelines import MULTIWEIGHT, ReconConfig, default_arch, reconstruc
 # a grid above the size rule: one 192 x 256 coil plane is 768 KiB
 NY, NX, COILS = 192, 256, 8
 LAYERS = ("pipelines", "network", "filters", "grappa", "kspace", "metrics", "phantom")
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +105,6 @@ def helpers(monkeypatch):
     Helpers started by an earlier test serve on; the module's end ends them.
     """
     monkeypatch.setattr(kspace, "_cpus", lambda: kspace._MAX_WORKERS)
-    monkeypatch.setattr(network, "_blas_threads", lambda: 1)
     monkeypatch.setattr(network, "_MIN_SHARED_WORK", 0)
     record = Shared()
     real_init, real_run = _helper._Helper.__init__, _helper.run
@@ -362,13 +369,66 @@ def test_every_blas_thread_takes_a_cpu(monkeypatch):
     monkeypatch.setattr(kspace, "_cpus", lambda: 8)
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    assert network._blas_threads() == 8  # unset: BLAS takes every CPU, so nothing is shared
+    assert kspace._workers() == 1  # unset: BLAS takes every CPU, so nothing is shared
     assert len(network._shares(arch, shape, 8, work)) == 1
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert len(network._shares(arch, shape, 8, work)) == 4
+    assert kspace._workers() == len(network._shares(arch, shape, 8, work)) == 4
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP_NUM_THREADS
     assert [s.stop - s.start for s in network._shares(arch, shape, 8, work)] == [2, 2, 2, 2]
     assert len(network._shares(arch, shape, 3, work)) == 3  # at most one share per coil
+
+
+@pytest.fixture
+def unpinned(monkeypatch):
+    """No BLAS thread variable set: BLAS runs a thread per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+
+# the threads numpy's OpenBLAS runs on 8 CPUs: it reads OPENBLAS_NUM_THREADS,
+# GOTO_NUM_THREADS, then OMP_NUM_THREADS, each only when >= 1, and else runs
+# one per CPU (thread counts read from /proc/self/status after import, on 2 CPUs)
+@pytest.mark.parametrize("env, blas_threads", [
+    ({"MKL_NUM_THREADS": "1"}, 8),  # OpenBLAS does not read MKL's variable
+    ({"OPENBLAS_NUM_THREADS": "0"}, 8),  # nor a value below 1
+    ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),  # nor a value that is not a number
+], ids=["mkl_only", "openblas_zero", "mkl_beside_omp", "openblas_not_a_number"])
+def test_blas_threads_are_counted_as_openblas_counts_them(unpinned, monkeypatch, env, blas_threads):
+    monkeypatch.setattr(kspace, "_cpus", lambda: 8)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    workers = min(8 // blas_threads, kspace._MAX_WORKERS)
+    arch = default_arch("raki", 8, 4)
+    assert len(network._shares(arch, (1, 16, 8, 128), 8, network._MIN_SHARED_WORK)) == workers
+    assert kspace._workers() == workers
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+def test_perfbench_environment_gives_a_worker_per_cpu_up_to_the_cap(monkeypatch, cpus):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # as perfbench/run.py sets them
+    monkeypatch.setattr(kspace, "_cpus", lambda: cpus)
+    assert kspace._workers() == min(cpus, 4)
+
+
+# the pooled maps keep every bit; a helper runs one BLAS thread and this
+# process as many as it started with, and OpenBLAS's GEMMs round by their
+# thread count (3e-9 relative when this process ran two on 2 CPUs)
+@pytest.mark.parametrize("method, tolerance", [("grappa", 0.0), ("raki", 1e-6)])
+def test_unpinned_blas_runs_serially_and_one_blas_thread_pools_to_the_same_image(
+        scene, rounds, helpers, unpinned, fresh_pool, monkeypatch, method, tolerance):
+    pattern = make_uniform_pattern(NY, 2, 24)
+    measured = apply_pattern(scene[2], pattern)
+    cfg = ReconConfig(method, pattern, optimizer=OptimizerConfig(iters=2), ridge=1e-2)  # each reads its own
+    serial = pipelines.reconstruct(measured, cfg)  # 4 CPUs, all taken by BLAS
+    assert kspace._pool is None and rounds == [] and (helpers.shares, helpers.busy) == ([], 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pooled = pipelines.reconstruct(measured, cfg)
+    assert kspace._pool is not None and rounds
+    assert helpers.shares == ([] if method == "grappa" else [kspace._MAX_WORKERS])
+    assert max_relative(pooled.kspace.data, serial.kspace.data) <= tolerance
+    assert max_relative(pooled.sos, serial.sos) <= tolerance
 
 
 def test_a_helper_imports_the_callers_mwrecon(helpers, monkeypatch, tmp_path):
