@@ -40,7 +40,6 @@ from .config import (
     load_config,
     parse_filter_exponent,
     parse_grappa_kernel,
-    parse_layer_spec,
     parse_positive,
 )
 from .filters import WeightFilter
@@ -54,7 +53,7 @@ from .kspace import (
     save_pattern,
 )
 from .metrics import evaluate
-from .network import NetworkArch, OptimizerConfig
+from .network import LayerSpec, NetworkArch, OptimizerConfig
 from .phantom import make_coil_maps, shepp_logan, simulate_kspace
 from .pipelines import (
     DEFAULT_FILTER_EXPONENTS,
@@ -200,13 +199,26 @@ def _optimizer_from(entries, args) -> OptimizerConfig:
     return OptimizerConfig(**values)
 
 
+def _parse_layer_spec(spec: str, out_channels: int) -> LayerSpec:
+    """`32@5x2` -> ``LayerSpec(32, 5, 2)``; `out@3x2` takes ``out_channels``.  A layer's place
+    decides its activation (see :mod:`mwrecon.network`), so `32@5x2:relu` is malformed."""
+    channels, sep, kernel = spec.strip().lower().partition("@")
+    if not sep:
+        raise ValueError(f"layer spec {spec!r} needs channels@KXxKY")
+    kx, sep, ky = kernel.partition("x")
+    if not sep:
+        raise ValueError(f"layer spec {spec!r} needs a KXxKY kernel size")
+    channels = channels.strip()
+    return LayerSpec(out_channels if channels == "out" else int(channels), int(kx), int(ky))
+
+
 def _arch_from(entries, method, n_coils, pattern) -> NetworkArch | None:
     """The `layers` and `skip` keys' network, or None for the default; a `skip` alone joins the
     method's default stack.  A final layer or skip not 2·(R−1) wide, or a skip outside the stack's
     receptive field, is rejected."""
     need = 2 * (pattern.R - 1)
     def layer(text):
-        return parse_layer_spec(text, need)
+        return _parse_layer_spec(text, need)
     def bad(key, reason):
         lineno, _, source = [e for e in entries[key] if e[1].replace(",", "").strip()][-1]
         return ConfigError(f"{source}:{lineno}: bad value for key {key!r}: {reason}")

@@ -5,17 +5,11 @@ bank); any other key given twice is an error, not a silent override.
 Blank lines and `#` comments are ignored.  Each reader names the keys it
 accepts, so a misspelt or stale key is an error rather than a silent
 default.  Parse errors carry the offending key and line number.
-
-A network layer is `channels@KXxKY`, with `out` for the output channel
-count.  Its activation follows from its place in the stack (see
-:mod:`mwrecon.network`), so a spec names none: `32@5x2:relu` is malformed.
 """
 
 from __future__ import annotations
 
 import math
-
-from .network import LayerSpec
 
 
 class ConfigError(ValueError):
@@ -107,18 +101,6 @@ def parse_filter_exponent(spec: str) -> float:
     """`P:0.6` -> 0.6 (a bare number is accepted too)."""
     spec = spec.strip()
     return parse_positive(spec[2:] if spec.upper().startswith("P:") else spec)
-
-
-def parse_layer_spec(spec: str, out_channels: int) -> LayerSpec:
-    """`32@5x2` -> ``LayerSpec(32, 5, 2)``; `out@3x2` takes ``out_channels``."""
-    channels, sep, kernel = spec.strip().lower().partition("@")
-    if not sep:
-        raise ValueError(f"layer spec {spec!r} needs channels@KXxKY")
-    kx, sep, ky = kernel.partition("x")
-    if not sep:
-        raise ValueError(f"layer spec {spec!r} needs a KXxKY kernel size")
-    channels = channels.strip()
-    return LayerSpec(out_channels if channels == "out" else int(channels), int(kx), int(ky))
 
 
 def parse_grappa_kernel(spec: str):

@@ -12,9 +12,12 @@ On the acquisition lattice (every R-th row) that footprint is a plain
 the networks' ``_im2col``.  Calibration splits the ACS lattice rows into
 [real coils, imaginary coils] channels, as a network's first layer does, so
 one symmetric real product yields the complex Gram matrix that every
-(target coil, offset) pair shares.  The fill multiplies all kernels with
-the complex patches of one zero-edged slab of lattice rows per block of
-governing lines, and writes each offset's rows through a strided view.
+(target coil, offset) pair shares.  Its footprints anchor on the ACS rows
+that :func:`check_footprint` finds by the networks' window rule,
+``kspace._lattice_anchors``, for a span of ``footprint_rows - 1`` rows.
+The fill multiplies all kernels with the complex patches of one zero-edged
+slab of lattice rows per block of governing lines, and writes each
+offset's rows through a strided view.
 At large grids the blocks, and calibration's two products, run on the
 worker pool of :mod:`mwrecon.kspace`, whose concurrency rule keeps the bits.
 """
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspace import MultiCoilKSpace, SamplingPattern, _map
-from .network import _im2col
+from .kspace import MultiCoilKSpace, SamplingPattern, _lattice_anchors, _map
+from .network import _frozen_weight, _im2col
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,7 @@ class GrappaKernel:
     def __post_init__(self):
         g = self.geometry
         expected = (self.n_coils, g.R - 1, self.n_coils, g.by_taps, g.kx_width)
-        w = np.array(self.weights, dtype=np.complex128, copy=True)
-        if w.shape != expected:
-            raise ValueError(f"weights shape {w.shape} does not match geometry {expected}")
-        if not np.isfinite(w).all():
-            raise ValueError("kernel weights contain non-finite values")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen_weight(self.weights, expected, np.complex128))
 
 
 # interpolate fills one block of governing lines at a time, its _im2col
@@ -98,34 +95,30 @@ _PATCH_BLOCK_BYTES = 2 << 20
 
 
 def _window_anchor_rows(acs_rows: int, geom: KernelGeometry, row0: int) -> np.ndarray:
-    """ACS-internal rows where a footprint can anchor on the acquisition lattice.
-
-    ``row0`` is the absolute grid row of the first ACS row; anchors must sit
-    on the stride-R lattice of the full grid so that calibration sees the
-    same relative positions the interpolation step will.
-    """
-    anchors = np.arange(max(0, acs_rows - geom.footprint_rows + 1))
-    return anchors[(row0 + anchors) % geom.R == 0]
+    """``geom``'s anchors in ``acs_rows`` ACS rows from grid row ``row0``; only the benchmark reads it."""
+    return _lattice_anchors(acs_rows, geom.R, row0, geom.footprint_rows - 1)
 
 
 def check_footprint(geom: KernelGeometry, nx: int, acs_rows: int, row0: int = 0,
-                    n_coils: int | None = None, ridge: float = 0.0) -> None:
-    """Raise unless ``calibrate`` can fit ``geom`` on the scan.
+                    n_coils: int | None = None, ridge: float = 0.0) -> np.ndarray:
+    """The ACS-internal rows where ``calibrate`` anchors ``geom``'s footprints; raises unless
+    it can fit ``geom`` on the scan.
 
     ``ValueError`` if ``geom`` is wider than the ``nx``-column readout or has no anchor on
     the lattice in the ``acs_rows`` ACS rows from grid row ``row0``; given ``n_coils``,
     ``LinAlgError`` if a ``ridge == 0`` fit has fewer equations than unknowns (singular).
     """
-    n_anchors = _window_anchor_rows(acs_rows, geom, row0).size
-    if geom.kx_width > nx or n_anchors == 0:
+    anchors = _lattice_anchors(acs_rows, geom.R, row0, geom.footprint_rows - 1)
+    if geom.kx_width > nx or anchors.size == 0:
         raise ValueError(
             f"footprint of {geom.kx_width} columns x {geom.footprint_rows} rows does not fit "
             f"the scan: {nx} columns, {acs_rows} ACS rows from row {row0} on the R={geom.R} lattice"
         )
-    n_rows, n_unknowns = n_anchors * (nx - 2 * geom.bx_half), geom.n_sources(n_coils or 0)
+    n_rows, n_unknowns = anchors.size * (nx - 2 * geom.bx_half), geom.n_sources(n_coils or 0)
     if ridge == 0.0 and n_rows < n_unknowns:
         raise np.linalg.LinAlgError(f"calibration system has {n_rows} equations for {n_unknowns} "
                                     "unknowns, so it is singular")
+    return anchors
 
 
 def _conj_product(P: np.ndarray) -> np.ndarray:
@@ -149,8 +142,7 @@ def calibrate(acs: MultiCoilKSpace, geom: KernelGeometry, ridge: float = 0.0,
     if not 0 <= ridge < math.inf:  # NaN too
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     R, n_coils = geom.R, acs.n_coils
-    check_footprint(geom, acs.nx, acs.ny, row0, n_coils, ridge)
-    anchors = _window_anchor_rows(acs.ny, geom, row0)
+    anchors = check_footprint(geom, acs.nx, acs.ny, row0, n_coils, ridge)
     split = np.concatenate([acs.data.real, acs.data.imag])  # [real coils, imaginary coils]
     # the anchors' lattice rows; one anchor's footprint is by_taps of them
     lattice = split[None, :, anchors[0] :: R][:, :, : anchors.size + geom.by_taps - 1]

@@ -8,6 +8,10 @@ Conventions used throughout the package:
   orthonormal, so Parseval holds,
 * a sampling pattern is three numbers, ``(ny, R, acs_count)``; the ACS
   block's first row and the row mask are derived from them,
+* GRAPPA's footprints and the networks' training windows anchor by one
+  rule (:func:`_lattice_anchors`): a window's top tap sits on an ACS row on
+  the grid's stride-``R`` lattice, with the ``span`` rows below it (its
+  taps and the R-1 target rows) inside the block,
 * one frozen container, :class:`MultiCoilKSpace`, holds a coil array in
   either domain.  Containers are immutable after construction; every
   operation returns a new object and is safe to call concurrently.
@@ -174,6 +178,13 @@ class SamplingPattern:
 def make_uniform_pattern(ny: int, R: int, acs_count: int) -> SamplingPattern:
     """Build the uniform-undersampling pattern for an ``ny``-row grid."""
     return SamplingPattern(ny, R, acs_count)
+
+
+def _lattice_anchors(acs_rows: int, R: int, row0: int, span: int) -> np.ndarray:
+    """ACS-internal rows ``a < acs_rows - span`` on the stride-``R`` lattice of a grid whose
+    row ``row0`` is the block's first: where a window reaching ``span`` rows below its top can
+    anchor (see the conventions above)."""
+    return np.arange(-row0 % R, acs_rows - span, R)
 
 
 _MIN_TASK_BYTES = 384 << 10

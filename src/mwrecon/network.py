@@ -224,8 +224,9 @@ class ScanNetwork:
             object.__setattr__(self, "skip_weight", _frozen_weight(self.skip_weight, expected))
 
 
-def _frozen_weight(w, expected_shape) -> np.ndarray:
-    arr = np.array(w, dtype=np.float64, copy=True)
+def _frozen_weight(w, expected_shape, dtype=np.float64) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``w``; raises unless it has ``expected_shape`` and is finite."""
+    arr = np.array(w, dtype=dtype, copy=True)
     if arr.shape != expected_shape:
         raise ValueError(f"weight shape {arr.shape} does not match {expected_shape}")
     if not np.isfinite(arr).all():

@@ -14,10 +14,12 @@ method's default: the network (:func:`default_arch`), the weighting bank
 (the all-pass branch plus, for the ``MULTIWEIGHT`` methods,
 ``DEFAULT_FILTER_EXPONENTS``) and GRAPPA's footprint (``KernelGeometry(R)``).
 It runs every check that needs only the scan's shape: the footprint's R and
-its fit at ``cfg.ridge``, the network's input channels and training window,
-and the bank's grid.  :func:`reconstruct` plans before it reads the data, and
-the CLI plans every run before any work, so both reject the same settings
-with the same text.
+its fit at ``cfg.ridge``, the network's input and output channels and its
+training windows, and the bank's grid.  The CLI plans every run before any
+work, and :func:`reconstruct`, the one scan driver, plans before it reads
+the data, so both reject the same settings with the same text; it then
+checks the data once, runs GRAPPA's fit and fill or :func:`mw_reconstruct`,
+and forms the image once.
 
 Multi-weight variants run the same flow on a batch of weighted copies of
 the measurement, one per filter of the bank: the all-pass branch (P = 0,
@@ -35,18 +37,20 @@ convolution evaluated at lattice offsets would.
 
 Rows: each stage touches only the rows it uses.  The acquired rows (the
 only nonzero ones) are normalised and projected onto the virtual coils;
-the branch batch is weighted on the ACS rows for training.  Inference runs
-only on the lattice rows whose outputs predict a missing row: one network
-call per run of such rows, usually one above and one below the ACS block,
-on the run's rows plus the receptive-field halo.  De-weighting, the branch
-combine and the map back to the physical coils run on the missing rows
-only, which are then written into a copy of the acquired rows.  A value
-equals what the same stages give on the whole grid bit for bit only where
-it has the same operands in the same order.  Coil products are taken one
-ky row at a time, so the projections and the map back do.  A run's GEMMs
-are narrower than the whole lattice's, and a BLAS may round a GEMM's
-columns by its width, so the networks' predictions agree with the whole
-lattice's to float32 rounding.
+the branch batch is weighted on the ACS rows for training, on the windows
+that ``kspace._lattice_anchors`` gives GRAPPA's footprints too, for a span
+of ``max(ky_taps_excess * R, R - 1)`` rows (:func:`training_windows`).
+Inference runs only on the lattice rows whose outputs predict a missing
+row: one network call per run of such rows, usually one above and one
+below the ACS block, on the run's rows plus the receptive-field halo.
+De-weighting, the branch combine and the map back to the physical coils
+run on the missing rows only, which are then written into a copy of the
+acquired rows.  A value equals what the same stages give on the whole grid
+bit for bit only where it has the same operands in the same order.  Coil
+products are taken one ky row at a time, so the projections and the map
+back do.  A run's GEMMs are narrower than the whole lattice's, and a BLAS
+may round a GEMM's columns by its width, so the networks' predictions
+agree with the whole lattice's to float32 rounding.
 
 Virtual coils: the networks run on a projection of the coils onto the
 ``nv`` leading left singular vectors of the scale-normalised ACS block
@@ -85,7 +89,7 @@ import numpy as np
 
 from .filters import WeightFilter, deweight
 from .grappa import KernelGeometry, calibrate, check_footprint, interpolate
-from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, _map, extract_acs
+from .kspace import MultiCoilKSpace, SamplingPattern, _fft2_rows, _lattice_anchors, _map, extract_acs
 from .network import (
     LayerSpec,
     NetworkArch,
@@ -224,21 +228,26 @@ def build_training_pairs(
     return TrainingSet(sources=ts.sources, targets=ts.targets[target_coil:target_coil + 1])
 
 
-def training_windows(arch: NetworkArch, R: int, acs_rows: int, acs_row0: int):
-    """(ACS-internal lattice rows, window count) of ``arch`` on ``acs_rows`` ACS rows from grid
-    row ``acs_row0``: its receptive fields on the lattice with room for the R-1 target rows
+def training_windows(arch: NetworkArch, R: int, acs_rows: int, acs_row0: int) -> np.ndarray:
+    """ACS-internal rows where ``arch``'s training windows anchor, on ``acs_rows`` ACS rows from
+    grid row ``acs_row0``: its receptive fields on the lattice with room for the R-1 target rows
     below the target gap.  ``ValueError`` if none fits."""
-    lat = np.arange(acs_rows)[(acs_row0 + np.arange(acs_rows)) % R == 0]
-    taps, gap = arch.ky_taps_excess, arch.target_row_gap
-    n_win = lat.size - taps
-    while n_win > 0 and lat[n_win - 1 + gap] + (R - 1) > acs_rows - 1:
-        n_win -= 1
-    if n_win < 1:
+    taps = arch.ky_taps_excess
+    anchors = _lattice_anchors(acs_rows, R, acs_row0, max(taps * R, R - 1))
+    if anchors.size == 0:
         raise ValueError(
             f"ACS too small: {acs_rows} rows; this architecture needs at least "
             f"{taps * R + 1} fully sampled rows (plus shift room for the R-1 targets)"
         )
-    return lat, n_win
+    return anchors
+
+
+def _require_channels(arch: NetworkArch, n_coils: int, R: int) -> None:
+    """Raise unless ``arch`` reads ``n_coils`` coils and emits the R-1 target rows, real and imaginary."""
+    if arch.in_channels != 2 * n_coils:
+        raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
+    if arch.out_channels != 2 * (R - 1):
+        raise ValueError(f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}")
 
 
 def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, dtype) -> TrainingSet:
@@ -248,20 +257,16 @@ def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, d
     both in ``dtype``; see :func:`build_training_pairs`.
     """
     n_f, n_coils, ny, nx = acs.shape
-    if arch.in_channels != 2 * n_coils:
-        raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
-    if arch.out_channels != 2 * (R - 1):
-        raise ValueError(f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}")
-    lat, n_win = training_windows(arch, R, ny, acs_row0)
-    taps, gap = arch.ky_taps_excess, arch.target_row_gap
-    compact = acs[:, :, lat[: n_win + taps], :]
+    _require_channels(arch, n_coils, R)
+    anchors = training_windows(arch, R, ny, acs_row0)
+    # the windows' lattice rows, from the first one's top tap to the last one's bottom tap
+    compact = acs[:, :, anchors[0] : anchors[-1] + arch.ky_taps_excess * R + 1 : R]
     sources = np.concatenate([compact.real, compact.imag], axis=1, dtype=dtype)
     ow = nx - (arch.rf_cols - 1)
     tx = arch.target_col_offset
-    targets = np.empty((n_coils, n_f, 2 * (R - 1), n_win, ow), dtype=dtype)
-    anchor_rows = lat[gap : gap + n_win]
+    targets = np.empty((n_coils, n_f, 2 * (R - 1), anchors.size, ow), dtype=dtype)
     for m in range(1, R):
-        block = acs[:, :, anchor_rows + m, tx : tx + ow].transpose(1, 0, 2, 3)
+        block = acs[:, :, anchors + arch.target_row_gap * R + m, tx : tx + ow].transpose(1, 0, 2, 3)
         targets[:, :, m - 1] = block.real
         targets[:, :, (R - 1) + m - 1] = block.imag
     return TrainingSet(sources=sources, targets=targets)
@@ -349,25 +354,22 @@ def plan(cfg: ReconConfig, n_coils: int, ny: int, nx: int):
         check_footprint(geom, nx, pattern.acs_count, pattern.acs_start, n_coils, cfg.ridge)
         return None, None, geom
     arch = cfg.arch or default_arch(cfg.method, n_coils, R)
-    if arch.in_channels != 2 * n_coils:
-        raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
+    _require_channels(arch, n_coils, R)
     training_windows(arch, R, pattern.acs_count, pattern.acs_start)
     mw = cfg.multiweight or MultiWeightConfig(ny, nx, DEFAULT_FILTER_EXPONENTS if cfg.method in MULTIWEIGHT else ())
     mw.require_grid(ny, nx)
     return arch, mw, None
 
 
-def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, arch: NetworkArch,
-                   mw: MultiWeightConfig) -> ReconResult:
-    """Every network method's scan-specific flow, on the network and bank that :func:`plan`
-    picks (public only because perfbench's span checks name it)."""
-    pattern = cfg.pattern
-    _require_consistent(measured, pattern)
-    R = pattern.R
+def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, arch: NetworkArch, mw: MultiWeightConfig):
+    """(filled k-space, loss histories) of every network method's scan-specific flow, on the
+    network and bank that :func:`plan` picks and data that :func:`reconstruct` has checked
+    (public only because perfbench's span checks name it)."""
+    pattern, R = cfg.pattern, cfg.pattern.R
     ny, nx = measured.ny, measured.nx
 
     # the networks read only acquired rows, the ACS block and the lattice;
-    # _require_consistent has shown that every other row is zero
+    # reconstruct's _require_consistent has shown that every other row is zero
     acquired = np.flatnonzero(pattern.mask)
     normalised = measured.data[:, acquired]
     scale = float(np.max(np.abs(normalised)))
@@ -419,23 +421,17 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, arch: NetworkArc
         filled[:, rows] = measured.data[:, rows]
     filled[:, missing] = np.matmul(basis, combined.transpose(1, 0, 2)).transpose(1, 0, 2) * scale
     filled.flags.writeable = False
-    result_kspace = MultiCoilKSpace(filled)
-    return ReconResult(result_kspace, reconstruct_image(result_kspace), tuple(histories))
-
-
-def _grappa_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, geom: KernelGeometry) -> ReconResult:
-    """Linear kernel calibration and interpolation."""
-    pattern = cfg.pattern
-    _require_consistent(measured, pattern)
-    acs = extract_acs(measured, pattern)
-    kernel = calibrate(acs, geom, ridge=cfg.ridge, row0=pattern.acs_start)
-    filled = interpolate(kernel, measured, pattern)
-    return ReconResult(filled, reconstruct_image(filled), ())
+    return MultiCoilKSpace(filled), histories
 
 
 def reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig) -> ReconResult:
     """Reconstruct ``measured`` with ``cfg.method``, on what :func:`plan` picks for its shape."""
+    pattern = cfg.pattern
     arch, mw, geom = plan(cfg, measured.n_coils, measured.ny, measured.nx)
-    if cfg.method == "grappa":
-        return _grappa_reconstruct(measured, cfg, geom)
-    return mw_reconstruct(measured, cfg, arch, mw)
+    _require_consistent(measured, pattern)
+    if geom is None:
+        filled, histories = mw_reconstruct(measured, cfg, arch, mw)
+    else:  # GRAPPA: linear kernel calibration and interpolation
+        kernel = calibrate(extract_acs(measured, pattern), geom, ridge=cfg.ridge, row0=pattern.acs_start)
+        filled, histories = interpolate(kernel, measured, pattern), ()
+    return ReconResult(filled, reconstruct_image(filled), tuple(histories))

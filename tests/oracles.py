@@ -181,6 +181,16 @@ def grappa_source_matrix(grid, anchors, geom):
     return taps.reshape(-1, grid.shape[2] * geom.by_taps * geom.kx_width)
 
 
+def lattice_windows_enumerated(acs_rows, R, row0, taps, gap):
+    """Every ACS row on the grid's stride-R lattice (``row0`` is the grid row of the first ACS
+    row) whose window fits the block: its ``taps + 1`` tap rows, R apart from it, and the
+    R-1 target rows below tap ``gap``."""
+    def fits(a):
+        rows = [a + k * R for k in range(taps + 1)] + [a + gap * R + m for m in range(1, R)]
+        return all(0 <= r < acs_rows for r in rows)
+    return [a for a in range(acs_rows) if (row0 + a) % R == 0 and fits(a)]
+
+
 def grappa_calibration_system(acs, geom, row0):
     """GRAPPA's source matrix ``A`` and the stacked targets of every (coil, offset) pair.
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mwrecon.filters import WeightFilter
-from mwrecon.grappa import KernelGeometry
-from mwrecon.kspace import MultiCoilKSpace, apply_pattern, make_uniform_pattern
+from mwrecon import grappa
+from mwrecon.grappa import KernelGeometry, check_footprint
+from mwrecon.kspace import MultiCoilKSpace, _lattice_anchors, apply_pattern, make_uniform_pattern
 from mwrecon.network import (
     LayerSpec,
     NetworkArch,
@@ -28,6 +29,7 @@ from oracles import (
     dft2c_direct,
     idft2c_direct,
     ifft2c,
+    lattice_windows_enumerated,
     planted_full_grid,
     scan_specific_full_grid,
     sos_combine,
@@ -158,6 +160,54 @@ class TestBuildTrainingPairs:
                 one = build_training_pairs(MultiCoilKSpace(batch[f]), 4, arch, coil, acs_row0=8)
                 assert np.array_equal(ts.sources[f], one.sources[0].astype(np.float32))
                 assert np.array_equal(ts.targets[coil, f], one.targets[0, 0].astype(np.float32))
+
+
+class TestAcsWindowRule:
+    """GRAPPA's footprints and the networks' training windows anchor by one rule."""
+
+    CASES = [(R, acs_rows, row0) for R in range(2, 7) for acs_rows in range(1, 25) for row0 in range(2 * R)]
+
+    def test_grappa_footprints_anchor_where_they_fit(self):
+        for R, acs_rows, row0 in self.CASES:
+            for by_taps in (2, 3, 4, 5):
+                geom = KernelGeometry(R, 1, by_taps)
+                expected = lattice_windows_enumerated(acs_rows, R, row0, by_taps - 1, geom.gap_index)
+                anchors = _lattice_anchors(acs_rows, R, row0, geom.footprint_rows - 1)
+                assert anchors.tolist() == expected, (R, acs_rows, row0, by_taps)
+                assert np.array_equal(grappa._window_anchor_rows(acs_rows, geom, row0), anchors)
+                if expected:
+                    assert np.array_equal(check_footprint(geom, 8, acs_rows, row0), anchors)
+                else:
+                    with pytest.raises(ValueError, match="does not fit the scan"):
+                        check_footprint(geom, 8, acs_rows, row0)
+
+    @pytest.mark.parametrize("layers", [
+        *(default_arch("raki", 1, 2, depth).layers[:-1] for depth in (1, 2, 3, 5)),
+        (LayerSpec(8, 3, 1), LayerSpec(8, 1, 1)),  # 1-tap layers: the targets, not the taps, bound a window
+        (LayerSpec(8, 3, 3), LayerSpec(8, 1, 4)),
+    ], ids=["depth1", "depth2", "depth3", "depth5", "one_tap", "odd_and_even_taps"])
+    def test_network_windows_anchor_where_they_fit(self, layers):
+        for R, acs_rows, row0 in self.CASES:
+            for final_taps in (1, 2, 3):
+                arch = NetworkArch(2, (*layers, LayerSpec(2 * (R - 1), 3, final_taps)))
+                expected = lattice_windows_enumerated(acs_rows, R, row0, arch.ky_taps_excess,
+                                                      arch.target_row_gap)
+                if expected:
+                    anchors = pipelines.training_windows(arch, R, acs_rows, row0)
+                    assert anchors.tolist() == expected, (R, acs_rows, row0, arch)
+                else:
+                    with pytest.raises(ValueError, match="ACS too small"):
+                        pipelines.training_windows(arch, R, acs_rows, row0)
+
+    def test_one_tap_stack_trains_on_every_window_whose_targets_fit(self):
+        # R=4, 9 ACS rows from grid row 0: lattice rows 0, 4, 8, but only 0 and 4 have their
+        # three target rows in the block
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((1, 9, 6)) + 1j * rng.standard_normal((1, 9, 6))
+        arch = NetworkArch(2, (LayerSpec(6, 3, 1),))
+        ts = build_training_pairs(MultiCoilKSpace(data), R=4, arch=arch, target_coil=0)
+        assert np.array_equal(ts.sources[0, 0], data[0, [0, 4]].real)
+        assert np.array_equal(ts.targets[0, 0, :3, 1], data[0, 5:8, 1:5].real)
 
 
 class TestDefaultArch:
@@ -293,20 +343,44 @@ def test_rejects_acquired_rows_that_are_all_zero(method):
         reconstruct(measured, cfg)
 
 
-@pytest.mark.parametrize("method, geometry, error, match", [
-    *((method, None, ValueError, "ACS too small: 8 rows") for method in pipelines.NETWORKS),
-    ("grappa", KernelGeometry(4, 1, 5), ValueError, "footprint of 3 columns x 17 rows does not fit the scan"),
+@pytest.mark.parametrize("method, acs, settings, error, match", [
+    *((method, 8, {}, ValueError, "ACS too small: 8 rows") for method in pipelines.NETWORKS),
+    # a final layer of 4 channels where R=4 needs 2 x 3
+    ("raki", 16, {"arch": NetworkArch(8, (LayerSpec(32, 5, 2), LayerSpec(4, 3, 2)))}, ValueError,
+     r"arch emits 4 channels but R=4 needs 6"),
+    ("grappa", 16, {"grappa_geometry": KernelGeometry(4, 1, 5)}, ValueError,
+     "footprint of 3 columns x 17 rows does not fit the scan"),
     # 3 lattice anchors x 32 columns = 96 equations for 4 coils x 2 x 17 = 136 unknowns
-    ("grappa", KernelGeometry(4, 8, 2), np.linalg.LinAlgError, "has 96 equations for 136 unknowns"),
-], ids=[*pipelines.NETWORKS, "grappa_footprint", "grappa_equations"])
-def test_reconstruct_plans_before_it_reads_the_data(monkeypatch, method, geometry, error, match):
+    ("grappa", 16, {"grappa_geometry": KernelGeometry(4, 8, 2)}, np.linalg.LinAlgError,
+     "has 96 equations for 136 unknowns"),
+], ids=[*pipelines.NETWORKS, "raki_final_width", "grappa_footprint", "grappa_equations"])
+def test_reconstruct_plans_before_it_reads_the_data(monkeypatch, method, acs, settings, error, match):
     checked = []
     monkeypatch.setattr(pipelines, "_require_consistent", lambda *args: checked.append(args))
-    _, measured, pattern = phantom_scene(R=4, acs=8 if geometry is None else 16)
-    cfg = ReconConfig(method=method, pattern=pattern, optimizer=fast_opt(1), grappa_geometry=geometry)
+    _, measured, pattern = phantom_scene(R=4, acs=acs)
+    cfg = ReconConfig(method=method, pattern=pattern, optimizer=fast_opt(1), **settings)
     with pytest.raises(error, match=match):
         reconstruct(measured, cfg)
     assert checked == []
+    with pytest.raises(error, match=match):
+        pipelines.plan(cfg, measured.n_coils, measured.ny, measured.nx)
+
+
+@pytest.mark.parametrize("method", ["grappa", "raki"])
+def test_reconstruct_checks_the_data_and_forms_the_image_once(monkeypatch, method):
+    calls = []
+    for name in ("_require_consistent", "reconstruct_image"):
+        original = getattr(pipelines, name)
+        monkeypatch.setattr(pipelines, name, lambda *args, f=original: calls.append(f.__name__) or f(*args))
+    _, measured, pattern = phantom_scene()
+    cfg = ReconConfig(method, pattern, optimizer=fast_opt(1), ridge=1e-3 if method == "grappa" else 0.0)
+    result = reconstruct(measured, cfg)
+    assert calls == ["_require_consistent", "reconstruct_image"]
+    assert np.array_equal(result.sos, reconstruct_image(result.kspace))
+    if method == "grappa":
+        assert result.loss_histories == ()
+    else:  # one single-iteration history per virtual coil
+        assert result.loss_histories and {len(h) for h in result.loss_histories} == {1}
 
 
 class TestScanSpecificPipeline:
