@@ -16,6 +16,12 @@ only): with glibc's defaults it trimmed its heap after every request and
 re-faulted it on the next, 1660-3380 minor faults per training call, and
 ran its share 35-70% slower than the caller ran the same share.
 
+Both pipes are widened to 1 MiB with ``F_SETPIPE_SZ`` where the platform
+has it and the kernel allows it; else they keep the default.  A network
+scan's request, its training and inference inputs, is about 590 KB at
+128 x 128 with the weighting bank, and at the default 64 KiB the caller's
+write blocks until the helper has read most of it.
+
 A caller that has run its own share polls for the replies for as long
 again as its share took, and only then blocks on the pipes.  Blocking lets
 the host run other work on the caller's CPU, and in the benchmark's
@@ -44,10 +50,17 @@ import time
 import traceback
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not on Windows
+    fcntl = None
+
 _PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
 _BOOT = "import sys; sys.path.insert(0, sys.argv[1]); from mwrecon._helper import serve; serve()"
 _ALLOCATOR = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}
 _EXIT_WAIT_S = 10.0
+_PIPE_BYTES = 1 << 20
+_SETPIPE_SZ = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
 
 _helpers: list = []  # live _Helper objects, started on first use
 _lock = threading.Lock()
@@ -65,6 +78,12 @@ class _Helper:
             stdout=subprocess.PIPE,
             env={**os.environ, **_ALLOCATOR},
         )
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            if _SETPIPE_SZ is not None:
+                try:
+                    fcntl.fcntl(pipe, _SETPIPE_SZ, _PIPE_BYTES)
+                except OSError:  # above pipe-max-size, or past the user's pipe quota: keep the default
+                    pass
         self._reply_ready = None
         if hasattr(select, "poll"):  # not on Windows, whose select takes only sockets
             self._reply_ready = select.poll()

@@ -62,6 +62,7 @@ from .pipelines import (
     NETWORKS,
     MultiWeightConfig,
     ReconConfig,
+    _require_width,
     default_arch,
     plan,
     reconstruct,
@@ -216,16 +217,18 @@ def _arch_from(entries, method, n_coils, pattern) -> NetworkArch | None:
     """The `layers` and `skip` keys' network, or None for the default; a `skip` alone joins the
     method's default stack.  A final layer or skip not 2·(R−1) wide, or a skip outside the stack's
     receptive field, is rejected."""
-    need = 2 * (pattern.R - 1)
     def layer(text):
-        return _parse_layer_spec(text, need)
+        return _parse_layer_spec(text, 2 * (pattern.R - 1))
     def bad(key, reason):
         lineno, _, source = [e for e in entries[key] if e[1].replace(",", "").strip()][-1]
         return ConfigError(f"{source}:{lineno}: bad value for key {key!r}: {reason}")
     layers, skip = get_list(entries, "layers", layer), get_scalar(entries, "skip", layer)
-    for key, what, spec in (("layers", "final layer", layers[-1] if layers else None), ("skip", "skip", skip)):
-        if spec is not None and spec.out_channels != need:
-            raise bad(key, f"the {what} emits {spec.out_channels} channels but R={pattern.R} needs {need}")
+    for key, part, spec in (("layers", "final layer", layers[-1] if layers else None), ("skip", "skip", skip)):
+        if spec is not None:
+            try:
+                _require_width(part, spec.out_channels, pattern.R)  # plan's rule, named by the key's line
+            except ValueError as exc:
+                raise bad(key, str(exc)) from exc
     arch = None
     if layers or skip is not None:
         stack = NetworkArch(2 * n_coils, layers) if layers else default_arch(method, n_coils, pattern.R)

@@ -36,7 +36,8 @@ same-architecture networks, one per coil, and run all of them in one pass
 * Inference runs one batch sample (weighting branch) at a time and drops
   that sample's activations before the next starts, so peak memory does
   not grow with the batch.  Within a sample, the later layers run in coil
-  groups sized by the same rule.
+  groups sized by the same rule.  :func:`train` runs it too, on the
+  inputs it is given, with the networks it has just trained.
 
 Activations are channels-first, ``[coils, ch, N, H, W]``: each coil's
 channel is one contiguous block and readout is innermost, so every patch
@@ -65,7 +66,8 @@ Coil shares: the coils' networks share nothing but their read-only input,
 so :func:`train` splits the coil axis into shares and trains them at once.
 The caller trains the first share with the one-process loop, and a
 persistent helper process (:mod:`mwrecon._helper`) trains each other share
-from the same stacked parameter arrays; the results go back in coil order.
+from the same stacked parameter arrays, then infers its coils on every
+input; the results go back in coil order.
 
 * Share rule: one share per worker of the budget stated in
   :mod:`mwrecon.kspace`'s concurrency section (``kspace._workers``), at
@@ -83,16 +85,19 @@ from the same stacked parameter arrays; the results go back in coil order.
   calls with the GIL held between them, so two threads over coil halves
   lost to it, as did pipelining the first-layer GEMMs on a worker thread
   (0.86 to 1.19 ms per raki step).  A helper has its own interpreter; a
-  shared call pays one pickled round trip of the sources and the share's
-  parameters and targets.
+  shared call pays one pickled round trip: the sources, the share's
+  parameters and targets and every inference input go out, and the
+  share's parameters, histories and predictions come back.  A round trip
+  of its own per inference call was slower than inferring on the caller
+  (2.7 against 1.4 ms for a raki128 scan's two calls).
 * Results: a coil's arithmetic does not depend on its share but for the
   rounding of GEMMs of other shapes (float32 rraki weights moved by 1.4e-6
   relative after 20 iterations; raki, mw_raki and mw_rraki kept every bit).
   On one CPU, below the break-even, and when another thread's call holds
   the helpers, the one-process loop trains every coil as before.
-* Divergence: each share stops at its first non-finite loss, and the
-  caller raises for the earliest (iteration, coil) over all shares, naming
-  the coil's global index.
+* Divergence: each share stops at its first non-finite loss and infers
+  nothing, and the caller raises for the earliest (iteration, coil) over
+  all shares, naming the coil's global index.
 * Only the private :func:`_fit` runs on a helper; every public function
   runs in the caller's process and thread.
 """
@@ -575,12 +580,14 @@ def _shares(arch: NetworkArch, shape, coils: int, iters: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fit(arch: NetworkArch, params, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
-    """Adam on stacked ``params`` against ``targets`` [coils, N, O, OH, OW].
+def _fit(arch: NetworkArch, params, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig, inputs):
+    """Adam on stacked ``params`` against ``targets`` [coils, N, O, OH, OW], then inference.
 
-    Returns (params, losses [coils, iters], divergence), the last being the
-    first (iteration, coil) with a non-finite loss, where training stopped,
-    or None.  A helper process runs it on its share of the coils.
+    Returns (params, losses [coils, iters], divergence, predictions).  The
+    divergence is the first (iteration, coil) with a non-finite loss, where
+    training stopped and nothing is inferred, or None; the predictions are
+    the trained coils' outputs on each of ``inputs``, in its precision.  A
+    helper process runs it on its share of the coils.
     """
     input_cols = _input_cols(arch, sources)
     y = np.ascontiguousarray(targets.transpose(0, 2, 1, 3, 4))
@@ -594,13 +601,16 @@ def _fit(arch: NetworkArch, params, sources: np.ndarray, targets: np.ndarray, op
             values, grads = _loss_and_grads(arch, params, input_cols, y)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                return params, losses, (it, int(bad[0]))
+                return params, losses, (it, int(bad[0])), []
             losses[:, it - 1] = values
             _adam_update(params, grads, first_moment, second_moment, it, float(opt.lr))
-    return params, losses, None
+    # in each input's precision, as forward packs the trained networks' float64 weights,
+    # which hold these parameters exactly
+    predictions = [_forward(arch, [p.astype(x.dtype, copy=False) for p in params], x) for x in inputs]
+    return params, losses, None, predictions
 
 
-def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig):
+def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig, inputs):
     arch = nets[0].arch
     params = _pack(nets, sources.dtype)
     shares = _shares(arch, sources.shape, len(nets), opt.iters)
@@ -609,16 +619,19 @@ def _train(nets, sources: np.ndarray, targets: np.ndarray, opt: OptimizerConfig)
         # imported here: subprocess costs a process that never shares 0.5 MB of RSS
         from . import _helper
 
-        results = _helper.run(_fit, [(arch, [p[s] for p in params], sources, targets[s], opt) for s in shares])
+        results = _helper.run(
+            _fit, [(arch, [p[s] for p in params], sources, targets[s], opt, inputs) for s in shares]
+        )
     if results is None:  # one share, or another thread holds the helpers
-        shares, results = [slice(0, len(nets))], [_fit(arch, params, sources, targets, opt)]
-    diverged = [(d[0], s.start + d[1]) for s, (_, _, d) in zip(shares, results) if d is not None]
+        shares, results = [slice(0, len(nets))], [_fit(arch, params, sources, targets, opt, inputs)]
+    diverged = [(d[0], s.start + d[1]) for s, (_, _, d, _) in zip(shares, results) if d is not None]
     if diverged:
         it, coil = min(diverged)
         raise TrainingDivergedError(f"coil {coil}: non-finite training loss at iteration {it}")
     params = [np.concatenate([r[0][i] for r in results]) for i in range(len(params))]
     losses = np.concatenate([r[1] for r in results])
-    return tuple(ScanNetwork(arch, *_unpack(arch, params, c)) for c in range(len(nets))), losses
+    predictions = [np.concatenate([r[3][k] for r in results]) for k in range(len(inputs))]
+    return tuple(ScanNetwork(arch, *_unpack(arch, params, c)) for c in range(len(nets))), losses, *predictions
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +676,17 @@ def forward(nets, x: np.ndarray) -> np.ndarray:
     """
     nets = _as_nets(nets)
     arch = nets[0].arch
+    x = _checked_input(arch, x)
+    return _forward(arch, _pack(nets, x.dtype), x)
+
+
+def _checked_input(arch: NetworkArch, x) -> np.ndarray:
+    """``x`` in the precision ``arch`` computes in for it; raises unless ``arch`` can read it."""
     x = _as_input(x)
     if x.ndim != 4 or x.shape[1] != arch.in_channels:
         raise ValueError(f"input must be [batch, {arch.in_channels}, ky, kx], got {x.shape}")
     arch.output_shape(x.shape[2], x.shape[3])
-    return _forward(arch, _pack(nets, x.dtype), x)
+    return x
 
 
 def _check_training_set(nets, ts: TrainingSet) -> None:
@@ -682,18 +701,23 @@ def _check_training_set(nets, ts: TrainingSet) -> None:
         raise ValueError(f"targets shape {ts.targets.shape} does not match outputs {expected}")
 
 
-def train(nets, ts: TrainingSet, opt: OptimizerConfig):
-    """Run ``opt.iters`` full-batch iterations; returns (trained nets, loss histories).
+def train(nets, ts: TrainingSet, opt: OptimizerConfig, inputs=()):
+    """Run ``opt.iters`` full-batch iterations; returns (trained nets, loss histories, *predictions).
 
     ``nets`` is a sequence of same-architecture networks, one per coil, that
     all read ``ts.sources``; coil ``c`` fits ``ts.targets[c]``.  The result
     is a tuple of trained networks and histories [coils, iters], each the
-    loss at the start of every iteration.  Each coil's history and weights
-    agree with training it alone up to rounding.  A large enough call trains
-    shares of the coils on helper processes (see the module's coil shares).
-    A non-finite loss aborts with :class:`TrainingDivergedError` naming the
+    loss at the start of every iteration, followed by one prediction per
+    entry of ``inputs``: what :func:`forward` gives on it with the trained
+    networks, in its precision, up to the rounding of a share's narrower
+    GEMMs.  The inputs are checked as :func:`forward` checks them, before
+    any training.  Each coil's history and weights agree with training it
+    alone up to rounding.  A large enough call trains, and infers, shares of
+    the coils on helper processes (see the module's coil shares).  A
+    non-finite loss aborts with :class:`TrainingDivergedError` naming the
     earliest iteration and the first coil whose loss it was.
     """
     nets = _as_nets(nets)
     _check_training_set(nets, ts)
-    return _train(nets, ts.sources, ts.targets, opt)
+    inputs = [_checked_input(nets[0].arch, x) for x in inputs]
+    return _train(nets, ts.sources, ts.targets, opt, inputs)

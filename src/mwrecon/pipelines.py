@@ -41,16 +41,21 @@ the branch batch is weighted on the ACS rows for training, on the windows
 that ``kspace._lattice_anchors`` gives GRAPPA's footprints too, for a span
 of ``max(ky_taps_excess * R, R - 1)`` rows (:func:`training_windows`).
 Inference runs only on the lattice rows whose outputs predict a missing
-row: one network call per run of such rows, usually one above and one
-below the ACS block, on the run's rows plus the receptive-field halo.
-De-weighting, the branch combine and the map back to the physical coils
-run on the missing rows only, which are then written into a copy of the
-acquired rows.  A value equals what the same stages give on the whole grid
-bit for bit only where it has the same operands in the same order.  Coil
-products are taken one ky row at a time, so the projections and the map
-back do.  A run's GEMMs are narrower than the whole lattice's, and a BLAS
-may round a GEMM's columns by its width, so the networks' predictions
-agree with the whole lattice's to float32 rounding.
+row: one network input per run of such rows, usually one above and one
+below the ACS block, holding the run's rows plus the receptive-field halo.
+The inputs are built before training and travel with it: one
+:func:`mwrecon.network.train` call trains the networks and returns their
+predictions on every input, so a coil share trained on a helper process
+also infers its coils there.  De-weighting, the branch combine and the
+map back to the physical coils run on the missing rows only, which are
+then written into a copy of the acquired rows.  The map back is one GEMM
+``basis @ combined`` over every missing sample, each one sum over the
+``nv`` virtual coils.  A value equals what the same stages give on the
+whole grid bit for bit only where it has the same operands in the same
+order.  The projections take their coil products one ky row at a time,
+so they do.  A run's GEMMs are narrower than the whole lattice's, and a
+BLAS may round a GEMM's columns by its width, so the networks'
+predictions agree with the whole lattice's to float32 rounding.
 
 Virtual coils: the networks run on a projection of the coils onto the
 ``nv`` leading left singular vectors of the scale-normalised ACS block
@@ -95,7 +100,6 @@ from .network import (
     NetworkArch,
     OptimizerConfig,
     TrainingSet,
-    forward,
     init_network,
     train,
 )
@@ -246,8 +250,13 @@ def _require_channels(arch: NetworkArch, n_coils: int, R: int) -> None:
     """Raise unless ``arch`` reads ``n_coils`` coils and emits the R-1 target rows, real and imaginary."""
     if arch.in_channels != 2 * n_coils:
         raise ValueError(f"arch expects {arch.in_channels} input channels, data provides {2 * n_coils}")
-    if arch.out_channels != 2 * (R - 1):
-        raise ValueError(f"arch emits {arch.out_channels} channels but R={R} needs {2 * (R - 1)}")
+    _require_width("final layer", arch.out_channels, R)
+
+
+def _require_width(part: str, channels: int, R: int) -> None:
+    """Raise unless ``part`` (the final layer, or the skip that must match it) emits ``2*(R-1)`` channels."""
+    if channels != 2 * (R - 1):
+        raise ValueError(f"the {part} emits {channels} channels but R={R} needs {2 * (R - 1)}")
 
 
 def _training_pairs(acs: np.ndarray, R: int, arch: NetworkArch, acs_row0: int, dtype) -> TrainingSet:
@@ -385,41 +394,46 @@ def mw_reconstruct(measured: MultiCoilKSpace, cfg: ReconConfig, arch: NetworkArc
     # float32: the networks compute in their input's precision
     acs = _weighted(virt[:, acs_at], mw, acs_rows)  # [n_f, nv, acs_count, nx]
     ts = _training_pairs(acs, R, arch, pattern.acs_start, np.float32)
-    nets0 = [init_network(arch, cfg.seed + coil) for coil in range(nv)]
-    nets, histories = train(nets0, ts, cfg.optimizer)
 
-    # inference: output row o of a network predicts original rows o*R + m;
+    # inference inputs: output row o of a network predicts original rows o*R + m;
     # only missing rows keep a prediction, so the networks run once per run
-    # [s, e) of consecutive o those rows fall in (above and below the ACS
-    # block), on the run's lattice rows plus the receptive-field halo
+    # of consecutive o those rows fall in (above and below the ACS block),
+    # on the run's lattice rows plus the receptive-field halo
     missing = pattern.missing_rows
     o, channels = missing // R, np.stack([missing % R - 1, missing % R + R - 2])  # real, imaginary output
     lat = np.arange(0, ny, R)
     gap, taps, tx = arch.target_row_gap, arch.ky_taps_excess, arch.target_col_offset
+    kept = np.unique(o)
+    runs = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
+    inputs = []
+    for run in runs:
+        top = run[0] - gap  # padded input row j holds lattice row top + j, zero off the lattice
+        lo, hi = max(top, 0), min(top + run.size + taps, lat.size)
+        batch = _weighted(virt[:, np.searchsorted(acquired, lat[lo:hi])], mw, lat[lo:hi])
+        x = np.zeros((len(mw.filters), 2 * nv, run.size + taps, nx + arch.rf_cols - 1), dtype=np.float32)
+        x[:, :, lo - top:hi - top, tx:tx + nx] = np.concatenate([batch.real, batch.imag], axis=1)
+        inputs.append(x)
+    nets0 = [init_network(arch, cfg.seed + coil) for coil in range(nv)]
+    _, histories, *outs = train(nets0, ts, cfg.optimizer, inputs)  # outs: [nv, n_f, 2*(R-1), run.size, nx]
+
     # a branch's gain is what de-weighting makes of a 1; the valid branches are de-weighted
     # and averaged in real arithmetic, into the combined estimate's real and imaginary parts
     gains, valid = zip(*(deweight(np.ones((missing.size, nx)), f, missing, mw.eps) for f in mw.filters))
     combined = np.zeros((nv, missing.size, nx), dtype=np.complex128)
     parts = combined.view(np.float64).reshape(nv, missing.size, nx, 2).transpose(0, 3, 1, 2)
-    kept = np.unique(o)
-    for run in np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1):
-        s, e = run[0], run[-1] + 1
-        top = s - gap  # padded input row j holds lattice row top + j, zero off the lattice
-        lo, hi = max(top, 0), min(top + e - s + taps, lat.size)
-        batch = _weighted(virt[:, np.searchsorted(acquired, lat[lo:hi])], mw, lat[lo:hi])
-        x = np.zeros((len(mw.filters), 2 * nv, e - s + taps, nx + arch.rf_cols - 1), dtype=np.float32)
-        x[:, :, lo - top:hi - top, tx:tx + nx] = np.concatenate([batch.real, batch.imag], axis=1)
-        out = forward(nets, x)  # [nv, n_f, 2*(R-1), e - s, nx]
-        rows = slice(*np.searchsorted(o, [s, e]))
+    for run, out in zip(runs, outs):
+        rows = slice(*np.searchsorted(o, [run[0], run[-1] + 1]))
         for b, gain in enumerate(gains):
-            parts[:, :, rows] += out[:, b, channels[:, rows], o[rows] - s] * gain[rows]
+            parts[:, :, rows] += out[:, b, channels[:, rows], o[rows] - run[0]] * gain[rows]
     parts *= 1.0 / np.sum(valid, axis=0)  # the all-pass branch is always valid
 
     # back to the physical coils, into a copy of the measurement's acquired rows
     filled = np.empty_like(measured.data)
     for rows in (slice(None, None, R), slice(pattern.acs_start, pattern.acs_start + pattern.acs_count)):
         filled[:, rows] = measured.data[:, rows]
-    filled[:, missing] = np.matmul(basis, combined.transpose(1, 0, 2)).transpose(1, 0, 2) * scale
+    back = basis @ combined.reshape(nv, -1)  # one GEMM; each sample a sum over the nv virtual coils
+    back *= scale
+    filled[:, missing] = back.reshape(-1, missing.size, nx)
     filled.flags.writeable = False
     return MultiCoilKSpace(filled), histories
 

@@ -181,6 +181,13 @@ def grappa_source_matrix(grid, anchors, geom):
     return taps.reshape(-1, grid.shape[2] * geom.by_taps * geom.kx_width)
 
 
+def deepest_gemm_depth(arch):
+    """The longest sum K of ``arch``'s GEMMs: the first layer and the skip path read the input's
+    patches, kt*kw*I deep, and a later layer's GEMM sums over its input channels."""
+    shared = [spec.ky_taps * spec.kx_width * arch.in_channels for spec in (arch.layers[0], arch.skip) if spec]
+    return max(shared + [spec.out_channels for spec in arch.layers[:-1]])
+
+
 def lattice_windows_enumerated(acs_rows, R, row0, taps, gap):
     """Every ACS row on the grid's stride-R lattice (``row0`` is the grid row of the first ACS
     row) whose window fits the block: its ``taps + 1`` tap rows, R apart from it, and the

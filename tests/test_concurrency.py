@@ -17,6 +17,7 @@ import os
 import signal
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,10 @@ import mwrecon
 from mwrecon import _helper, kspace, network, phantom, pipelines
 from mwrecon.grappa import KernelGeometry, calibrate, interpolate
 from mwrecon.kspace import apply_pattern, extract_acs, make_uniform_pattern
-from mwrecon.network import OptimizerConfig, TrainingDivergedError, TrainingSet, init_network, train
+from mwrecon.network import OptimizerConfig, TrainingDivergedError, TrainingSet, forward, init_network, train
 from mwrecon.phantom import make_coil_maps, shepp_logan, simulate_kspace
 from mwrecon.pipelines import MULTIWEIGHT, ReconConfig, default_arch, reconstruct_image
+from oracles import deepest_gemm_depth
 
 # a grid above the size rule: one 192 x 256 coil plane is 768 KiB
 NY, NX, COILS = 192, 256, 8
@@ -154,7 +156,8 @@ def test_public_functions_run_on_the_calling_thread(scene, rounds, helpers, monk
     pipelines.reconstruct(apply_pattern(noisy, pattern), ReconConfig("raki", pattern, optimizer=OptimizerConfig(iters=2)))
     assert len(rounds) >= 4 and helpers.shares
     names = {name for name, _ in seen}
-    assert {"calibrate", "interpolate", "reconstruct_image", "simulate_kspace", "train", "forward"} <= names
+    assert {"calibrate", "interpolate", "reconstruct_image", "simulate_kspace", "train"} <= names
+    assert "forward" not in names  # training infers too, on the helpers' shares as well
     assert all(thread is threading.main_thread() for _, thread in seen)
 
 
@@ -279,6 +282,14 @@ def test_shared_training_equals_the_one_process_run(helpers, monkeypatch, method
     assert_same_training(shared, one_process(monkeypatch, nets, ts))
 
 
+def inference_inputs(ts, dtype, other):
+    """Two inputs of the training sources' channels: a taller one in ``dtype`` and one in ``other``."""
+    rng = np.random.default_rng(3)
+    n, ch, h, w = ts.sources.shape
+    return [rng.standard_normal((n, ch, h + 3, w + 5)).astype(dtype),
+            rng.standard_normal((1, ch, h, w)).astype(other)]
+
+
 @pytest.mark.parametrize("bad, named", [((3,), 3), ((1, 3), 1), ((0,), 0)],
                          ids=["helper", "both", "caller"])
 def test_divergence_names_the_global_coil_and_iteration(helpers, monkeypatch, bad, named):
@@ -291,12 +302,65 @@ def test_divergence_names_the_global_coil_and_iteration(helpers, monkeypatch, ba
     # others diverge at iteration 2; the earliest iteration is named first
     opt = OptimizerConfig(lr=1e200, iters=5)
     message = rf"^coil {named}: non-finite training loss at iteration 1$"
+    inputs = inference_inputs(ts, np.float64, np.float32)  # a diverged share infers nothing
     with pytest.raises(TrainingDivergedError, match=message):
-        train(nets, ts, opt)
+        train(nets, ts, opt, inputs)
     assert helpers.shares == [2] and _helper._helpers[0].proc.poll() is None  # the helper serves on
     monkeypatch.setattr(kspace, "_cpus", lambda: 1)
     with pytest.raises(TrainingDivergedError, match=message):
-        train(nets, ts, opt)
+        train(nets, ts, opt, inputs)
+
+
+def prediction_tolerance(arch, dtype):
+    """The share tests' relative tolerance in float64; in float32, ``K ε`` for the deepest GEMM depth K.
+
+    A share's first-layer and skip GEMMs are narrower than the whole call's,
+    and OpenBLAS's Haswell sgemm rounds by the width (1.3e-7 to 4.1e-7
+    relative seen); two orders of a depth-K sum differ by at most ``K ε``
+    of it (see test_pipelines' ``assert_matches_the_full_grid_oracle``).
+    """
+    return 1e-10 if dtype == np.float64 else deepest_gemm_depth(arch) * np.finfo(np.float32).eps
+
+
+# one share (one coil), and 2, 3 and 4 shares (2, 3 and 5 coils on 4 CPUs)
+@pytest.mark.parametrize("coils", [1, 2, 3, 5])
+@pytest.mark.parametrize("method", ["raki", "mw_rraki"], ids=["no_skip", "skip"])
+@pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)],
+                         ids=["float32", "float64"])
+def test_training_infers_what_forward_gives_with_the_trained_networks(helpers, method, coils, dtype, other):
+    nets, ts = training_case(method, coils)
+    ts = TrainingSet(ts.sources.astype(dtype), ts.targets)  # trains in dtype
+    inputs = inference_inputs(ts, dtype, other)
+    trained, histories, *predictions = train(nets, ts, OPT, inputs)
+    assert helpers.shares == ([] if coils == 1 else [min(coils, kspace._MAX_WORKERS)])
+    assert len(predictions) == len(inputs)
+    for x, got in zip(inputs, predictions):
+        want = forward(trained, x)
+        assert got.dtype == want.dtype == x.dtype and got.shape == want.shape
+        assert max_relative(got, want) <= prediction_tolerance(nets[0].arch, x.dtype)
+    assert_same_training((trained, histories), train(nets, ts, OPT))
+
+
+def test_an_input_of_the_wrong_width_is_rejected_before_any_training(helpers, monkeypatch):
+    trained = []
+    monkeypatch.setattr(network, "_train", lambda *args: trained.append(args))
+    nets, ts = training_case("rraki", 3)
+    x = inference_inputs(ts, np.float32, np.float32)[0][:, 1:]
+    with pytest.raises(ValueError, match=r"input must be \[batch, 6, ky, kx\], got \(1, 5, "):
+        train(nets, ts, OPT, [x])
+    assert trained == [] and (helpers.shares, helpers.busy) == ([], 0)
+
+
+def test_helper_pipes_hold_a_mebibyte(helpers):
+    fcntl = pytest.importorskip("fcntl")
+    max_size = Path("/proc/sys/fs/pipe-max-size")
+    if not hasattr(fcntl, "F_GETPIPE_SZ") or not max_size.exists():
+        pytest.skip("pipe capacity is fixed on this platform")
+    if int(max_size.read_text()) < _helper._PIPE_BYTES:
+        pytest.skip("pipe-max-size is below 1 MiB")
+    assert _helper.run(int, [("1",), ("2",)]) == [1, 2]
+    proc = _helper._helpers[0].proc
+    assert all(fcntl.fcntl(pipe, fcntl.F_GETPIPE_SZ) >= 1 << 20 for pipe in (proc.stdin, proc.stdout))
 
 
 def in_thread(fn, timeout=60.0):

@@ -15,6 +15,7 @@ from mwrecon.network import (
     init_network,
     train,
 )
+from mwrecon import kspace
 from mwrecon import network as network_module
 from mwrecon.pipelines import default_arch
 from oracles import conv_naive
@@ -606,7 +607,9 @@ class TestCoilGroups:
     # (train, inference) group sizes at 128x128, 8 coils, R=4, ACS 32, float32:
     # the networks run on 4 virtual coils; raki and rraki train one weighting
     # branch, so all 4 fit one group, and mw_raki and mw_rraki train three;
-    # inference runs on two runs of 12 of the 32 lattice rows each
+    # inference runs on two runs of 12 of the 32 lattice rows each.  In one
+    # process: coil shares on helpers would each group only their own coils,
+    # and this process would see only its share's groups
     @pytest.mark.parametrize("method, train_size, infer_size", [
         ("raki", 4, 3), ("rraki", 4, 3), ("mw_raki", 1, 2), ("mw_rraki", 2, 3),
     ])
@@ -615,6 +618,7 @@ class TestCoilGroups:
         from mwrecon.phantom import make_coil_maps, shepp_logan, simulate_kspace
         from mwrecon.pipelines import ReconConfig, reconstruct
 
+        monkeypatch.setattr(kspace, "_cpus", lambda: 1)
         sizes = spy_on_group_sizes(monkeypatch)
         pattern = make_uniform_pattern(128, 4, 32)
         full = simulate_kspace(shepp_logan(128, 128), make_coil_maps(8, 128, 128, seed=7))

@@ -26,6 +26,7 @@ from mwrecon.pipelines import (
     reconstruct_image,
 )
 from oracles import (
+    deepest_gemm_depth,
     dft2c_direct,
     idft2c_direct,
     ifft2c,
@@ -347,7 +348,7 @@ def test_rejects_acquired_rows_that_are_all_zero(method):
     *((method, 8, {}, ValueError, "ACS too small: 8 rows") for method in pipelines.NETWORKS),
     # a final layer of 4 channels where R=4 needs 2 x 3
     ("raki", 16, {"arch": NetworkArch(8, (LayerSpec(32, 5, 2), LayerSpec(4, 3, 2)))}, ValueError,
-     r"arch emits 4 channels but R=4 needs 6"),
+     r"the final layer emits 4 channels but R=4 needs 6"),
     ("grappa", 16, {"grappa_geometry": KernelGeometry(4, 1, 5)}, ValueError,
      "footprint of 3 columns x 17 rows does not fit the scan"),
     # 3 lattice anchors x 32 columns = 96 equations for 4 coils x 2 x 17 = 136 unknowns
@@ -416,23 +417,19 @@ class TestScanSpecificPipeline:
 
         seen = []
 
-        def spy_train(nets, ts, opt):
-            seen.append(("train", ts.sources.dtype, ts.targets.dtype))
-            return train_inner(nets, ts, opt)
+        def spy_train(nets, ts, opt, inputs=()):
+            seen.append(("train", ts.sources.dtype, ts.targets.dtype, [x.dtype for x in inputs]))
+            return train_inner(nets, ts, opt, inputs)
 
-        def spy_forward(nets, x):
-            seen.append(("forward", x.dtype))
-            return forward_inner(nets, x)
-
-        train_inner, forward_inner = pipelines.train, pipelines.forward
+        train_inner = pipelines.train
         monkeypatch.setattr(pipelines, "train", spy_train)
-        monkeypatch.setattr(pipelines, "forward", spy_forward)
         _, measured, pattern = phantom_scene(snr=25, seed=12)
         cfg = ReconConfig(method=method, pattern=pattern, seed=5, optimizer=fast_opt(5))
         result = reconstruct(measured, cfg)
         f32 = np.dtype(np.float32)
-        # one inference call per run of kept lattice rows: above and below the ACS block
-        assert seen == [("train", f32, f32), ("forward", f32), ("forward", f32)]
+        # one training call, which infers on one input per run of kept lattice rows:
+        # above and below the ACS block
+        assert seen == [("train", f32, f32, [f32, f32])]
         assert result.kspace.data.dtype == np.complex128
         assert np.array_equal(result.kspace.data[:, pattern.mask], measured.data[:, pattern.mask])
 
@@ -599,9 +596,7 @@ def assert_matches_the_full_grid_oracle(got, measured, pattern, mw, method, seed
     arch = default_arch(method, basis.shape[1], pattern.R, depth)
     expected = scan_specific_full_grid(measured, pattern, mw.filters, mw.eps, basis, arch, seed, opt)
     assert np.array_equal(got[:, pattern.mask], expected[:, pattern.mask])
-    # the first layer and the skip path read the input's patches; a later layer's GEMM sums over its input
-    shared = [spec.ky_taps * spec.kx_width * arch.in_channels for spec in (arch.layers[0], arch.skip) if spec]
-    k = max(shared + [spec.out_channels for spec in arch.layers[:-1]])
+    k = deepest_gemm_depth(arch)
     missing = ~pattern.mask
     bound = k * np.finfo(np.float32).eps * np.max(np.abs(expected[:, missing]))
     assert np.max(np.abs(got - expected)[:, missing]) <= bound
@@ -688,32 +683,33 @@ class TestRowRestrictedHostPath:
         pattern = make_uniform_pattern(128, 4, 32)
         asked = []
 
-        def spy_forward(nets, x):
-            out = forward(nets, x)
-            asked.append(out.shape[3])
-            return out
+        def spy_train(nets, ts, opt, inputs=()):
+            nets, histories, *outs = train_inner(nets, ts, opt, inputs)
+            assert len(outs) == len(inputs)
+            asked.extend(out.shape[3] for out in outs)
+            return (nets, histories, *outs)
 
-        forward = pipelines.forward
-        monkeypatch.setattr(pipelines, "forward", spy_forward)
+        train_inner = pipelines.train
+        monkeypatch.setattr(pipelines, "train", spy_train)
         reconstruct(apply_pattern(full, pattern), ReconConfig(method=method, pattern=pattern, optimizer=fast_opt(1)))
         assert asked == [12, 12]  # one run above the ACS block, one below
         assert sum(asked) == np.unique(pattern.missing_rows // 4).size
 
     @pytest.mark.parametrize("R", list(OFF_LATTICE_ACS))
     def test_inference_never_spans_more_than_the_lattice(self, R, monkeypatch):
-        # each call infers on exactly one run of kept lattice rows, in order,
-        # and reads those rows plus the receptive-field halo: the all-pass
-        # branch's real input row j is lattice row run[0] - gap + j, or zero
-        # off the lattice; so the calls never take the whole lattice
+        # each inference input covers exactly one run of kept lattice rows,
+        # in order, and holds those rows plus the receptive-field halo: the
+        # all-pass branch's real input row j is lattice row run[0] - gap + j,
+        # or zero off the lattice; so the inputs never take the whole lattice
         measured, pattern = host_path_scene(R, OFF_LATTICE_ACS[R])
         calls = []
 
-        def spy_forward(nets, x):
-            calls.append(x)
-            return forward(nets, x)
+        def spy_train(nets, ts, opt, inputs=()):
+            calls.extend(inputs)
+            return train_inner(nets, ts, opt, inputs)
 
-        forward = pipelines.forward
-        monkeypatch.setattr(pipelines, "forward", spy_forward)
+        train_inner = pipelines.train
+        monkeypatch.setattr(pipelines, "train", spy_train)
         reconstruct(measured, ReconConfig(method="mw_rraki", pattern=pattern, seed=7, optimizer=fast_opt(2)))
         kept = np.unique(pattern.missing_rows // R)
         runs = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
